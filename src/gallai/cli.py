@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GecFormatError, NotGallaiError, ValueError, OSError) as exc:
+    except (GecFormatError, NotGallaiError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

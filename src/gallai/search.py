@@ -24,6 +24,27 @@ completes.  The DFS visits colorings in lexicographic order and prunes
 ties, so the reported witness is the lexicographically smallest optimal
 coloring of the reduced space, deterministically.
 
+The minimum-monochromatic search adds two things, in serial runs and
+in every parallel subtree alike:
+
+  * a seeded incumbent: the Goodman 2-coloring for k = 2, the
+    multiplicity construction for k >= 3 at n >= gr_k3(k), its count
+    taken from the triangle census (and, under gallai_only, used only
+    if the census finds no rainbow triangle).  Leaves equal to the
+    seed are still accepted, so the witness rule above is unchanged;
+    a run whose budget ends before such a leaf reports the seed;
+  * Goodman's counting bound.  With D_v the number of differently
+    colored edge pairs at v, every coloring has exactly
+    C(n,3) - (sum_v D_v)/2 + rainbow/2 monochromatic triangles, so
+    C(n,3) - (sum_v max D_v)/2, each maximum taken over the completions
+    of v's partial color degrees, bounds every completion from below.
+    A child dies when the integer ceiling of that bound reaches the
+    incumbent.  A 2-coloring has no rainbow triangle, so for k = 2 the
+    identity is exact and, once the seeded optimum is found again, the
+    bound closes the proof at once: min-mono(n,2) proves in under
+    5,000 nodes for n <= 14, where the partial count alone needed a
+    million at n = 8.
+
 A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.
 """
@@ -31,9 +52,13 @@ degrades the outcome to exhaustive=False, never silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
+from .census import triangle_census
 from .coloring import Coloring, pair_index
+from .construct import construct_multiplicity_extremal, goodman_extremal_2coloring
+from .formulas import gr_k3
 
 DEFAULT_BUDGET = 10**9
 
@@ -48,8 +73,8 @@ class SearchOutcome:
     exhaustive is True when the reported value is proven exact: the
     reduced space was fully covered, or a conclusive witness was found.
     It is False only when the node budget ran out first, in which case
-    value/witness are best-so-far (and may be None if no leaf was
-    reached).
+    value/witness are best-so-far: None if no leaf was reached, or for
+    min_mono_triangles the seed construction, where it has one.
     """
 
     objective: str
@@ -131,17 +156,74 @@ class _ColorBook:
 # minimum monochromatic triangles
 
 
+def _min_mono_seed(n, k, gallai_only):
+    """(value, colors) of the library construction the incumbent starts
+    from, or (None, None) when no family covers (n, k).  The value is
+    the construction's census count, not its formula, and under
+    gallai_only a construction with a rainbow triangle is not used, so
+    the incumbent is always the count of a coloring in the searched
+    space."""
+    if k == 2:
+        seed = goodman_extremal_2coloring(n, 1, 2)
+    elif k >= 3 and n >= gr_k3(k):
+        seed = construct_multiplicity_extremal(k, n)
+    else:
+        return None, None
+    cen = triangle_census(seed)
+    if gallai_only and cen.rainbow != 0:
+        return None, None
+    return cen.mono_total, seed.colors
+
+
+class _SplitPairs(dict):
+    """Goodman's per-vertex term: the most differently-colored edge
+    pairs any completion of a vertex's color-degree vector can reach in
+    K_n.  Keys are the vector's base-n code (color c counts n^(c-1));
+    entries are filled on first use, so at most the C(n-1+k, k)
+    reachable vectors are ever computed."""
+
+    def __init__(self, n, k):
+        super().__init__()
+        self.n = n
+        self.k = k
+
+    def __missing__(self, code):
+        n = self.n
+        degrees = []
+        rest = code
+        for _ in range(self.k):
+            rest, d = divmod(rest, n)
+            degrees.append(d)
+        # water-fill: each free edge raises the smallest degree, which
+        # minimizes the sum of squares and so maximizes the split pairs
+        for _ in range(n - 1 - sum(degrees)):
+            degrees[degrees.index(min(degrees))] += 1
+        value = ((n - 1) ** 2 - sum(d * d for d in degrees)) // 2
+        self[code] = value
+        return value
+
+
 def _min_mono_run(n, k, gallai_only, budget, prefix=()):
     plan = _edge_plan(n)
     m = len(plan)
     col = [0] * m
     book = _ColorBook(k)
-    state = {"nodes": 0, "best": None, "best_col": None}
-
-    def leaf(mono):
-        if state["best"] is None or mono < state["best"]:
-            state["best"] = mono
-            state["best_col"] = tuple(col)
+    triples = comb(n, 3)
+    seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
+    # a leaf is accepted when its count is below cut; starting one above
+    # the seed keeps seed-valued leaves, so the lexicographically first
+    # optimum is still the one found
+    cut = triples + 1 if seed_value is None else seed_value + 1
+    # Goodman: every completion has at least C(n,3) - s/2 monochromatic
+    # triangles, s the sum of the per-vertex split-pair maxima; a child
+    # dies when the integer ceiling of that bound reaches cut, i.e. when
+    # s < lim
+    lim = 2 * (triples - cut) + 2
+    split = _SplitPairs(n, k)
+    weight = [n ** (c - 1) for c in range(k + 1)]
+    code = [0] * (n + 1)
+    nodes = 0
+    best_col = None
 
     def mono_delta(tris, c):
         # returns (new mono triangles, rainbow seen) for coloring the
@@ -157,12 +239,19 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
                 return -1
         return delta
 
-    def rec(t, mono):
+    def rec(t, mono, s):
+        nonlocal nodes, cut, lim, best_col
         if t == m:
-            leaf(mono)
+            if mono < cut:
+                cut = mono
+                lim = 2 * (triples - cut) + 2
+                best_col = tuple(col)
             return
-        _, _, idx, tris, prev_star = plan[t]
+        u, v, idx, tris, prev_star = plan[t]
         lo = col[prev_star] if prev_star >= 0 else 1
+        cu = code[u]
+        cv = code[v]
+        rest = s - split[cu] - split[cv]
         for c in book.allowed():
             if c < lo:
                 continue
@@ -170,16 +259,23 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
             if delta < 0:
                 continue
             nm = mono + delta
-            best = state["best"]
-            if best is not None and nm >= best:
+            if nm >= cut:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > budget:
+            w = weight[c]
+            ns = rest + split[cu + w] + split[cv + w]
+            if ns < lim:
+                continue
+            nodes += 1
+            if nodes > budget:
                 raise _BudgetExceeded
             col[idx] = c
+            code[u] = cu + w
+            code[v] = cv + w
             book.use(c)
-            rec(t + 1, nm)
+            rec(t + 1, nm, ns)
             book.unuse(c)
+            code[u] = cu
+            code[v] = cv
             col[idx] = 0
 
     # replay a fixed prefix (parallel subtree roots); abandon the
@@ -187,23 +283,33 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
     mono = 0
     feasible = True
     for t, c in enumerate(prefix):
-        _, _, idx, tris, prev_star = plan[t]
+        u, v, idx, tris, prev_star = plan[t]
         lo = col[prev_star] if prev_star >= 0 else 1
         delta = mono_delta(tris, c) if c >= lo else -1
         if delta < 0:
             feasible = False
             break
         mono += delta
+        code[u] += weight[c]
+        code[v] += weight[c]
         col[idx] = c
         book.use(c)
 
     exhaustive = True
     if feasible:
         try:
-            rec(len(prefix), mono)
+            rec(len(prefix), mono, sum(split[code[v]] for v in range(1, n + 1)))
         except _BudgetExceeded:
             exhaustive = False
-    return state["best"], state["best_col"], state["nodes"], exhaustive
+    if best_col is not None:
+        return cut, best_col, nodes, exhaustive
+    if not exhaustive and seed_col is not None:
+        # budget ran out before a leaf at or below the seed: the seed
+        # is the best coloring known
+        return seed_value, seed_col, nodes, exhaustive
+    # an exhausted (sub)tree with no leaf at or below the seed holds
+    # nothing the other subtrees need
+    return None, None, nodes, exhaustive
 
 
 def min_mono_triangles(
@@ -216,7 +322,7 @@ def min_mono_triangles(
 ) -> SearchOutcome:
     """Exact minimum of the total monochromatic-triangle count over all
     (optionally Gallai-restricted) k-colorings of K_n."""
-    _check_args(n, k)
+    _check_args(n, k, jobs)
     runs = _dispatch(
         "min_mono",
         dict(n=n, k=k, gallai_only=gallai_only, budget=budget),
@@ -383,7 +489,7 @@ def exists_avoiding(
     value 1 with a witness when an avoiding coloring exists, 0 when the
     exhausted space has none.  Running at consecutive n brackets the
     corresponding Ramsey-type number."""
-    _check_args(n, k)
+    _check_args(n, k, jobs)
     targets = list(targets)
     if len(targets) != k:
         raise ValueError(f"need one target per color: got {len(targets)} for k={k}")
@@ -483,7 +589,7 @@ def max_protected_edges(
 ) -> SearchOutcome:
     """Exact maximum, over all k-colorings of K_n, of the number of
     edges contained in no rainbow and no monochromatic triangle."""
-    _check_args(n, k)
+    _check_args(n, k, jobs)
     runs = _dispatch(
         "max_protected", dict(n=n, k=k, budget=budget), n, k, jobs, class_of=None
     )
@@ -521,9 +627,11 @@ def find_gr_star_pair_witness(
 # shared driver plumbing
 
 
-def _check_args(n, k):
+def _check_args(n, k, jobs=1):
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n} k={k}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
 
 
 def _enumerate_prefixes(n, k, depth, class_of):

@@ -348,6 +348,8 @@ def run_suite(level: str = "fast") -> list[CheckResult]:
         try:
             fn()
             results.append(CheckResult(name, True, "", time.time() - start))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc), time.time() - start))
+        except Exception as exc:
+            # a crash fails its own check, not the battery
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, False, detail, time.time() - start))
     return results

@@ -123,6 +123,20 @@ def test_grstar_search(capsys, tmp_path):
     assert ext.pairs.n == 5
 
 
+def test_grstar_search_budget_exhausted_is_an_error(capsys):
+    code, out, err = run(capsys, "grstar-search", "6", "3", "--budget", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
+def test_search_rejects_nonpositive_jobs(capsys):
+    for objective in ("min-mono", "exists-avoiding", "max-protected"):
+        for jobs in ("0", "-2"):
+            code, out, err = run(capsys, "search", objective, "5", "2", "--jobs", jobs)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "jobs" in err
+
+
 def test_search_json_and_witness_file(capsys, tmp_path):
     target = tmp_path / "w.gec"
     code, out, _ = run(capsys, "search", "min-mono", "6", "2", "-o", str(target))

@@ -1,3 +1,7 @@
+import json
+from itertools import combinations, product
+from pathlib import Path
+
 import pytest
 
 import helpers
@@ -5,12 +9,19 @@ from gallai import (
     exists_avoiding,
     find_gr_star_pair_witness,
     find_mono_subgraph,
+    g_multiplicity_bounds,
+    goodman_extremal_2coloring,
     goodman_m2,
     is_gallai,
     max_protected_edges,
     min_mono_triangles,
     triangle_census,
 )
+from gallai.search import _SplitPairs
+
+# min_mono_triangles outcomes recorded from the kernel without the seed
+# incumbent and the counting bound, for jobs 1 and 2
+MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
 
 
 def test_min_mono_matches_goodman_small():
@@ -18,6 +29,13 @@ def test_min_mono_matches_goodman_small():
         out = min_mono_triangles(n, 2)
         assert out.exhaustive
         assert out.value == want == goodman_m2(n)
+    # the counting bound is exact for two colors, so the proof closes
+    # almost as soon as the seeded optimum is found again
+    for n in range(7, 15):
+        out = min_mono_triangles(n, 2)
+        assert out.exhaustive
+        assert out.value == goodman_m2(n)
+        assert out.nodes_explored < 10**4
 
 
 def test_min_mono_matches_full_enumeration():
@@ -27,6 +45,51 @@ def test_min_mono_matches_full_enumeration():
         assert min_mono_triangles(n, 2).value == helpers.brute_min_mono(n, 2)
     assert min_mono_triangles(4, 3).value == helpers.brute_min_mono(4, 3)
     assert min_mono_triangles(5, 3).value == helpers.brute_min_mono(5, 3)
+
+
+def test_min_mono_matches_previous_kernel():
+    cases = json.loads(MIN_MONO_GRID.read_text())
+    assert len(cases) == 76
+    for case in cases:
+        out = min_mono_triangles(
+            case["n"], case["k"], case["gallai_only"], jobs=case["jobs"]
+        )
+        witness = out.witness.serialize() if out.witness is not None else None
+        got = (out.value, out.exhaustive, witness)
+        assert got == (case["value"], case["exhaustive"], case["witness"]), case
+
+
+def test_split_pair_table_matches_brute_force():
+    # the counting bound is sound only if no completion of a vertex's
+    # color degrees splits more edge pairs than the table says
+    for n, k in [(5, 2), (6, 3), (5, 4)]:
+        table = _SplitPairs(n, k)
+        for degrees in product(range(n), repeat=k):
+            free = n - 1 - sum(degrees)
+            if free < 0:
+                continue
+            best = 0
+            for extra in product(range(free + 1), repeat=k):
+                if sum(extra) == free:
+                    x = [d + e for d, e in zip(degrees, extra)]
+                    best = max(best, sum(a * b for a, b in combinations(x, 2)))
+            code = sum(d * n**i for i, d in enumerate(degrees))
+            assert table[code] == best, (n, k, degrees)
+
+
+def test_min_mono_budget_reports_seed():
+    # no leaf is reached in 5 nodes, so the best coloring known is the
+    # construction the incumbent started from
+    for jobs in (1, 2):
+        out = min_mono_triangles(9, 2, budget=5, jobs=jobs)
+        assert not out.exhaustive
+        assert out.value == goodman_m2(9)
+        assert out.witness == goodman_extremal_2coloring(9, 1, 2)
+        out = min_mono_triangles(13, 3, True, budget=5, jobs=jobs)
+        assert not out.exhaustive
+        assert out.value == g_multiplicity_bounds(3, 13)[0]
+        assert triangle_census(out.witness).mono_total == out.value
+        assert is_gallai(out.witness)
 
 
 def test_min_mono_gallai_flag():
@@ -132,6 +195,16 @@ def test_jobs_deterministic():
     assert serial.witness == parallel.witness
     assert exists_avoiding(6, 2, ["K3", "K3"], jobs=2).value == 0
     assert max_protected_edges(5, 2, jobs=2).value == 10
+
+
+def test_jobs_must_be_positive():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            min_mono_triangles(5, 2, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            exists_avoiding(5, 2, ["K3", "K3"], jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            max_protected_edges(5, 2, jobs=jobs)
 
 
 def test_nodes_counted():
