@@ -14,6 +14,16 @@ equals 3*mono + bichromatic, which yields the bichromatic count without
 triple enumeration; the rainbow count follows from the total C(n,3).
 This keeps the census near O(n^2) per color, fast enough for the
 n ~ 300 construction checks.
+
+Hunt order: the K3/K4/K4+e hunts orient every edge of the color class
+from its lower vertex to its higher one and run over u < v < w (< x)
+with each vertex taken from the common higher neighborhood of the ones
+before it (Chiba & Nishizeki, SIAM J. Comput. 14, 1985).  Each clique
+is reached exactly once, in lexicographic order of its sorted vertex
+tuple, so the reported witness is the lexicographically smallest: the
+smallest K3, the smallest K4, and for K4+e the smallest K4 with a
+vertex of color-degree above 3, followed by the lowest-numbered pendant
+neighbor of the lowest such vertex.
 """
 
 from __future__ import annotations
@@ -44,8 +54,10 @@ class TriangleCensus:
 class MonoSubgraphReport:
     """Outcome of a monochromatic K3/K4/K4+e hunt in one color.
 
-    For kind "K4+e" a witness lists the four clique vertices followed by
-    the pendant vertex; for the cliques the witness is sorted.
+    For kind "K4+e" a witness lists the four clique vertices in
+    ascending order followed by the pendant vertex; for the cliques the
+    witness is sorted.  Each witness is the lexicographically smallest
+    of its kind (see the module docstring).
     """
 
     color: int
@@ -69,7 +81,8 @@ def triangle_census(coloring: Coloring) -> TriangleCensus:
         triples = 0
         for u, v in by_color[c]:
             triples += (adj_c[u] & adj_c[v]).bit_count()
-        assert triples % 3 == 0
+        if triples % 3:
+            raise RuntimeError(f"color {c}: triangle edge count {triples} not divisible by 3")
         mono[c] = triples // 3
     mono_total = sum(mono.values())
 
@@ -81,7 +94,10 @@ def triangle_census(coloring: Coloring) -> TriangleCensus:
             cherries += d * (d - 1) // 2
     bichromatic = cherries - 3 * mono_total
     rainbow = comb(n, 3) - mono_total - bichromatic
-    assert bichromatic >= 0 and rainbow >= 0
+    if bichromatic < 0 or rainbow < 0:
+        raise RuntimeError(
+            f"inconsistent census: bichromatic={bichromatic} rainbow={rainbow}"
+        )
     return TriangleCensus(mono, bichromatic, rainbow)
 
 
@@ -108,51 +124,42 @@ def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _mono_k3(coloring, c) -> Optional[tuple[int, ...]]:
+def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
+    """Lexicographically smallest witness of `kind` in color c, or None.
+
+    Every edge is oriented from its lower vertex to its higher one, so
+    u < v < w < x runs over each clique exactly once, in lexicographic
+    order, and the first clique reached is the smallest.
+    """
     adj_c = coloring.adjacency()[c]
-    for u, v in coloring.edges_by_color()[c]:
-        common = adj_c[u] & adj_c[v]
-        if common:
-            w = (common & -common).bit_length()
-            return tuple(sorted((u, v, w)))
-    return None
-
-
-def _iter_mono_k4(coloring, c):
-    """Yield each monochromatic K4 of color c (possibly repeatedly)."""
-    adj_c = coloring.adjacency()[c]
-    for u, v in coloring.edges_by_color()[c]:
-        common = adj_c[u] & adj_c[v]
-        rest = common
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length()
-            higher = common & adj_c[w] & ~((1 << w) - 1)
-            while higher:
-                lowx = higher & -higher
-                higher ^= lowx
-                x = lowx.bit_length()
-                yield u, v, w, x
-
-
-def _mono_k4(coloring, c) -> Optional[tuple[int, ...]]:
-    for quad in _iter_mono_k4(coloring, c):
-        return tuple(sorted(quad))
-    return None
-
-
-def _mono_k4e(coloring, c) -> Optional[tuple[int, ...]]:
-    adj_c = coloring.adjacency()[c]
-    for quad in _iter_mono_k4(coloring, c):
-        mask = 0
-        for y in quad:
-            mask |= 1 << (y - 1)
-        for y in sorted(quad):
-            extra = adj_c[y] & ~mask
-            if extra:
-                pendant = (extra & -extra).bit_length()
-                return tuple(sorted(quad)) + (pendant,)
+    deg_c = coloring.degrees()[c]
+    k3 = kind == "K3"
+    k4 = kind == "K4"
+    for u in range(1, coloring.n + 1):
+        su = adj_c[u] >> u << u  # neighbors above u
+        while su:
+            bv = su & -su
+            su ^= bv
+            v = bv.bit_length()
+            rest = adj_c[v] & su  # common neighbors above v
+            if rest and k3:
+                return (u, v, (rest & -rest).bit_length())
+            while rest:
+                bw = rest & -rest
+                rest ^= bw
+                w = bw.bit_length()
+                xs = adj_c[w] & rest  # common neighbors above w
+                if xs and k4:
+                    return (u, v, w, (xs & -xs).bit_length())
+                while xs:
+                    bx = xs & -xs
+                    xs ^= bx
+                    x = bx.bit_length()
+                    for y in (u, v, w, x):
+                        if deg_c[y] > 3:
+                            quad = (1 << (u - 1)) | bv | bw | bx
+                            extra = adj_c[y] & ~quad
+                            return (u, v, w, x, (extra & -extra).bit_length())
     return None
 
 
@@ -162,12 +169,7 @@ def find_mono_subgraph(coloring: Coloring, color: int, kind: str) -> MonoSubgrap
         raise ValueError(f"kind must be one of {MONO_KINDS}, got {kind!r}")
     if not 1 <= color <= coloring.k:
         raise ValueError(f"color {color} outside 1..{coloring.k}")
-    if kind == "K3":
-        witness = _mono_k3(coloring, color)
-    elif kind == "K4":
-        witness = _mono_k4(coloring, color)
-    else:
-        witness = _mono_k4e(coloring, color)
+    witness = _first_mono_clique(coloring, color, kind)
     return MonoSubgraphReport(color=color, kind=kind, witness=witness)
 
 

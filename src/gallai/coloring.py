@@ -14,6 +14,7 @@ pairs in lexicographic order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -181,11 +182,13 @@ def _parse_body(lines: list[tuple[int, str]]) -> Coloring:
     if n < 1 or k < 1:
         raise GecFormatError(f"line {lineno}: need n >= 1 and k >= 1, got n={n} k={k}")
 
+    # colors by pair index, 0 while a pair is unseen.  A body with fewer
+    # than C(n,2) lines can only fail, so it gets a dict sized by the body
+    # instead of an array sized by a header that may claim any n.
     m = comb(n, 2)
-    colors = [0] * m
-    seen = [False] * m
-    count = 0
-    for lineno, text in lines[1:]:
+    body = lines[1:]
+    colors = [0] * m if m <= len(body) else defaultdict(int)
+    for lineno, text in body:
         parts = text.split()
         if len(parts) != 3:
             raise GecFormatError(f"line {lineno}: expected 'u v c', got {text!r}")
@@ -200,15 +203,16 @@ def _parse_body(lines: list[tuple[int, str]]) -> Coloring:
         if not 1 <= c <= k:
             raise GecFormatError(f"line {lineno}: color {c} outside 1..{k}")
         idx = pair_index(n, u, v)
-        if seen[idx]:
+        if colors[idx]:
             raise GecFormatError(f"line {lineno}: duplicate pair ({u},{v})")
-        seen[idx] = True
         colors[idx] = c
-        count += 1
-    if count != m:
-        missing = next((u, v) for (u, v), s in zip(lex_pairs(n), seen) if not s)
+    # every body line now holds a distinct pair
+    if len(body) != m:
+        # the first missing pair lies within the first len(body)+1 pairs
+        pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        missing = next(p for i, p in enumerate(pairs) if not colors[i])
         raise GecFormatError(
-            f"got {count} of {m} pairs; pair {missing} missing"
+            f"got {len(body)} of {m} pairs; pair {missing} missing"
         )
     return Coloring(n, k, colors)
 

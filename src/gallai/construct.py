@@ -183,7 +183,10 @@ def construct_gr_k4e_extremal(k: int, s: int) -> Coloring:
         else:  # i == k-1
             g = _join_two_copies(g, k, k)
             i += 1
-    assert g.n == mixed_k4e_extremal_order(k, s)
+    if g.n != mixed_k4e_extremal_order(k, s):
+        raise RuntimeError(
+            f"built n={g.n}, expected {mixed_k4e_extremal_order(k, s)} for k={k} s={s}"
+        )
     return g
 
 
@@ -368,7 +371,10 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
         )
     rng = random.Random(seed)
     pattern = _star_free_graph(n, h)
-    assert len(pattern) == ex_star(n, h)
+    if len(pattern) != ex_star(n, h):
+        raise RuntimeError(
+            f"star-free pattern has {len(pattern)} edges, expected ex_star={ex_star(n, h)}"
+        )
 
     layers = []
     for _ in range(k - 1):
@@ -416,7 +422,8 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
     layer_of: dict[tuple[int, int], int] = {}
     for i, layer in enumerate(layers, start=1):
         for e in layer:
-            assert e not in layer_of
+            if e in layer_of:
+                raise RuntimeError(f"edge {e} shared by layers {layer_of[e]} and {i}")
             layer_of[e] = i
     for u, v in lex_pairs(n):
         colors.append(layer_of.get((u - 1, v - 1), k))

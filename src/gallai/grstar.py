@@ -153,5 +153,6 @@ def max_gr_star_witness(
         free = next(c for c in range(1, k + 1) if c not in incident)
         singles.append(free)
     extended = ExtendedColoring(pairs=pairs, singleton_colors=tuple(singles))
-    assert check_gr_star_conditions(extended).passes
+    if not check_gr_star_conditions(extended).passes:
+        raise RuntimeError(f"completed witness for n={n} k={k} fails the GR* conditions")
     return True, extended

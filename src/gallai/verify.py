@@ -42,6 +42,16 @@ def _gr_k4e_instances(limit=300):
     return out
 
 
+def _require(ok, detail=None):
+    """Raise AssertionError(detail) unless ok.
+
+    An explicit raise, unlike `assert`, still runs under `python -O`, and
+    the exception reads as an `assert` with the same message would.
+    """
+    if not ok:
+        raise AssertionError() if detail is None else AssertionError(detail)
+
+
 # ---------------------------------------------------------------------------
 # fast checks
 
@@ -49,55 +59,55 @@ def _gr_k4e_instances(limit=300):
 def check_goodman_oracle_small():
     for n, want in [(3, 0), (4, 0), (5, 0), (6, 2)]:
         out = search.min_mono_triangles(n, 2)
-        assert out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}"
-        assert out.value == formulas.goodman_m2(n)
-        assert census.triangle_census(out.witness).mono_total == out.value
+        _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
+        _require(out.value == formulas.goodman_m2(n))
+        _require(census.triangle_census(out.witness).mono_total == out.value)
 
 
 def check_pentagon_gadget():
     p = construct.pentagon_coloring(1, 2)
     cen = census.triangle_census(p)
-    assert cen.mono_total == 0 and cen.rainbow == 0, cen
+    _require(cen.mono_total == 0 and cen.rainbow == 0, cen)
     split = [len(p.edges_by_color()[c]) for c in (1, 2)]
-    assert split == [5, 5], split
+    _require(split == [5, 5], split)
 
 
 def check_paley17_gadget():
     p = construct.paley17_coloring(1, 2)
     for c in (1, 2):
-        assert set(p.degrees()[c][1:]) == {8}, "color classes must be 8-regular"
-        assert not census.find_mono_subgraph(p, c, "K4").present, f"K4 in color {c}"
-    assert census.triangle_census(p).rainbow == 0
+        _require(set(p.degrees()[c][1:]) == {8}, "color classes must be 8-regular")
+        _require(not census.find_mono_subgraph(p, c, "K4").present, f"K4 in color {c}")
+    _require(census.triangle_census(p).rainbow == 0)
 
 
 def check_figure1_fixture():
     fx = grstar.figure1_fixture()
-    assert fx.pairs.n == 10 and fx.pairs.k == 4
-    assert fx.pairs.n == formulas.gr_star_k3(4) - 1
-    assert len(set(fx.singleton_colors)) == 2
+    _require(fx.pairs.n == 10 and fx.pairs.k == 4)
+    _require(fx.pairs.n == formulas.gr_star_k3(4) - 1)
+    _require(len(set(fx.singleton_colors)) == 2)
     report = grstar.check_gr_star_conditions(fx)
-    assert report.passes, report
+    _require(report.passes, report)
 
 
 def check_formula_values():
-    assert [formulas.goodman_m2(n) for n in (5, 6, 7)] == [0, 2, 4]
-    assert formulas.m3_formula(16).value == 8
-    assert formulas.m3_formula(10).value == 0
-    assert formulas.m3_formula(11).value == 1
-    assert [formulas.gr_k3(k) for k in (1, 2, 3, 4)] == [3, 6, 11, 26]
-    assert formulas.gr_mixed_k4e(2, 2) == 18
-    assert formulas.gr_mixed_k4e(2, 1) == 9
-    assert formulas.gr_mixed_k4e(3, 3) == 69
-    assert formulas.gr_mixed_k4e(4, 4) == 290
+    _require([formulas.goodman_m2(n) for n in (5, 6, 7)] == [0, 2, 4])
+    _require(formulas.m3_formula(16).value == 8)
+    _require(formulas.m3_formula(10).value == 0)
+    _require(formulas.m3_formula(11).value == 1)
+    _require([formulas.gr_k3(k) for k in (1, 2, 3, 4)] == [3, 6, 11, 26])
+    _require(formulas.gr_mixed_k4e(2, 2) == 18)
+    _require(formulas.gr_mixed_k4e(2, 1) == 9)
+    _require(formulas.gr_mixed_k4e(3, 3) == 69)
+    _require(formulas.gr_mixed_k4e(4, 4) == 290)
     for k in (1, 2, 3, 4, 5):
-        assert formulas.gr_mixed_k4e(k, 0) == formulas.gr_k3(k)
-    assert [formulas.gr_star_k3(k) for k in (2, 4, 5)] == [3, 11, 26]
-    assert formulas.turan_count(6, 2) == 9
-    assert formulas.turan_count(30, 5) == 360
-    assert formulas.g_multiplicity_bounds(3, 11) == (1, 1)
-    assert formulas.g_multiplicity_bounds(4, 26) == (2, 2)
-    assert formulas.ex_star(20, 3) == 20
-    assert formulas.ex_star(7, 4) == 10
+        _require(formulas.gr_mixed_k4e(k, 0) == formulas.gr_k3(k))
+    _require([formulas.gr_star_k3(k) for k in (2, 4, 5)] == [3, 11, 26])
+    _require(formulas.turan_count(6, 2) == 9)
+    _require(formulas.turan_count(30, 5) == 360)
+    _require(formulas.g_multiplicity_bounds(3, 11) == (1, 1))
+    _require(formulas.g_multiplicity_bounds(4, 26) == (2, 2))
+    _require(formulas.ex_star(20, 3) == 20)
+    _require(formulas.ex_star(7, 4) == 10)
 
 
 def check_gec_roundtrip():
@@ -107,7 +117,7 @@ def check_gec_roundtrip():
         construct.construct_gr_k3_extremal(3),
     ]
     for c in samples:
-        assert parse_coloring(c.serialize()) == c
+        _require(parse_coloring(c.serialize()) == c)
 
 
 # ---------------------------------------------------------------------------
@@ -116,49 +126,49 @@ def check_gec_roundtrip():
 
 def check_goodman_oracle_n7():
     out = search.min_mono_triangles(7, 2)
-    assert out.exhaustive and out.value == 4, out.value
-    assert census.triangle_census(out.witness).mono_total == 4
+    _require(out.exhaustive and out.value == 4, out.value)
+    _require(census.triangle_census(out.witness).mono_total == 4)
 
 
 def check_ramsey_brackets():
     out = search.exists_avoiding(5, 2, ["K3", "K3"])
-    assert out.value == 1 and census.triangle_census(out.witness).mono_total == 0
+    _require(out.value == 1 and census.triangle_census(out.witness).mono_total == 0)
     out = search.exists_avoiding(6, 2, ["K3", "K3"])
-    assert out.value == 0 and out.exhaustive
+    _require(out.value == 0 and out.exhaustive)
     out = search.exists_avoiding(8, 2, ["K4+e", "K3"])
-    assert out.value == 1
+    _require(out.value == 1)
     w = out.witness
-    assert not census.find_mono_subgraph(w, 1, "K4+e").present
-    assert not census.find_mono_subgraph(w, 2, "K3").present
+    _require(not census.find_mono_subgraph(w, 1, "K4+e").present)
+    _require(not census.find_mono_subgraph(w, 2, "K3").present)
     out = search.exists_avoiding(9, 2, ["K4+e", "K3"])
-    assert out.value == 0 and out.exhaustive
+    _require(out.value == 0 and out.exhaustive)
 
 
 def check_gr_k3_witnesses():
     for k, order in [(1, 2), (2, 5), (3, 10), (4, 25), (5, 50)]:
         c = construct.construct_gr_k3_extremal(k)
-        assert c.n == order == formulas.gr_k3(k) - 1
+        _require(c.n == order == formulas.gr_k3(k) - 1)
         cen = census.triangle_census(c)
-        assert cen.rainbow == 0 and cen.mono_total == 0, (k, cen)
+        _require(cen.rainbow == 0 and cen.mono_total == 0, (k, cen))
 
 
 def check_gr_k4e_witnesses():
     for k, s in _gr_k4e_instances():
         c = construct.construct_gr_k4e_extremal(k, s)
-        assert c.n == formulas.mixed_k4e_extremal_order(k, s)
-        assert census.triangle_census(c).rainbow == 0
+        _require(c.n == formulas.mixed_k4e_extremal_order(k, s))
+        _require(census.triangle_census(c).rainbow == 0)
         for q in range(1, s + 1):
-            assert not census.find_mono_subgraph(c, q, "K4+e").present, (k, s, q)
+            _require(not census.find_mono_subgraph(c, q, "K4+e").present, (k, s, q))
         for q in range(s + 1, k + 1):
-            assert not census.find_mono_subgraph(c, q, "K3").present, (k, s, q)
+            _require(not census.find_mono_subgraph(c, q, "K3").present, (k, s, q))
 
 
 def check_multiplicity_exactness():
     for t in range(5):
         c = construct.construct_multiplicity_extremal(3, 11 + t)
-        assert census.triangle_census(c).mono_total == t + 1, t
+        _require(census.triangle_census(c).mono_total == t + 1, t)
     c = construct.construct_multiplicity_extremal(4, 26)
-    assert census.triangle_census(c).mono_total == 2
+    _require(census.triangle_census(c).mono_total == 2)
     for k in range(1, 5):
         base = formulas.gr_k3(k)
         for n in range(base, base + 31):
@@ -166,8 +176,8 @@ def check_multiplicity_exactness():
             got = census.triangle_census(
                 construct.construct_multiplicity_extremal(k, n)
             ).mono_total
-            assert got == upper, (k, n, got, upper)
-            assert got >= lower, (k, n, got, lower)
+            _require(got == upper, (k, n, got, upper))
+            _require(got >= lower, (k, n, got, lower))
 
 
 def check_f_lower_turan():
@@ -175,8 +185,8 @@ def check_f_lower_turan():
         c = construct.construct_f_lower(n, k)
         got = census.count_protected_edges(c)
         want = formulas.turan_count(n, formulas.gr_k3(k - 1) - 1)
-        assert got == want, (k, n, got, want)
-        assert census.triangle_census(c).rainbow == 0
+        _require(got == want, (k, n, got, want))
+        _require(census.triangle_census(c).rainbow == 0)
 
 
 def _set_partitions(items):
@@ -228,16 +238,16 @@ def check_partition_refinement_small():
                 continue
             valid = _valid_partitions(c)
             gp = find_gallai_partition(c)
-            assert verify_gallai_partition(c, gp), (n, colors)
+            _require(verify_gallai_partition(c, gp), (n, colors))
             for s in _candidate_color_sets(3):
                 fix = _merge_fixpoint(c, s)
                 relevant = [p for p, between in valid if between <= set(s)]
                 if fix is None:
-                    assert not relevant, (n, colors, s)
+                    _require(not relevant, (n, colors, s))
                     continue
                 groups, _, _ = fix
                 for p in relevant:
-                    assert _refines(groups, p), (n, colors, s, p)
+                    _require(_refines(groups, p), (n, colors, s, p))
 
 
 def check_partition_soundness():
@@ -258,21 +268,21 @@ def check_partition_soundness():
         if c.n < 2:
             continue
         gp = find_gallai_partition(c)
-        assert verify_gallai_partition(c, gp), c
+        _require(verify_gallai_partition(c, gp), c)
 
     rng = random.Random(2024)
     for i in range(1000):
         c = construct.random_gallai_coloring(rng.randint(2, 60), rng.randint(1, 6), rng)
         gp = find_gallai_partition(c)
-        assert verify_gallai_partition(c, gp), f"random instance {i}"
+        _require(verify_gallai_partition(c, gp), f"random instance {i}")
 
 
 def check_grstar_exactness():
     for n, k, want in [(2, 2, True), (3, 2, False), (5, 3, True), (6, 3, False)]:
         found, witness = grstar.max_gr_star_witness(n, k)
-        assert found == want, (n, k, found)
+        _require(found == want, (n, k, found))
         if found:
-            assert grstar.check_gr_star_conditions(witness).passes
+            _require(grstar.check_gr_star_conditions(witness).passes)
     check_figure1_fixture()
 
 
@@ -281,9 +291,9 @@ def check_nim_star_bound():
         c = construct.construct_nim_star(n, h, k)
         got = census.count_nim_star_edges(c, h)
         want = (k - 1) * formulas.ex_star(n, h)
-        assert got >= want, (n, h, k, got, want)
+        _require(got >= want, (n, h, k, got, want))
     c = construct.construct_nim_star(20, 3, 2)
-    assert census.count_nim_star_edges(c, 3) == formulas.ex_star(20, 3)
+    _require(census.count_nim_star_edges(c, 3) == formulas.ex_star(20, 3))
 
 
 def check_census_properties():
@@ -294,24 +304,24 @@ def check_census_properties():
         colors = [rng.randint(1, k) for _ in range(comb(n, 2))]
         c = Coloring(n, k, colors)
         cen = census.triangle_census(c)
-        assert cen.mono_total + cen.bichromatic + cen.rainbow == comb(n, 3), i
+        _require(cen.mono_total + cen.bichromatic + cen.rainbow == comb(n, 3), i)
 
         cperm = dict(zip(range(1, k + 1), rng.sample(range(1, k + 1), k)))
         cc = c.permute_colors(cperm)
         cen2 = census.triangle_census(cc)
-        assert cen2.bichromatic == cen.bichromatic and cen2.rainbow == cen.rainbow, i
+        _require(cen2.bichromatic == cen.bichromatic and cen2.rainbow == cen.rainbow, i)
         for q in range(1, k + 1):
-            assert cen2.mono_per_color[cperm[q]] == cen.mono_per_color[q], i
-        assert census.count_protected_edges(cc) == census.count_protected_edges(c), i
+            _require(cen2.mono_per_color[cperm[q]] == cen.mono_per_color[q], i)
+        _require(census.count_protected_edges(cc) == census.count_protected_edges(c), i)
         h = rng.randint(1, 6)
-        assert census.count_nim_star_edges(cc, h) == census.count_nim_star_edges(c, h), i
+        _require(census.count_nim_star_edges(cc, h) == census.count_nim_star_edges(c, h), i)
 
         vperm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
         cv = c.permute_vertices(vperm)
         cen3 = census.triangle_census(cv)
-        assert cen3 == cen, i
-        assert census.count_protected_edges(cv) == census.count_protected_edges(c), i
-        assert census.count_nim_star_edges(cv, h) == census.count_nim_star_edges(c, h), i
+        _require(cen3 == cen, i)
+        _require(census.count_protected_edges(cv) == census.count_protected_edges(c), i)
+        _require(census.count_nim_star_edges(cv, h) == census.count_nim_star_edges(c, h), i)
 
 
 FAST_CHECKS = [

@@ -88,3 +88,30 @@ def brute_has_mono_k4e(c, color):
             if any(c.color(x, pendant) == color for x in vs):
                 return True
     return False
+
+
+def _is_mono_clique(c, color, vs):
+    return all(c.color(u, v) == color for u, v in combinations(vs, 2))
+
+
+def brute_first_mono_clique(c, color, size):
+    """First monochromatic clique of the given size in
+    `itertools.combinations` order (the lexicographically smallest)."""
+    for vs in combinations(range(1, c.n + 1), size):
+        if _is_mono_clique(c, color, vs):
+            return vs
+    return None
+
+
+def brute_first_k4e(c, color):
+    """First monochromatic K4 in combinations order that has a pendant
+    edge of the same color, followed by the pendant: the lowest pendant
+    neighbor of the lowest clique vertex that has one."""
+    for quad in combinations(range(1, c.n + 1), 4):
+        if not _is_mono_clique(c, color, quad):
+            continue
+        for y in quad:
+            for pendant in range(1, c.n + 1):
+                if pendant not in quad and c.color(y, pendant) == color:
+                    return quad + (pendant,)
+    return None

@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,16 @@ from hypothesis import strategies as st
 import helpers
 from gallai import (
     Coloring,
+    construct_f_lower,
+    construct_gr_k3_extremal,
+    construct_gr_k4e_extremal,
+    construct_multiplicity_extremal,
+    construct_nim_star,
     count_nim_star_edges,
     count_protected_edges,
     find_mono_subgraph,
     find_rainbow_triangle,
+    goodman_extremal_2coloring,
     is_gallai,
     mono_clique,
     paley17_coloring,
@@ -144,6 +152,46 @@ def test_witness_edges_carry_color():
             *quad, pendant = report.witness
             assert all(c.color(u, v) == 1 for u, v in combinations(quad, 2))
             assert any(c.color(x, pendant) == 1 for x in quad)
+
+
+@given(colorings(min_n=1, max_n=9, max_k=3))
+@settings(max_examples=200, deadline=None)
+def test_witness_is_lexicographically_smallest(c):
+    for color in range(1, c.k + 1):
+        assert find_mono_subgraph(c, color, "K3").witness == helpers.brute_first_mono_clique(c, color, 3)
+        assert find_mono_subgraph(c, color, "K4").witness == helpers.brute_first_mono_clique(c, color, 4)
+        assert find_mono_subgraph(c, color, "K4+e").witness == helpers.brute_first_k4e(c, color)
+
+
+# Witnesses recorded from the pair-scanning hunts that the
+# forward-oriented loop replaced; the witness rule must not drift.
+HUNT_FIXTURE = Path(__file__).parent / "data" / "hunt_witnesses.json"
+HUNT_FIXTURE_COLORINGS = {
+    "gr_k3_extremal(6)": lambda: construct_gr_k3_extremal(6),
+    "gr_k4e_extremal(4,4)": lambda: construct_gr_k4e_extremal(4, 4),
+    "multiplicity_extremal(5,250)": lambda: construct_multiplicity_extremal(5, 250),
+    "f_lower(250,4)": lambda: construct_f_lower(250, 4),
+    "goodman_extremal_2coloring(250,1,2)": lambda: goodman_extremal_2coloring(250, 1, 2),
+    "nim_star(200,4,4,1)": lambda: construct_nim_star(200, 4, 4, 1),
+    "paley17_coloring(1,2)": lambda: paley17_coloring(1, 2),
+    "pentagon_coloring(1,2)": lambda: pentagon_coloring(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUNT_FIXTURE_COLORINGS))
+def test_hunt_witnesses_match_fixture(name):
+    want = json.loads(HUNT_FIXTURE.read_text())[name]
+    c = HUNT_FIXTURE_COLORINGS[name]()
+    got = {}
+    for color in range(1, c.k + 1):
+        for kind in ("K3", "K4", "K4+e"):
+            witness = find_mono_subgraph(c, color, kind).witness
+            got[f"{color} {kind}"] = None if witness is None else list(witness)
+    assert got == want
+
+
+def test_hunt_fixture_covers_every_coloring():
+    assert set(json.loads(HUNT_FIXTURE.read_text())) == set(HUNT_FIXTURE_COLORINGS)
 
 
 def test_kind_validation():

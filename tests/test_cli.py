@@ -91,6 +91,14 @@ def test_count_parse_error(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_count_rejects_oversized_header(capsys, tmp_path):
+    target = tmp_path / "huge.gec"
+    target.write_text("1000000000 2\n1 2 1\n")
+    code, out, err = run(capsys, "count", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "pair (1, 3) missing" in err
+
+
 def test_grstar_check(capsys, tmp_path):
     target = tmp_path / "f.gecx"
     target.write_text(serialize_extended_coloring(figure1_fixture()))

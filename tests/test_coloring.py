@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gallai import Coloring, GecFormatError, lex_pairs, pair_index, parse_coloring
+from gallai.grstar import parse_extended_coloring
 
 
 def test_pair_index_lexicographic():
@@ -37,6 +39,7 @@ def test_parse_accepts_any_order_and_comments():
         ("a b\n", "header"),
         ("3 2\n1 2 1\n1 2 2\n2 3 1\n1 3 1", "duplicate pair"),
         ("3 2\n1 2 1\n1 3 1", "missing"),
+        ("4 2\n1 2 1\n1 4 1\n1 3 1\n3 4 1", "got 4 of 6 pairs; pair (2, 3) missing"),
         ("3 2\n1 2 3\n1 3 1\n2 3 1", "color 3"),
         ("3 2\n2 1 1\n1 3 1\n2 3 1", "pair"),
         ("3 2\n1 2\n1 3 1\n2 3 1", "expected 'u v c'"),
@@ -46,6 +49,34 @@ def test_parse_errors_report_line(text, fragment):
     with pytest.raises(GecFormatError) as err:
         parse_coloring(text)
     assert fragment in str(err.value)
+
+
+def test_oversized_header_is_rejected_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GecFormatError) as err:
+            parse_coloring("1000000000 2\n1 2 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "got 1 of 499999999500000000 pairs; pair (1, 3) missing" in str(err.value)
+    assert peak < 1 << 20
+
+
+_token = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["1000000000", "#", "x", "SINGLETONS", "1.5", ""]),
+)
+_gec_like = st.lists(st.lists(_token, max_size=4).map(" ".join), max_size=12).map("\n".join)
+
+
+@given(st.one_of(st.text(), _gec_like))
+def test_parsers_either_parse_or_raise_gec_format_error(text):
+    for parse in (parse_coloring, parse_extended_coloring):
+        try:
+            parse(text)
+        except GecFormatError:
+            pass
 
 
 def test_constructor_validation():
