@@ -29,10 +29,11 @@ neighbor of the lowest such vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .coloring import Coloring, lex_pairs
+from .coloring import Coloring
 
 MONO_KINDS = ("K3", "K4", "K4+e")
 
@@ -112,7 +113,7 @@ def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
     if coloring.k < 3:
         return None
     color = coloring.color
-    for u, v in lex_pairs(n):
+    for u, v in combinations(range(1, n + 1), 2):
         a = color(u, v)
         for w in range(v + 1, n + 1):
             b = color(u, w)
@@ -186,19 +187,21 @@ def count_protected_edges(coloring: Coloring) -> int:
     adj = coloring.adjacency()
     full = (1 << n) - 1
     protected = 0
-    for (u, v), a in zip(lex_pairs(n), coloring.colors):
-        adj_a = adj[a]
-        if adj_a[u] & adj_a[v]:
-            continue
-        others = full & ~(1 << (u - 1)) & ~(1 << (v - 1))
-        candidates = others & ~adj_a[u] & ~adj_a[v]
-        if candidates:
-            same = 0
-            for c in range(1, k + 1):
-                same |= adj[c][u] & adj[c][v]
-            if candidates & ~same:
+    colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, a in zip(range(u + 1, n + 1), colors):
+            adj_a = adj[a]
+            if adj_a[u] & adj_a[v]:
                 continue
-        protected += 1
+            others = full & ~(1 << (u - 1)) & ~(1 << (v - 1))
+            candidates = others & ~adj_a[u] & ~adj_a[v]
+            if candidates:
+                same = 0
+                for c in range(1, k + 1):
+                    same |= adj[c][u] & adj[c][v]
+                if candidates & ~same:
+                    continue
+            protected += 1
     return protected
 
 
@@ -212,9 +215,12 @@ def count_nim_star_edges(coloring: Coloring, h: int) -> int:
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     deg = coloring.degrees()
+    n = coloring.n
     count = 0
-    for (u, v), q in zip(lex_pairs(coloring.n), coloring.colors):
-        deg_q = deg[q]
-        if deg_q[u] <= h - 1 and deg_q[v] <= h - 1:
-            count += 1
+    colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, q in zip(range(u + 1, n + 1), colors):
+            deg_q = deg[q]
+            if deg_q[u] <= h - 1 and deg_q[v] <= h - 1:
+                count += 1
     return count

@@ -240,8 +240,17 @@ def _cmd_verify_suite(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input: an `error:` line
+    on standard error and exit code 1 (argparse's own code is 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gallai",
         description="Gallai colorings: formulas, constructions, censuses, "
         "decomposition, and exhaustive search.",

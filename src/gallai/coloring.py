@@ -15,7 +15,7 @@ pairs in lexicographic order.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
@@ -24,10 +24,15 @@ class GecFormatError(ValueError):
     """Malformed .gec/.gecx input; the message names the offending line."""
 
 
-@lru_cache(maxsize=None)
 def lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (u,v) with 1 <= u < v <= n, in lexicographic order."""
-    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    """All pairs (u,v) with 1 <= u < v <= n, in lexicographic order.
+
+    Not cached, so no table per n outlives its caller.  Hot loops over
+    a coloring's pairs walk the same order without a table: one iterator
+    over the colors, and per u, ``zip(range(u + 1, n + 1), colors)``.
+    zip draws from the range first, so each u takes exactly its own
+    n - u colors."""
+    return tuple(combinations(range(1, n + 1), 2))
 
 
 def pair_index(n: int, u: int, v: int) -> int:
@@ -77,8 +82,11 @@ class Coloring:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) in lexicographic pair order."""
-        for (u, v), c in zip(lex_pairs(self.n), self.colors):
-            yield u, v, c
+        n = self.n
+        colors = iter(self.colors)
+        for u in range(1, n + 1):
+            for v, c in zip(range(u + 1, n + 1), colors):
+                yield u, v, c
 
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
@@ -87,12 +95,15 @@ class Coloring:
         adj = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
         deg = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
         by_color: list = [None] + [[] for _ in range(self.k)]
-        for (u, v), c in zip(lex_pairs(self.n), self.colors):
-            adj[c][u] |= 1 << (v - 1)
-            adj[c][v] |= 1 << (u - 1)
-            deg[c][u] += 1
-            deg[c][v] += 1
-            by_color[c].append((u, v))
+        n = self.n
+        colors = iter(self.colors)
+        for u in range(1, n + 1):
+            for v, c in zip(range(u + 1, n + 1), colors):
+                adj[c][u] |= 1 << (v - 1)
+                adj[c][v] |= 1 << (u - 1)
+                deg[c][u] += 1
+                deg[c][v] += 1
+                by_color[c].append((u, v))
         object.__setattr__(self, "_derived", (adj, deg, by_color))
 
     def adjacency(self) -> list:
@@ -138,7 +149,7 @@ class Coloring:
         ) != list(range(1, self.n + 1)):
             raise ValueError("perm must be a bijection of 1..n")
         out = [0] * comb(self.n, 2)
-        for (u, v), c in zip(lex_pairs(self.n), self.colors):
+        for (u, v), c in zip(combinations(range(1, self.n + 1), 2), self.colors):
             pu, pv = perm[u], perm[v]
             if pu > pv:
                 pu, pv = pv, pu

@@ -103,13 +103,14 @@ def blow_up(base: Coloring, inserts: Sequence[Coloring]) -> Coloring:
             local[v] = j
             v += 1
 
-    out = [0] * comb(n, 2)
-    for idx, (x, y) in enumerate(lex_pairs(n)):
-        i, j = owner[x], owner[y]
-        if i == j:
-            out[idx] = inserts[i - 1].color(local[x], local[y])
-        else:
-            out[idx] = base.color(i, j)
+    out = []
+    for x in range(1, n + 1):
+        for y in range(x + 1, n + 1):
+            i, j = owner[x], owner[y]
+            if i == j:
+                out.append(inserts[i - 1].color(local[x], local[y]))
+            else:
+                out.append(base.color(i, j))
     return Coloring(n, base.k, out)
 
 
@@ -245,8 +246,9 @@ def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
     k = max(color_a, color_b)
     graph = _goodman_graph(n)
     colors = []
-    for u, v in lex_pairs(n):
-        colors.append(color_a if (u - 1, v - 1) in graph else color_b)
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            colors.append(color_a if (u - 1, v - 1) in graph else color_b)
     return Coloring(n, k, colors)
 
 
@@ -425,8 +427,9 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
             if e in layer_of:
                 raise RuntimeError(f"edge {e} shared by layers {layer_of[e]} and {i}")
             layer_of[e] = i
-    for u, v in lex_pairs(n):
-        colors.append(layer_of.get((u - 1, v - 1), k))
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            colors.append(layer_of.get((u - 1, v - 1), k))
     return Coloring(n, k, colors)
 
 

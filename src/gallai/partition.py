@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import find_rainbow_triangle, triangle_census
-from .coloring import Coloring, lex_pairs, pair_index
+from .coloring import Coloring, pair_index
 
 
 class NotGallaiError(ValueError):
@@ -79,9 +79,11 @@ def _components_outside(coloring: Coloring, colors: frozenset[int]) -> list[int]
     edges whose color is not in the given set."""
     n = coloring.n
     uf = _UnionFind(n + 1)
-    for (u, v), c in zip(lex_pairs(n), coloring.colors):
-        if c not in colors:
-            uf.union(u, v)
+    pair_colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, c in zip(range(u + 1, n + 1), pair_colors):
+            if c not in colors:
+                uf.union(u, v)
     roots = {}
     comp = [0] * (n + 1)
     for v in range(1, n + 1):
@@ -104,17 +106,19 @@ def _merge_fixpoint(coloring: Coloring, s: tuple[int, ...]):
     # between-component color table; None marks a bichromatic pair
     table: dict[tuple[int, int], int | None] = {}
     worklist: list[tuple[int, int]] = []
-    for (u, v), c in zip(lex_pairs(n), coloring.colors):
-        i, j = comp[u], comp[v]
-        if i == j:
-            continue
-        key = (i, j) if i < j else (j, i)
-        prev = table.get(key, 0)
-        if prev == 0:
-            table[key] = c
-        elif prev is not None and prev != c:
-            table[key] = None
-            worklist.append(key)
+    colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, c in zip(range(u + 1, n + 1), colors):
+            i, j = comp[u], comp[v]
+            if i == j:
+                continue
+            key = (i, j) if i < j else (j, i)
+            prev = table.get(key, 0)
+            if prev == 0:
+                table[key] = c
+            elif prev is not None and prev != c:
+                table[key] = None
+                worklist.append(key)
 
     uf = _UnionFind(p)
     active = set(range(p))

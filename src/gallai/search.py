@@ -20,9 +20,12 @@ Pruning: a branch dies when its partial monochromatic count already
 meets the incumbent (minimization), when its optimistic protected-edge
 bound cannot beat the incumbent (maximization), when a forbidden
 monochromatic target or (under gallai_only) a rainbow triangle
-completes.  The DFS visits colorings in lexicographic order and prunes
-ties, so the reported witness is the lexicographically smallest optimal
-coloring of the reduced space, deterministically.
+completes.  The DFS visits colorings in lexicographic order of the
+column order above and prunes ties, so the reported witness is the
+smallest optimal coloring of the reduced space in that order,
+deterministically.  That is not the pair order (1,2),(1,3),(1,4),...,
+(2,3),... of Coloring.colors: the two orders share only their first
+two edges, so comparing colors tuples does not find that witness.
 
 The minimum-monochromatic search adds two things, in serial runs and
 in every parallel subtree alike:
@@ -47,6 +50,19 @@ in every parallel subtree alike:
 
 A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.
+
+With jobs > 1 the space is split at the first depth that has at least
+4 x jobs canonical prefixes, and a pool of `jobs` processes takes the
+prefixes one at a time.  All subtrees share one budget, leased in small
+slices (a node the budget refuses is not counted, so a run explores at
+most budget + 1 nodes for every jobs), and one incumbent: the best
+value and the index, in DFS order, of the earliest prefix that reached
+it.  A subtree prunes ties with a value an earlier prefix found and
+keeps ties with a later prefix's, and the results are combined in
+prefix order, so unless the budget runs out the value, the witness and
+`exhaustive` are those of the serial run.  For exists_avoiding the
+first witness in prefix order decides the run and the later subtrees
+stop.  Node counts with jobs > 1 vary from run to run.
 """
 
 from __future__ import annotations
@@ -203,27 +219,43 @@ class _SplitPairs(dict):
         return value
 
 
-def _min_mono_run(n, k, gallai_only, budget, prefix=()):
+def _min_mono_run(n, k, gallai_only, budget, incumbent, split, task=None):
     plan = _edge_plan(n)
     m = len(plan)
     col = [0] * m
     book = _ColorBook(k)
     triples = comb(n, 3)
-    seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
     # a leaf is accepted when its count is below cut; starting one above
-    # the seed keeps seed-valued leaves, so the lexicographically first
-    # optimum is still the one found
-    cut = triples + 1 if seed_value is None else seed_value + 1
+    # the incumbent (the seed's count, or C(n,3) without a seed) keeps
+    # leaves that tie it, so the lexicographically first optimum is still
+    # the one found
+    cut = incumbent + 1
     # Goodman: every completion has at least C(n,3) - s/2 monochromatic
     # triangles, s the sum of the per-vertex split-pair maxima; a child
     # dies when the integer ceiling of that bound reaches cut, i.e. when
     # s < lim
     lim = 2 * (triples - cut) + 2
-    split = _SplitPairs(n, k)
     weight = [n ** (c - 1) for c in range(k + 1)]
     code = [0] * (n + 1)
     nodes = 0
+    limit = budget if task is None else 0
     best_col = None
+
+    def refill():
+        # nodes passed limit: a serial run is over budget; a parallel
+        # subtree trades incumbents and leases the next slice
+        nonlocal nodes, limit, cut, lim, best_col
+        if task is None:
+            raise _BudgetExceeded
+        grant, best, first = task.trade(cut if best_col is not None else None)
+        if not grant:
+            nodes -= 1  # the refused node is not explored
+            raise _BudgetExceeded
+        limit += grant
+        if first != task.index:
+            best_col = None  # another prefix holds the best leaf
+        cut = min(cut, best if first <= task.index else best + 1)
+        lim = 2 * (triples - cut) + 2
 
     def mono_delta(tris, c):
         # returns (new mono triangles, rainbow seen) for coloring the
@@ -266,8 +298,8 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
             if ns < lim:
                 continue
             nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
+            if nodes > limit:
+                refill()
             col[idx] = c
             code[u] = cu + w
             code[v] = cv + w
@@ -280,6 +312,7 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
 
     # replay a fixed prefix (parallel subtree roots); abandon the
     # subtree if the prefix itself is infeasible
+    prefix = task.prefix if task is not None else ()
     mono = 0
     feasible = True
     for t, c in enumerate(prefix):
@@ -301,15 +334,10 @@ def _min_mono_run(n, k, gallai_only, budget, prefix=()):
             rec(len(prefix), mono, sum(split[code[v]] for v in range(1, n + 1)))
         except _BudgetExceeded:
             exhaustive = False
-    if best_col is not None:
-        return cut, best_col, nodes, exhaustive
-    if not exhaustive and seed_col is not None:
-        # budget ran out before a leaf at or below the seed: the seed
-        # is the best coloring known
-        return seed_value, seed_col, nodes, exhaustive
-    # an exhausted (sub)tree with no leaf at or below the seed holds
-    # nothing the other subtrees need
-    return None, None, nodes, exhaustive
+    found = cut if best_col is not None else None
+    if task is not None:
+        task.settle(nodes, found)
+    return found, best_col, nodes, exhaustive
 
 
 def min_mono_triangles(
@@ -323,15 +351,27 @@ def min_mono_triangles(
     """Exact minimum of the total monochromatic-triangle count over all
     (optionally Gallai-restricted) k-colorings of K_n."""
     _check_args(n, k, jobs)
+    seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
+    incumbent = comb(n, 3) if seed_value is None else seed_value
     runs = _dispatch(
-        "min_mono",
-        dict(n=n, k=k, gallai_only=gallai_only, budget=budget),
-        n,
-        k,
+        _min_mono_run,
+        dict(
+            n=n,
+            k=k,
+            gallai_only=gallai_only,
+            budget=budget,
+            incumbent=incumbent,
+            split=_SplitPairs(n, k),
+        ),
         jobs,
         class_of=None,
+        start=incumbent,
     )
     value, witness_col, nodes, exhaustive = _combine_optimum(runs, minimize=True)
+    if witness_col is None and not exhaustive and seed_col is not None:
+        # the budget ran out before a leaf at or below the seed: the seed
+        # is the best coloring known
+        value, witness_col = seed_value, seed_col
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
     return SearchOutcome("min_mono_triangles", value, witness, nodes, exhaustive)
 
@@ -340,7 +380,7 @@ def min_mono_triangles(
 # existence of a coloring avoiding per-color targets
 
 
-def _exists_run(n, k, targets, gallai_only, budget, prefix=(), saturation_cap=False):
+def _exists_run(n, k, targets, gallai_only, budget, saturation_cap=False, task=None):
     plan = _edge_plan(n)
     m = len(plan)
     col = [0] * m
@@ -362,6 +402,20 @@ def _exists_run(n, k, targets, gallai_only, budget, prefix=(), saturation_cap=Fa
     vertex_colors = [0] * (n + 1)  # incident-color bitmasks (saturation prune)
     full_colors = (1 << k) - 1
     state = {"nodes": 0, "witness": None}
+    limit = budget if task is None else 0
+
+    def refill():
+        # nodes passed limit: a serial run is over budget; a parallel
+        # subtree leases the next slice, unless an earlier prefix already
+        # holds a witness
+        nonlocal limit
+        if task is None:
+            raise _BudgetExceeded
+        grant, _, first = task.trade(None)
+        if not grant or first < task.index:
+            state["nodes"] -= 1  # the refused node is not explored
+            raise _BudgetExceeded
+        limit += grant
 
     def try_color(t, c):
         """Validity checks + state updates for coloring edge t with c.
@@ -447,11 +501,12 @@ def _exists_run(n, k, targets, gallai_only, budget, prefix=(), saturation_cap=Fa
             if token is None:
                 continue
             state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _BudgetExceeded
+            if state["nodes"] > limit:
+                refill()
             rec(t + 1)
             undo(token)
 
+    prefix = task.prefix if task is not None else ()
     feasible = True
     for t, c in enumerate(prefix):
         _, _, _, _, prev_star = plan[t]
@@ -470,6 +525,8 @@ def _exists_run(n, k, targets, gallai_only, budget, prefix=(), saturation_cap=Fa
         except _BudgetExceeded:
             exhaustive = False
     found = state["witness"]
+    if task is not None:
+        task.settle(state["nodes"], 0 if found is not None else None)
     value = 1 if found is not None else (0 if exhaustive else None)
     return value, found, state["nodes"], exhaustive or found is not None
 
@@ -497,12 +554,11 @@ def exists_avoiding(
         if tgt not in (TARGET_K3, TARGET_K4E):
             raise ValueError(f"unknown target {tgt!r}")
     runs = _dispatch(
-        "exists",
+        _exists_run,
         dict(n=n, k=k, targets=targets, gallai_only=gallai_only, budget=budget),
-        n,
-        k,
         jobs,
         class_of=_target_classes(k, targets),
+        start=_NO_WITNESS,
     )
     value, witness_col, nodes, exhaustive = _combine_exists(runs)
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
@@ -518,12 +574,32 @@ def _target_classes(k, targets):
 # maximum protected edges
 
 
-def _max_protected_run(n, k, budget, prefix=()):
+def _max_protected_run(n, k, budget, task=None):
     plan = _edge_plan(n)
     m = len(plan)
     col = [0] * m
     book = _ColorBook(k)
     state = {"nodes": 0, "best": None, "best_col": None}
+    limit = budget if task is None else 0
+
+    def refill():
+        # nodes passed limit: a serial run is over budget; a parallel
+        # subtree trades incumbents (as negated counts) and leases the
+        # next slice
+        nonlocal limit
+        if task is None:
+            raise _BudgetExceeded
+        own = -state["best"] if state["best_col"] is not None else None
+        grant, best, first = task.trade(own)
+        if not grant:
+            state["nodes"] -= 1  # the refused node is not explored
+            raise _BudgetExceeded
+        limit += grant
+        if first != task.index:
+            state["best_col"] = None  # another prefix holds the best leaf
+        floor = -best if first <= task.index else -best - 1
+        if state["best"] is None or floor > state["best"]:
+            state["best"] = floor
 
     def damage(tris, idx, c, unprot, count):
         """Mark edges of new mono/rainbow triangles as unprotected."""
@@ -555,14 +631,15 @@ def _max_protected_run(n, k, budget, prefix=()):
             if best is not None and m - new_count <= best:
                 continue
             state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _BudgetExceeded
+            if state["nodes"] > limit:
+                refill()
             col[idx] = c
             book.use(c)
             rec(t + 1, new_unprot, new_count)
             book.unuse(c)
             col[idx] = 0
 
+    prefix = task.prefix if task is not None else ()
     unprot, count = 0, 0
     feasible = True
     for t, c in enumerate(prefix):
@@ -581,7 +658,10 @@ def _max_protected_run(n, k, budget, prefix=()):
             rec(len(prefix), unprot, count)
         except _BudgetExceeded:
             exhaustive = False
-    return state["best"], state["best_col"], state["nodes"], exhaustive
+    found = state["best"] if state["best_col"] is not None else None
+    if task is not None:
+        task.settle(state["nodes"], -found if found is not None else None)
+    return found, state["best_col"], state["nodes"], exhaustive
 
 
 def max_protected_edges(
@@ -590,8 +670,9 @@ def max_protected_edges(
     """Exact maximum, over all k-colorings of K_n, of the number of
     edges contained in no rainbow and no monochromatic triangle."""
     _check_args(n, k, jobs)
+    # start from a count of 0, which every coloring reaches
     runs = _dispatch(
-        "max_protected", dict(n=n, k=k, budget=budget), n, k, jobs, class_of=None
+        _max_protected_run, dict(n=n, k=k, budget=budget), jobs, class_of=None, start=0
     )
     value, witness_col, nodes, exhaustive = _combine_optimum(runs, minimize=False)
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
@@ -664,46 +745,118 @@ def _enumerate_prefixes(n, k, depth, class_of):
     return out
 
 
-def _run_one(kind, params, prefix):
-    if kind == "min_mono":
-        return _min_mono_run(prefix=prefix, **params)
-    if kind == "exists":
-        return _exists_run(prefix=prefix, **params)
-    if kind == "max_protected":
-        return _max_protected_run(prefix=prefix, **params)
-    raise ValueError(kind)
+def _split_prefixes(n, k, jobs, class_of):
+    """The canonical prefixes of the first depth that has at least
+    4 x jobs of them (all canonical colorings if no depth has), in DFS
+    order."""
+    prefixes = [()]
+    for depth in range(1, comb(n, 2) + 1):
+        prefixes = _enumerate_prefixes(n, k, depth, class_of)
+        if len(prefixes) >= 4 * jobs:
+            break
+    return prefixes
 
 
-def _worker(args):
-    kind, params, prefix = args
-    return _run_one(kind, params, prefix)
+# nodes a parallel subtree leases from the shared budget at a time: small
+# enough that subtrees trade incumbents every millisecond or so, large
+# enough that the lock is rarely taken
+_SLICE = 256
+
+# the shared cost that exists_avoiding starts from; a witness costs 0
+_NO_WITNESS = 1
 
 
-def _dispatch(kind, params, n, k, jobs, class_of):
-    if jobs <= 1:
-        return [_run_one(kind, params, ())]
-    prefixes = _enumerate_prefixes(n, k, 2, class_of)
+class _Subtree:
+    """One task of a parallel run: its prefix, the prefix's position in
+    DFS order, and the state all tasks of the run share.
+
+    The shared state is an array [unleased budget, best cost, index of
+    the earliest prefix that reached that cost], guarded by its lock.  A
+    cost is minimized: a monochromatic count, a negated protected-edge
+    count, or 0 for an avoiding coloring.  Before any prefix reaches a
+    cost, the index is the number of prefixes, so every subtree keeps
+    leaves that tie the starting cost.
+    """
+
+    def __init__(self, shared, index, prefix):
+        self.lock = shared.get_lock()
+        self.cells = shared.get_obj()
+        self.index = index
+        self.prefix = prefix
+        self.leased = 0
+
+    def trade(self, found):
+        """Publish this subtree's best cost (None when it has no leaf),
+        lease the next slice of the budget, and return (slice, best cost,
+        index of the prefix holding it).  A slice of 0 is a refusal."""
+        cells = self.cells
+        with self.lock:
+            self._publish(found)
+            grant = min(_SLICE, cells[0])
+            cells[0] -= grant
+            best, first = cells[1], cells[2]
+        self.leased += grant
+        return grant, best, first
+
+    def settle(self, nodes, found):
+        """Publish the final best cost and return the unexplored rest of
+        the leased slices to the budget."""
+        with self.lock:
+            self._publish(found)
+            self.cells[0] += self.leased - nodes
+
+    def _publish(self, found):
+        # caller holds the lock; ties go to the earlier prefix
+        cells = self.cells
+        if found is not None and (found, self.index) < (cells[1], cells[2]):
+            cells[1] = found
+            cells[2] = self.index
+
+
+# (kernel, params, prefixes, shared state) of the run a pool worker serves
+_POOL_RUN = None
+
+
+def _init_worker(*run):
+    global _POOL_RUN
+    _POOL_RUN = run
+
+
+def _worker(index):
+    kernel, params, prefixes, shared = _POOL_RUN
+    return kernel(task=_Subtree(shared, index, prefixes[index]), **params)
+
+
+def _dispatch(kernel, params, jobs, class_of, start):
+    """Run kernel(**params) over the whole reduced space and return its
+    runs in DFS order.
+
+    With jobs > 1 the space is split into prefixes that a pool takes one
+    task at a time; the tasks share one budget and one incumbent, which
+    starts at cost `start`."""
+    prefixes = _split_prefixes(params["n"], params["k"], jobs, class_of) if jobs > 1 else []
     if len(prefixes) <= 1:
-        return [_run_one(kind, params, ())]
+        return [kernel(**params)]
     import multiprocessing
 
-    with multiprocessing.Pool(min(jobs, len(prefixes))) as pool:
-        return pool.map(_worker, [(kind, params, p) for p in prefixes])
+    budget = max(0, min(params["budget"], 2**62))
+    shared = multiprocessing.Array("q", [budget, start, len(prefixes)])
+    with multiprocessing.Pool(
+        min(jobs, len(prefixes)), _init_worker, (kernel, params, prefixes, shared)
+    ) as pool:
+        return list(pool.imap(_worker, range(len(prefixes))))
 
 
 def _combine_optimum(runs, minimize):
+    # runs come in DFS order, so the first run holding the optimum holds
+    # the lexicographically first optimal leaf
     nodes = sum(r[2] for r in runs)
     exhaustive = all(r[3] for r in runs)
     best, best_col = None, None
     for value, colors, _, _ in runs:
         if value is None:
             continue
-        better = (
-            best is None
-            or (value < best if minimize else value > best)
-            or (value == best and colors < best_col)
-        )
-        if better:
+        if best is None or (value < best if minimize else value > best):
             best, best_col = value, colors
     return best, best_col, nodes, exhaustive
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gallai import parse_coloring, pentagon_coloring
 from gallai.cli import main
@@ -187,3 +191,75 @@ def test_verify_suite_fast_text(capsys):
     assert code == 0
     assert "PASS goodman-oracle-small" in out
     assert out.strip().endswith("checks passed")
+
+
+def _gallai(tmp_path, *argv):
+    """One `gallai` process, as a user starts it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gallai.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+BAD_CALLS = [
+    ("formula", "goodman-m2", "0"),
+    ("construct", "goodman2", "0"),
+    ("count", "missing.gec"),
+    ("count", "bad.gec"),
+    ("partition", "missing.gec"),
+    ("partition", "bad.gec"),
+    ("grstar-check", "missing.gecx"),
+    ("grstar-check", "bad.gec"),
+    ("grstar-search", "0", "3"),
+    ("search", "min-mono", "0", "2"),
+    ("search", "exists-avoiding", "5", "2", "--targets", "K9,K3"),
+    ("search", "min-mono", "5", "2", "--jobs", "0"),
+    ("search", "max-protected", "50", "2", "--budget", "5000"),
+    ("verify-suite", "--level", "bogus"),
+]
+
+GOOD_CALLS = [
+    ("formula", "gr-k3", "3"),
+    ("construct", "pentagon", "1", "2", "-o", "good.gec"),
+    ("count", "good.gec"),
+    ("partition", "good.gec"),
+    ("grstar-check", "good.gecx"),
+    ("grstar-search", "3", "2"),
+    ("search", "min-mono", "6", "2", "--jobs", "2"),
+    ("verify-suite", "--level", "fast"),
+]
+
+
+def test_cli_contract(tmp_path):
+    # every verb: bad input gives exit 1 and an error line, never a
+    # traceback; one good call exits 0
+    (tmp_path / "bad.gec").write_text("3 2\n1 2 1\n")
+    (tmp_path / "good.gecx").write_text(serialize_extended_coloring(figure1_fixture()))
+    verbs = set()
+    for argv in BAD_CALLS:
+        proc = _gallai(tmp_path, *argv)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines()), argv
+        verbs.add(argv[0])
+    for argv in GOOD_CALLS:
+        proc = _gallai(tmp_path, *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stderr == "", argv
+        verbs.add(argv[0])
+    assert verbs == {
+        "formula",
+        "construct",
+        "count",
+        "partition",
+        "grstar-check",
+        "grstar-search",
+        "search",
+        "verify-suite",
+    }

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from math import comb
 
@@ -5,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gallai import Coloring, GecFormatError, lex_pairs, pair_index, parse_coloring
+from gallai import (
+    Coloring,
+    GecFormatError,
+    construct_gr_k3_extremal,
+    count_protected_edges,
+    find_gallai_partition,
+    lex_pairs,
+    pair_index,
+    parse_coloring,
+    triangle_census,
+)
 from gallai.grstar import parse_extended_coloring
 
 
@@ -123,3 +134,22 @@ def test_permutations_are_bijections(c):
     assert c.permute_colors(ident_c) == c
     rev = {v: c.n + 1 - v for v in range(1, c.n + 1)}
     assert c.permute_vertices(rev).permute_vertices(rev) == c
+
+
+def test_no_pair_table_outlives_its_coloring():
+    # the pair loops of parse, serialize, census and partition keep no
+    # per-n table once the coloring is gone (a cached one held 0.5 MB at
+    # n = 125 for the life of the process)
+    tracemalloc.start()
+    try:
+        c = construct_gr_k3_extremal(6)
+        parse_coloring(c.serialize())
+        count_protected_edges(c)
+        find_gallai_partition(c)
+        triangle_census(c)
+        del c
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64_000

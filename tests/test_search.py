@@ -17,7 +17,7 @@ from gallai import (
     min_mono_triangles,
     triangle_census,
 )
-from gallai.search import _SplitPairs
+from gallai.search import _SplitPairs, _combine_optimum, _split_prefixes
 
 # min_mono_triangles outcomes recorded from the kernel without the seed
 # incumbent and the counting bound, for jobs 1 and 2
@@ -80,7 +80,7 @@ def test_split_pair_table_matches_brute_force():
 def test_min_mono_budget_reports_seed():
     # no leaf is reached in 5 nodes, so the best coloring known is the
     # construction the incumbent started from
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         out = min_mono_triangles(9, 2, budget=5, jobs=jobs)
         assert not out.exhaustive
         assert out.value == goodman_m2(9)
@@ -188,13 +188,75 @@ def test_budget_degradation_is_explicit():
     assert out.nodes_explored <= 51
 
 
+def _jobs_grid():
+    """(search, positional arguments) for every call the jobs grid runs."""
+    k3_2, k3_3 = ["K3"] * 2, ["K3"] * 3
+    mixed2, mixed3 = ["K4+e", "K3"], ["K4+e", "K3", "K3"]
+    for n in range(1, 9):
+        yield min_mono_triangles, (n, 2)
+        yield exists_avoiding, (n, 2, k3_2)
+        yield exists_avoiding, (n, 2, mixed2)
+        yield max_protected_edges, (n, 2)
+    for n in range(1, 8):
+        for g in (False, True):
+            yield min_mono_triangles, (n, 3, g)
+            yield exists_avoiding, (n, 3, k3_3, g)
+            yield exists_avoiding, (n, 3, mixed3, g)
+        yield max_protected_edges, (n, 3)
+    for n in range(9, 12):
+        yield min_mono_triangles, (n, 3, True)
+        yield exists_avoiding, (n, 3, k3_3, True)
+
+
 def test_jobs_deterministic():
-    serial = min_mono_triangles(6, 2)
-    parallel = min_mono_triangles(6, 2, jobs=2)
-    assert serial.value == parallel.value
-    assert serial.witness == parallel.witness
-    assert exists_avoiding(6, 2, ["K3", "K3"], jobs=2).value == 0
-    assert max_protected_edges(5, 2, jobs=2).value == 10
+    # the parallel split, the shared incumbent and the prefix-order
+    # combine must reproduce the serial value, witness and verdict;
+    # node counts with jobs > 1 vary from run to run and are not compared
+    for search, args in _jobs_grid():
+        serial = search(*args)
+        for jobs in (2, 3):
+            out = search(*args, jobs=jobs)
+            got = (out.value, out.witness, out.exhaustive)
+            assert got == (serial.value, serial.witness, serial.exhaustive), (
+                search.__name__,
+                args,
+                jobs,
+            )
+
+
+def test_split_prefixes_follow_dfs_order():
+    for n, k, jobs, class_of in [(8, 2, 2, None), (11, 3, 2, None), (9, 2, 3, [0, 0, 1])]:
+        prefixes = _split_prefixes(n, k, jobs, class_of)
+        assert len(prefixes) >= 4 * jobs
+        assert len({len(p) for p in prefixes}) == 1
+        # column-order tuples in DFS order are sorted
+        assert prefixes == sorted(prefixes)
+
+
+def test_parallel_runs_combine_in_dfs_order():
+    # Coloring.colors is in pair order (1,2),(1,3),(1,4),(2,3),... while
+    # the DFS runs in column order (1,2),(1,3),(2,3),(1,4),...: of two
+    # runs tied at the optimum the earlier prefix wins, although the
+    # later one's colors compare smaller.  On K4, `earlier` colors (1,4)
+    # and `later` colors (2,3) with 2, the other edges with 1.
+    earlier = (1, 1, 2, 1, 1, 1)
+    later = (1, 1, 1, 2, 1, 1)
+    runs = [(None, None, 4, True), (3, earlier, 5, True), (3, later, 6, True)]
+    assert _combine_optimum(runs, minimize=True) == (3, earlier, 15, True)
+    assert _combine_optimum(runs, minimize=False) == (3, earlier, 15, True)
+
+
+def test_jobs_share_one_budget():
+    # one budget bounds the whole run, not each subtree; four jobs run
+    # more workers than this test is likely to have cores, so a lost
+    # update to the shared counter would overspend it
+    for jobs in (2, 3, 4):
+        out = max_protected_edges(9, 2, budget=100_000, jobs=jobs)
+        assert out.nodes_explored <= 100_001
+        assert not out.exhaustive
+        out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=2_000, jobs=jobs)
+        assert out.nodes_explored <= 2_001
+        assert not out.exhaustive and out.value is None
 
 
 def test_jobs_must_be_positive():
