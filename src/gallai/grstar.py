@@ -139,6 +139,8 @@ def max_gr_star_witness(
         raise ValueError(f"n must be within 1..{MAX_WITNESS_N}, got {n}")
     if not 1 <= k <= MAX_WITNESS_K:
         raise ValueError(f"k must be within 1..{MAX_WITNESS_K}, got {k}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     if n == 1:
         return True, ExtendedColoring(Coloring(1, k, ()), (1,))
     if k == 1:

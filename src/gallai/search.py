@@ -16,16 +16,24 @@ DFS to colorings satisfying them loses no orbit:
     first appearances in increasing order;
   * the colors along vertex 1's star must be nondecreasing.
 
-Pruning: a branch dies when its partial monochromatic count already
-meets the incumbent (minimization), when its optimistic protected-edge
-bound cannot beat the incumbent (maximization), when a forbidden
+One engine, `_search`, runs every objective: a depth-first loop over
+the edges in that order with an explicit stack, so no n meets a depth
+limit.  An objective adds three hooks (test-and-apply an edge, undo
+it, and the cost of a leaf), and every objective minimizes a cost: the
+monochromatic-triangle count, minus the protected-edge count, or 0
+for an avoiding coloring.  A leaf is kept when its cost is below a
+cut, which starts one above a start value and then follows the best
+leaf; a leaf at the least possible cost ends the run, so the first
+avoiding coloring does.  A child dies when its partial cost, or a
+bound on every completion, reaches the cut, or when a forbidden
 monochromatic target or (under gallai_only) a rainbow triangle
 completes.  The DFS visits colorings in lexicographic order of the
 column order above and prunes ties, so the reported witness is the
 smallest optimal coloring of the reduced space in that order,
-deterministically.  That is not the pair order (1,2),(1,3),(1,4),...,
-(2,3),... of Coloring.colors: the two orders share only their first
-two edges, so comparing colors tuples does not find that witness.
+deterministically.  That is not the pair order
+(1,2),(1,3),(1,4),...,(2,3),... of Coloring.colors: the two orders
+share only their first two edges, so comparing colors tuples does not
+find that witness.
 
 The minimum-monochromatic search adds two things, in serial runs and
 in every parallel subtree alike:
@@ -42,7 +50,7 @@ in every parallel subtree alike:
     C(n,3) - (sum_v max D_v)/2, each maximum taken over the completions
     of v's partial color degrees, bounds every completion from below.
     A child dies when the integer ceiling of that bound reaches the
-    incumbent.  A 2-coloring has no rainbow triangle, so for k = 2 the
+    cut.  A 2-coloring has no rainbow triangle, so for k = 2 the
     identity is exact and, once the seeded optimum is found again, the
     bound closes the proof at once: min-mono(n,2) proves in under
     5,000 nodes for n <= 14, where the partial count alone needed a
@@ -52,24 +60,27 @@ A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.
 
 With jobs > 1 the space is split at the first depth that has at least
-4 x jobs canonical prefixes, and a pool of `jobs` processes takes the
-prefixes one at a time.  All subtrees share one budget, leased in small
-slices (a node the budget refuses is not counted, so a run explores at
-most budget + 1 nodes for every jobs), and one incumbent: the best
-value and the index, in DFS order, of the earliest prefix that reached
-it.  A subtree prunes ties with a value an earlier prefix found and
-keeps ties with a later prefix's, and the results are combined in
-prefix order, so unless the budget runs out the value, the witness and
-`exhaustive` are those of the serial run.  For exists_avoiding the
-first witness in prefix order decides the run and the later subtrees
-stop.  Node counts with jobs > 1 vary from run to run.
+4 x jobs canonical prefixes, found by the same engine run on the
+first edges only, and a pool of `jobs` processes takes the prefixes
+one at a time.  All subtrees share one budget, leased in small slices
+(a node the budget refuses is not counted, so a run explores at most
+budget + 1 nodes for every jobs), and one incumbent: the least cost
+and the index, in DFS order, of the earliest prefix that reached it.
+A subtree prunes ties with a cost an earlier prefix found and keeps
+ties with a later prefix's, and the results are combined in prefix
+order, so unless the budget runs out the value, the witness and
+`exhaustive` are those of the serial run.  A subtree stops once an
+earlier prefix holds a leaf of the least cost, so for exists_avoiding
+the first witness in prefix order decides the run.  Node counts with
+jobs > 1 vary from run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Optional, Sequence
+from functools import partial
+from math import comb, inf
+from typing import NamedTuple, Optional, Sequence
 
 from .census import triangle_census
 from .coloring import Coloring, pair_index
@@ -100,27 +111,32 @@ class SearchOutcome:
     exhaustive: bool
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Plan(NamedTuple):
+    """The column-order traversal, one column per field: each edge's
+    endpoints u < v, its pair index, the index pairs of the triangles it
+    completes with earlier edges, and the index of the previous vertex-1
+    star edge (-1 off the star and at (1,2))."""
+
+    n: int
+    u: list
+    v: list
+    idx: list
+    tris: list
+    star: list
 
 
-class _WitnessFound(Exception):
-    pass
-
-
-def _edge_plan(n: int):
-    """Column-order traversal: (u, v, pair index, completed-triangle
-    index pairs, index of the previous vertex-1 star edge or -1)."""
-    plan = []
+def _edge_plan(n: int) -> _Plan:
+    us, vs, idxs, trises, stars = [], [], [], [], []
     for v in range(2, n + 1):
         for u in range(1, v):
-            idx = pair_index(n, u, v)
-            tris = tuple(
-                (pair_index(n, w, u), pair_index(n, w, v)) for w in range(1, u)
+            us.append(u)
+            vs.append(v)
+            idxs.append(pair_index(n, u, v))
+            trises.append(
+                tuple((pair_index(n, w, u), pair_index(n, w, v)) for w in range(1, u))
             )
-            prev_star = pair_index(n, 1, v - 1) if (u == 1 and v >= 3) else -1
-            plan.append((u, v, idx, tris, prev_star))
-    return plan
+            stars.append(pair_index(n, 1, v - 1) if (u == 1 and v >= 3) else -1)
+    return _Plan(n, us, vs, idxs, trises, stars)
 
 
 class _ColorBook:
@@ -144,9 +160,10 @@ class _ColorBook:
         self.fresh = {cls: 0 for cls in colors_by_class}
         self.used = [0] * (k + 1)
 
-    def allowed(self) -> list[int]:
+    def allowed(self, lo: int) -> list[int]:
+        """The colors from lo up that the next edge may take."""
         out = []
-        for c in range(1, self.k + 1):
+        for c in range(lo, self.k + 1):
             if self.used[c]:
                 out.append(c)
             else:
@@ -166,6 +183,111 @@ class _ColorBook:
         self.used[c] -= 1
         if self.used[c] == 0:
             self.fresh[self.class_of[c]] -= 1
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+
+def _search(plan, k, class_of, objective, start, floor, budget, task=None):
+    """Depth-first search over the canonical colorings of plan's edges
+    for the first leaf, in DFS order, of least cost.
+
+    objective(plan, col) returns three hooks over col, the colors by
+    pair index, which the engine writes and never clears: the entries
+    of edges before the current depth are current, later ones stale,
+    and a triangle closed by edge t has its other two edges before t.
+
+      * apply(t, c, cut) tests coloring edge t with c against the
+        earlier edges and on success records the objective's state for
+        depth t + 1; False rejects c, including when no completion can
+        cost less than cut;
+      * undo(t, c) reverts what apply changed beyond its per-depth
+        state, or is None when nothing needs reverting;
+      * leaf() returns the cost of the completed coloring.
+
+    A leaf is kept when its cost is below cut, which starts at start + 1
+    (so leaves that tie start are kept) and then drops to each kept
+    leaf's cost.  No cost is below floor, so a kept leaf at floor ends
+    the run.  A serial run (task None) stops at its first node over
+    budget, which it counts; a parallel subtree replays task.prefix,
+    leases its nodes from the shared budget and trades incumbents
+    through the task.
+
+    Returns (the kept leaf's cost or None, its colors, nodes,
+    exhaustive)."""
+    idxs, stars = plan.idx, plan.star
+    m = len(idxs)
+    # a trailing 1 after the n(n-1)/2 colors: col[star] is each edge's
+    # least color, star = -1 marking no vertex-1 star bound
+    col = [0] * comb(plan.n, 2) + [1]
+    apply, undo, leaf = objective(plan, col)
+    book = _ColorBook(k, class_of)
+    allowed, use, unuse = book.allowed, book.use, book.unuse
+    cut = start + 1
+    best_col = None
+    nodes = 0
+    limit = budget if task is None else 0
+    exhaustive = True
+    prefix = task.prefix if task is not None else ()
+    base = len(prefix)
+    for t, c in enumerate(prefix):
+        if c < col[stars[t]] or not apply(t, c, cut):
+            base = -1  # the prefix itself is infeasible: its subtree is empty
+            break
+        col[idxs[t]] = c
+        use(c)
+
+    t = base
+    its = [iter(())] * (m + 1)  # the untried candidates at each depth
+    if 0 <= t < m:
+        its[t] = iter(allowed(col[stars[t]]))
+    while t >= base >= 0:
+        for c in its[t]:
+            if not apply(t, c, cut):
+                continue
+            nodes += 1
+            if nodes > limit:
+                # a serial run is over budget; a parallel subtree trades
+                # incumbents and leases the next slice
+                if task is None:
+                    exhaustive = False
+                    t = -1
+                    break
+                grant, cut, own_best = task.trade(cut if best_col is not None else None, cut)
+                if not own_best:
+                    best_col = None  # another prefix holds the best leaf
+                if not grant or cut <= floor:
+                    # refused, or no leaf here can beat an earlier prefix's
+                    nodes -= 1  # the node is not explored
+                    exhaustive = cut <= floor
+                    t = -1
+                    break
+                limit += grant
+            col[idxs[t]] = c
+            use(c)
+            t += 1
+            if t < m:
+                its[t] = iter(allowed(col[stars[t]]))
+            break
+        else:
+            if t == m:
+                cost = leaf()
+                if cost < cut:
+                    cut = cost
+                    best_col = tuple(col[:-1])
+                    if cut <= floor:
+                        break
+            t -= 1
+            if t >= base:
+                c = col[idxs[t]]
+                unuse(c)
+                if undo is not None:
+                    undo(t, c)
+    found = cut if best_col is not None else None
+    if task is not None:
+        task.settle(nodes, found)
+    return found, best_col, nodes, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -219,125 +341,55 @@ class _SplitPairs(dict):
         return value
 
 
-def _min_mono_run(n, k, gallai_only, budget, incumbent, split, task=None):
-    plan = _edge_plan(n)
-    m = len(plan)
-    col = [0] * m
-    book = _ColorBook(k)
+def _min_mono_hooks(plan, col, gallai_only, split):
+    """Cost: the monochromatic-triangle count.  apply also prunes on
+    Goodman's counting bound: with s the sum of the per-vertex
+    split-pair maxima, every completion has at least C(n,3) - s/2
+    monochromatic triangles."""
+    n, us, vs, _, trises, _ = plan
+    m = len(us)
     triples = comb(n, 3)
-    # a leaf is accepted when its count is below cut; starting one above
-    # the incumbent (the seed's count, or C(n,3) without a seed) keeps
-    # leaves that tie it, so the lexicographically first optimum is still
-    # the one found
-    cut = incumbent + 1
-    # Goodman: every completion has at least C(n,3) - s/2 monochromatic
-    # triangles, s the sum of the per-vertex split-pair maxima; a child
-    # dies when the integer ceiling of that bound reaches cut, i.e. when
-    # s < lim
-    lim = 2 * (triples - cut) + 2
-    weight = [n ** (c - 1) for c in range(k + 1)]
-    code = [0] * (n + 1)
-    nodes = 0
-    limit = budget if task is None else 0
-    best_col = None
+    weight = [n ** (c - 1) for c in range(split.k + 1)]
+    code = [0] * (n + 1)  # each vertex's color degrees, base n
+    mono = [0] * (m + 1)  # the count after each depth
+    s = [n * split[0]] * (m + 1)  # the split-pair sum after each depth
 
-    def refill():
-        # nodes passed limit: a serial run is over budget; a parallel
-        # subtree trades incumbents and leases the next slice
-        nonlocal nodes, limit, cut, lim, best_col
-        if task is None:
-            raise _BudgetExceeded
-        grant, best, first = task.trade(cut if best_col is not None else None)
-        if not grant:
-            nodes -= 1  # the refused node is not explored
-            raise _BudgetExceeded
-        limit += grant
-        if first != task.index:
-            best_col = None  # another prefix holds the best leaf
-        cut = min(cut, best if first <= task.index else best + 1)
-        lim = 2 * (triples - cut) + 2
-
-    def mono_delta(tris, c):
-        # returns (new mono triangles, rainbow seen) for coloring the
-        # current edge c against already-assigned edge pairs
+    def apply(t, c, cut):
         delta = 0
-        for ia, ib in tris:
+        for ia, ib in trises[t]:
             a = col[ia]
             b = col[ib]
             if a == b:
                 if a == c:
                     delta += 1
             elif gallai_only and a != c and b != c:
-                return -1
-        return delta
-
-    def rec(t, mono, s):
-        nonlocal nodes, cut, lim, best_col
-        if t == m:
-            if mono < cut:
-                cut = mono
-                lim = 2 * (triples - cut) + 2
-                best_col = tuple(col)
-            return
-        u, v, idx, tris, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
+                return False
+        nm = mono[t] + delta
+        if nm >= cut:
+            return False
+        u = us[t]
+        v = vs[t]
+        w = weight[c]
         cu = code[u]
         cv = code[v]
-        rest = s - split[cu] - split[cv]
-        for c in book.allowed():
-            if c < lo:
-                continue
-            delta = mono_delta(tris, c)
-            if delta < 0:
-                continue
-            nm = mono + delta
-            if nm >= cut:
-                continue
-            w = weight[c]
-            ns = rest + split[cu + w] + split[cv + w]
-            if ns < lim:
-                continue
-            nodes += 1
-            if nodes > limit:
-                refill()
-            col[idx] = c
-            code[u] = cu + w
-            code[v] = cv + w
-            book.use(c)
-            rec(t + 1, nm, ns)
-            book.unuse(c)
-            code[u] = cu
-            code[v] = cv
-            col[idx] = 0
+        ns = s[t] - split[cu] - split[cv] + split[cu + w] + split[cv + w]
+        if triples - (ns >> 1) >= cut:
+            return False
+        mono[t + 1] = nm
+        s[t + 1] = ns
+        code[u] = cu + w
+        code[v] = cv + w
+        return True
 
-    # replay a fixed prefix (parallel subtree roots); abandon the
-    # subtree if the prefix itself is infeasible
-    prefix = task.prefix if task is not None else ()
-    mono = 0
-    feasible = True
-    for t, c in enumerate(prefix):
-        u, v, idx, tris, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        delta = mono_delta(tris, c) if c >= lo else -1
-        if delta < 0:
-            feasible = False
-            break
-        mono += delta
-        code[u] += weight[c]
-        code[v] += weight[c]
-        col[idx] = c
-        book.use(c)
+    def undo(t, c):
+        w = weight[c]
+        code[us[t]] -= w
+        code[vs[t]] -= w
 
-    exhaustive = True
-    if feasible:
-        try:
-            rec(len(prefix), mono, sum(split[code[v]] for v in range(1, n + 1)))
-        except _BudgetExceeded:
-            exhaustive = False
-    found = cut if best_col is not None else None
-    if task is not None:
-        task.settle(nodes, found)
-    return found, best_col, nodes, exhaustive
+    def leaf():
+        return mono[m]
+
+    return apply, undo, leaf
 
 
 def min_mono_triangles(
@@ -350,24 +402,13 @@ def min_mono_triangles(
 ) -> SearchOutcome:
     """Exact minimum of the total monochromatic-triangle count over all
     (optionally Gallai-restricted) k-colorings of K_n."""
-    _check_args(n, k, jobs)
+    _check_args(n, k, jobs, budget)
     seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
-    incumbent = comb(n, 3) if seed_value is None else seed_value
-    runs = _dispatch(
-        _min_mono_run,
-        dict(
-            n=n,
-            k=k,
-            gallai_only=gallai_only,
-            budget=budget,
-            incumbent=incumbent,
-            split=_SplitPairs(n, k),
-        ),
-        jobs,
-        class_of=None,
-        start=incumbent,
+    start = comb(n, 3) if seed_value is None else seed_value
+    objective = partial(_min_mono_hooks, gallai_only=gallai_only, split=_SplitPairs(n, k))
+    value, witness_col, nodes, exhaustive = _dispatch(
+        n, k, None, objective, start, 0, budget, jobs
     )
-    value, witness_col, nodes, exhaustive = _combine_optimum(runs, minimize=True)
     if witness_col is None and not exhaustive and seed_col is not None:
         # the budget ran out before a leaf at or below the seed: the seed
         # is the best coloring known
@@ -380,64 +421,41 @@ def min_mono_triangles(
 # existence of a coloring avoiding per-color targets
 
 
-def _exists_run(n, k, targets, gallai_only, budget, saturation_cap=False, task=None):
-    plan = _edge_plan(n)
-    m = len(plan)
-    col = [0] * m
-    is_k3 = [False] * (k + 1)
-    is_k4e = [False] * (k + 1)
-    class_ids = {}
-    class_of = [0] * (k + 1)
-    for c in range(1, k + 1):
-        class_of[c] = class_ids.setdefault(targets[c - 1], len(class_ids))
-        if targets[c - 1] == TARGET_K3:
-            is_k3[c] = True
-        else:
-            is_k4e[c] = True
-    book = _ColorBook(k, class_of)
-
+def _exists_hooks(plan, col, targets, gallai_only, saturation_cap):
+    """Cost: 0 for every leaf; apply refuses an edge that completes its
+    color's target, a rainbow triangle under gallai_only, or, with
+    saturation_cap, a vertex that meets every color."""
+    n, us, vs, _, trises, _ = plan
+    k = len(targets)
+    m = len(us)
+    is_k3 = [False] + [target == TARGET_K3 for target in targets]
     adj = [[0] * (n + 1) for _ in range(k + 1)]  # c-neighbor bitsets
     members = [0] * (k + 1)  # vertices inside recorded pendant-free K4s
-    k4_log: list[tuple[int, int]] = []  # (color, previous members mask)
+    members_before = [-1] * m  # members[c] before edge t recorded a K4
     vertex_colors = [0] * (n + 1)  # incident-color bitmasks (saturation prune)
+    colors_before = [(0, 0)] * m  # vertex_colors of u and v before edge t
     full_colors = (1 << k) - 1
-    state = {"nodes": 0, "witness": None}
-    limit = budget if task is None else 0
 
-    def refill():
-        # nodes passed limit: a serial run is over budget; a parallel
-        # subtree leases the next slice, unless an earlier prefix already
-        # holds a witness
-        nonlocal limit
-        if task is None:
-            raise _BudgetExceeded
-        grant, _, first = task.trade(None)
-        if not grant or first < task.index:
-            state["nodes"] -= 1  # the refused node is not explored
-            raise _BudgetExceeded
-        limit += grant
-
-    def try_color(t, c):
-        """Validity checks + state updates for coloring edge t with c.
-        Returns an undo token, or None when forbidden."""
-        u, v, idx, tris, _ = plan[t]
-        for ia, ib in tris:
+    def apply(t, c, cut):
+        u = us[t]
+        v = vs[t]
+        for ia, ib in trises[t]:
             a = col[ia]
             b = col[ib]
             if a == b:
                 if a == c and is_k3[c]:
-                    return None
+                    return False
             elif gallai_only and a != c and b != c:
-                return None
-        if saturation_cap:
-            if (vertex_colors[u] | (1 << (c - 1))) == full_colors:
-                return None
-            if (vertex_colors[v] | (1 << (c - 1))) == full_colors:
-                return None
-        recorded = 0
-        if is_k4e[c]:
+                return False
+        bit = 1 << (c - 1)
+        cu = vertex_colors[u]
+        cv = vertex_colors[v]
+        if saturation_cap and (cu | bit == full_colors or cv | bit == full_colors):
+            return False
+        before = -1
+        if not is_k3[c]:
             if (members[c] >> (u - 1)) & 1 or (members[c] >> (v - 1)) & 1:
-                return None  # pendant edge onto a recorded K4
+                return False  # pendant edge onto a recorded K4
             adj_c = adj[c]
             common = adj_c[u] & adj_c[v]
             quads = []
@@ -462,73 +480,31 @@ def _exists_run(n, k, targets, gallai_only, budget, saturation_cap=False, task=N
                     )
                     for y in (u, v, w, x):
                         if adj_c[y] & ~mask:
-                            return None
+                            return False
                     new_members |= mask
-                k4_log.append((c, members[c]))
+                before = members[c]
                 members[c] |= new_members
-                recorded = 1
-        col[idx] = c
-        book.use(c)
+        members_before[t] = before
         adj[c][u] |= 1 << (v - 1)
         adj[c][v] |= 1 << (u - 1)
-        prev_u, prev_v = vertex_colors[u], vertex_colors[v]
-        vertex_colors[u] |= 1 << (c - 1)
-        vertex_colors[v] |= 1 << (c - 1)
-        return (t, c, recorded, prev_u, prev_v)
+        colors_before[t] = (cu, cv)
+        vertex_colors[u] = cu | bit
+        vertex_colors[v] = cv | bit
+        return True
 
-    def undo(token):
-        t, c, recorded, prev_u, prev_v = token
-        u, v, idx, _, _ = plan[t]
-        vertex_colors[u], vertex_colors[v] = prev_u, prev_v
+    def undo(t, c):
+        u = us[t]
+        v = vs[t]
+        vertex_colors[u], vertex_colors[v] = colors_before[t]
         adj[c][u] ^= 1 << (v - 1)
         adj[c][v] ^= 1 << (u - 1)
-        book.unuse(c)
-        col[idx] = 0
-        if recorded:
-            color, prev = k4_log.pop()
-            members[color] = prev
+        if members_before[t] >= 0:
+            members[c] = members_before[t]
 
-    def rec(t):
-        if t == m:
-            state["witness"] = tuple(col)
-            raise _WitnessFound
-        _, _, _, _, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        for c in book.allowed():
-            if c < lo:
-                continue
-            token = try_color(t, c)
-            if token is None:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > limit:
-                refill()
-            rec(t + 1)
-            undo(token)
+    def leaf():
+        return 0
 
-    prefix = task.prefix if task is not None else ()
-    feasible = True
-    for t, c in enumerate(prefix):
-        _, _, _, _, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        token = try_color(t, c) if c >= lo else None
-        if token is None:
-            feasible = False
-            break
-
-    exhaustive = True
-    if feasible:
-        try:
-            rec(len(prefix))
-        except _WitnessFound:
-            pass
-        except _BudgetExceeded:
-            exhaustive = False
-    found = state["witness"]
-    if task is not None:
-        task.settle(state["nodes"], 0 if found is not None else None)
-    value = 1 if found is not None else (0 if exhaustive else None)
-    return value, found, state["nodes"], exhaustive or found is not None
+    return apply, undo, leaf
 
 
 def exists_avoiding(
@@ -546,122 +522,67 @@ def exists_avoiding(
     value 1 with a witness when an avoiding coloring exists, 0 when the
     exhausted space has none.  Running at consecutive n brackets the
     corresponding Ramsey-type number."""
-    _check_args(n, k, jobs)
+    _check_args(n, k, jobs, budget)
     targets = list(targets)
     if len(targets) != k:
         raise ValueError(f"need one target per color: got {len(targets)} for k={k}")
     for tgt in targets:
         if tgt not in (TARGET_K3, TARGET_K4E):
             raise ValueError(f"unknown target {tgt!r}")
-    runs = _dispatch(
-        _exists_run,
-        dict(n=n, k=k, targets=targets, gallai_only=gallai_only, budget=budget),
-        jobs,
-        class_of=_target_classes(k, targets),
-        start=_NO_WITNESS,
+    return _exists(n, k, targets, gallai_only, budget, jobs, saturation_cap=False)
+
+
+def _exists(n, k, targets, gallai_only, budget, jobs, saturation_cap):
+    objective = partial(
+        _exists_hooks, targets=targets, gallai_only=gallai_only, saturation_cap=saturation_cap
     )
-    value, witness_col, nodes, exhaustive = _combine_exists(runs)
+    class_ids: dict[str, int] = {}
+    class_of = [0] + [class_ids.setdefault(t, len(class_ids)) for t in targets]
+    # every avoiding coloring costs 0, the least cost, so the first ends the run
+    _, witness_col, nodes, exhaustive = _dispatch(
+        n, k, class_of, objective, 0, 0, budget, jobs
+    )
+    value = 1 if witness_col is not None else (0 if exhaustive else None)
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
     return SearchOutcome("exists_avoiding", value, witness, nodes, exhaustive)
-
-
-def _target_classes(k, targets):
-    class_ids: dict[str, int] = {}
-    return [0] + [class_ids.setdefault(t, len(class_ids)) for t in targets]
 
 
 # ---------------------------------------------------------------------------
 # maximum protected edges
 
 
-def _max_protected_run(n, k, budget, task=None):
-    plan = _edge_plan(n)
-    m = len(plan)
-    col = [0] * m
-    book = _ColorBook(k)
-    state = {"nodes": 0, "best": None, "best_col": None}
-    limit = budget if task is None else 0
+def _max_protected_hooks(plan, col):
+    """Cost: minus the protected-edge count.  The edges of each
+    monochromatic or rainbow triangle are unprotected, so the edges not
+    yet unprotected bound every completion."""
+    _, _, _, idxs, trises, _ = plan
+    m = len(idxs)
+    unprot = [0] * (m + 1)  # bitmask of the unprotected pair indices
+    count = [0] * (m + 1)  # its popcount
 
-    def refill():
-        # nodes passed limit: a serial run is over budget; a parallel
-        # subtree trades incumbents (as negated counts) and leases the
-        # next slice
-        nonlocal limit
-        if task is None:
-            raise _BudgetExceeded
-        own = -state["best"] if state["best_col"] is not None else None
-        grant, best, first = task.trade(own)
-        if not grant:
-            state["nodes"] -= 1  # the refused node is not explored
-            raise _BudgetExceeded
-        limit += grant
-        if first != task.index:
-            state["best_col"] = None  # another prefix holds the best leaf
-        floor = -best if first <= task.index else -best - 1
-        if state["best"] is None or floor > state["best"]:
-            state["best"] = floor
-
-    def damage(tris, idx, c, unprot, count):
-        """Mark edges of new mono/rainbow triangles as unprotected."""
-        for ia, ib in tris:
+    def apply(t, c, cut):
+        mask = unprot[t]
+        cnt = count[t]
+        idx = idxs[t]
+        for ia, ib in trises[t]:
             a = col[ia]
             b = col[ib]
             if (a == b == c) or (a != b and a != c and b != c):
                 for j in (ia, ib, idx):
                     bit = 1 << j
-                    if not unprot & bit:
-                        unprot |= bit
-                        count += 1
-        return unprot, count
+                    if not mask & bit:
+                        mask |= bit
+                        cnt += 1
+        if cnt - m >= cut:
+            return False
+        unprot[t + 1] = mask
+        count[t + 1] = cnt
+        return True
 
-    def rec(t, unprot, count):
-        if t == m:
-            value = m - count
-            if state["best"] is None or value > state["best"]:
-                state["best"] = value
-                state["best_col"] = tuple(col)
-            return
-        u, v, idx, tris, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        for c in book.allowed():
-            if c < lo:
-                continue
-            new_unprot, new_count = damage(tris, idx, c, unprot, count)
-            best = state["best"]
-            if best is not None and m - new_count <= best:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > limit:
-                refill()
-            col[idx] = c
-            book.use(c)
-            rec(t + 1, new_unprot, new_count)
-            book.unuse(c)
-            col[idx] = 0
+    def leaf():
+        return count[m] - m
 
-    prefix = task.prefix if task is not None else ()
-    unprot, count = 0, 0
-    feasible = True
-    for t, c in enumerate(prefix):
-        _, _, idx, tris, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        if c < lo:
-            feasible = False
-            break
-        unprot, count = damage(tris, idx, c, unprot, count)
-        col[idx] = c
-        book.use(c)
-
-    exhaustive = True
-    if feasible:
-        try:
-            rec(len(prefix), unprot, count)
-        except _BudgetExceeded:
-            exhaustive = False
-    found = state["best"] if state["best_col"] is not None else None
-    if task is not None:
-        task.settle(state["nodes"], -found if found is not None else None)
-    return found, state["best_col"], state["nodes"], exhaustive
+    return apply, None, leaf
 
 
 def max_protected_edges(
@@ -669,12 +590,13 @@ def max_protected_edges(
 ) -> SearchOutcome:
     """Exact maximum, over all k-colorings of K_n, of the number of
     edges contained in no rainbow and no monochromatic triangle."""
-    _check_args(n, k, jobs)
-    # start from a count of 0, which every coloring reaches
-    runs = _dispatch(
-        _max_protected_run, dict(n=n, k=k, budget=budget), jobs, class_of=None, start=0
+    _check_args(n, k, jobs, budget)
+    # start from a count of 0, which every coloring reaches; no coloring
+    # protects more than all C(n,2) edges
+    cost, witness_col, nodes, exhaustive = _dispatch(
+        n, k, None, _max_protected_hooks, 0, -comb(n, 2), budget, jobs
     )
-    value, witness_col, nodes, exhaustive = _combine_optimum(runs, minimize=False)
+    value = -cost if cost is not None else None
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
     return SearchOutcome("max_protected_edges", value, witness, nodes, exhaustive)
 
@@ -690,68 +612,47 @@ def find_gr_star_pair_witness(
     triangle in which every vertex avoids at least one color on its
     star (so singleton colors can always be chosen clash-free), or
     None if the exhaustive search rules one out."""
-    _check_args(n, k)
-    value, witness_col, _, exhaustive = _exists_run(
-        n,
-        k,
-        targets=[TARGET_K3] * k,
-        gallai_only=True,
-        budget=budget,
-        saturation_cap=True,
-    )
-    if not exhaustive and witness_col is None:
+    _check_args(n, k, 1, budget)
+    out = _exists(n, k, [TARGET_K3] * k, True, budget, 1, saturation_cap=True)
+    if not out.exhaustive:
         raise RuntimeError(f"budget exhausted deciding n={n}, k={k}")
-    return Coloring(n, k, witness_col) if witness_col is not None else None
+    return out.witness
 
 
 # ---------------------------------------------------------------------------
 # shared driver plumbing
 
 
-def _check_args(n, k, jobs=1):
+def _check_args(n, k, jobs, budget):
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n} k={k}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
 
 
-def _enumerate_prefixes(n, k, depth, class_of):
-    """All canonical-valid color tuples for the first `depth` edges."""
-    plan = _edge_plan(n)
-    depth = min(depth, len(plan))
-    book = _ColorBook(k, class_of)
-    col = [0] * len(plan)
-    chosen: list[int] = []
-    out: list[tuple[int, ...]] = []
+def _prefix_hooks(plan, col, out):
+    """Collects every canonical coloring of plan's edges, in column
+    order, into out; its leaves cost inf, so none is kept."""
+    idxs = plan.idx
 
-    def rec(t):
-        if t == depth:
-            out.append(tuple(chosen))
-            return
-        _, _, idx, _, prev_star = plan[t]
-        lo = col[prev_star] if prev_star >= 0 else 1
-        for c in book.allowed():
-            if c < lo:
-                continue
-            col[idx] = c
-            chosen.append(c)
-            book.use(c)
-            rec(t + 1)
-            book.unuse(c)
-            chosen.pop()
-            col[idx] = 0
+    def leaf():
+        out.append(tuple(col[i] for i in idxs))
+        return inf
 
-    rec(0)
-    return out
+    return (lambda t, c, cut: True), None, leaf
 
 
-def _split_prefixes(n, k, jobs, class_of):
+def _split_prefixes(plan, k, jobs, class_of):
     """The canonical prefixes of the first depth that has at least
     4 x jobs of them (all canonical colorings if no depth has), in DFS
     order."""
     prefixes = [()]
-    for depth in range(1, comb(n, 2) + 1):
-        prefixes = _enumerate_prefixes(n, k, depth, class_of)
+    for depth in range(1, len(plan.idx) + 1):
+        prefixes = []
+        head = _Plan(plan.n, *(column[:depth] for column in plan[1:]))
+        _search(head, k, class_of, partial(_prefix_hooks, out=prefixes), 0, 0, inf)
         if len(prefixes) >= 4 * jobs:
             break
     return prefixes
@@ -762,20 +663,15 @@ def _split_prefixes(n, k, jobs, class_of):
 # enough that the lock is rarely taken
 _SLICE = 256
 
-# the shared cost that exists_avoiding starts from; a witness costs 0
-_NO_WITNESS = 1
-
 
 class _Subtree:
     """One task of a parallel run: its prefix, the prefix's position in
     DFS order, and the state all tasks of the run share.
 
     The shared state is an array [unleased budget, best cost, index of
-    the earliest prefix that reached that cost], guarded by its lock.  A
-    cost is minimized: a monochromatic count, a negated protected-edge
-    count, or 0 for an avoiding coloring.  Before any prefix reaches a
-    cost, the index is the number of prefixes, so every subtree keeps
-    leaves that tie the starting cost.
+    the earliest prefix that reached that cost], guarded by its lock.
+    Before any prefix reaches a cost, the index is the number of
+    prefixes, so every subtree keeps leaves that tie the starting cost.
     """
 
     def __init__(self, shared, index, prefix):
@@ -785,10 +681,11 @@ class _Subtree:
         self.prefix = prefix
         self.leased = 0
 
-    def trade(self, found):
-        """Publish this subtree's best cost (None when it has no leaf),
-        lease the next slice of the budget, and return (slice, best cost,
-        index of the prefix holding it).  A slice of 0 is a refusal."""
+    def trade(self, found, cut):
+        """Publish this subtree's best cost (None when it has no leaf)
+        and lease the next slice of the budget.  Returns (slice, the
+        cut lowered to the shared incumbent, whether this subtree holds
+        it); a slice of 0 is a refusal."""
         cells = self.cells
         with self.lock:
             self._publish(found)
@@ -796,7 +693,10 @@ class _Subtree:
             cells[0] -= grant
             best, first = cells[1], cells[2]
         self.leased += grant
-        return grant, best, first
+        # ties with an earlier prefix's cost are pruned, with a later's kept
+        if first > self.index:
+            best += 1
+        return grant, min(cut, best), first == self.index
 
     def settle(self, nodes, found):
         """Publish the final best cost and return the unexplored rest of
@@ -813,7 +713,7 @@ class _Subtree:
             cells[2] = self.index
 
 
-# (kernel, params, prefixes, shared state) of the run a pool worker serves
+# (engine arguments, prefixes, shared state) of the run a pool worker serves
 _POOL_RUN = None
 
 
@@ -823,48 +723,40 @@ def _init_worker(*run):
 
 
 def _worker(index):
-    kernel, params, prefixes, shared = _POOL_RUN
-    return kernel(task=_Subtree(shared, index, prefixes[index]), **params)
+    args, prefixes, shared = _POOL_RUN
+    return _search(*args, task=_Subtree(shared, index, prefixes[index]))
 
 
-def _dispatch(kernel, params, jobs, class_of, start):
-    """Run kernel(**params) over the whole reduced space and return its
-    runs in DFS order.
+def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
+    """Run the engine over the whole reduced space of K_n and combine its
+    runs: (least cost or None, its colors, nodes, exhaustive).
 
     With jobs > 1 the space is split into prefixes that a pool takes one
     task at a time; the tasks share one budget and one incumbent, which
     starts at cost `start`."""
-    prefixes = _split_prefixes(params["n"], params["k"], jobs, class_of) if jobs > 1 else []
+    plan = _edge_plan(n)
+    args = (plan, k, class_of, objective, start, floor, budget)
+    prefixes = _split_prefixes(plan, k, jobs, class_of) if jobs > 1 else []
     if len(prefixes) <= 1:
-        return [kernel(**params)]
+        return _combine(floor, [_search(*args)])
     import multiprocessing
 
-    budget = max(0, min(params["budget"], 2**62))
-    shared = multiprocessing.Array("q", [budget, start, len(prefixes)])
+    shared = multiprocessing.Array("q", [min(budget, 2**62), start, len(prefixes)])
     with multiprocessing.Pool(
-        min(jobs, len(prefixes)), _init_worker, (kernel, params, prefixes, shared)
+        min(jobs, len(prefixes)), _init_worker, (args, prefixes, shared)
     ) as pool:
-        return list(pool.imap(_worker, range(len(prefixes))))
+        return _combine(floor, pool.imap(_worker, range(len(prefixes))))
 
 
-def _combine_optimum(runs, minimize):
-    # runs come in DFS order, so the first run holding the optimum holds
-    # the lexicographically first optimal leaf
+def _combine(floor, runs):
+    # runs come in DFS order, so the first run holding the least cost
+    # holds the lexicographically first optimal leaf; a leaf at floor
+    # settles the run whatever budget the other subtrees ran out of
+    runs = list(runs)
     nodes = sum(r[2] for r in runs)
-    exhaustive = all(r[3] for r in runs)
     best, best_col = None, None
-    for value, colors, _, _ in runs:
-        if value is None:
-            continue
-        if best is None or (value < best if minimize else value > best):
-            best, best_col = value, colors
+    for cost, colors, _, _ in runs:
+        if cost is not None and (best is None or cost < best):
+            best, best_col = cost, colors
+    exhaustive = all(r[3] for r in runs) or (best is not None and best <= floor)
     return best, best_col, nodes, exhaustive
-
-
-def _combine_exists(runs):
-    nodes = sum(r[2] for r in runs)
-    for value, colors, _, concl in runs:
-        if value == 1:
-            return 1, colors, nodes, True
-    exhaustive = all(r[3] for r in runs)
-    return (0 if exhaustive else None), None, nodes, exhaustive

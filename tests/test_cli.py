@@ -220,7 +220,9 @@ BAD_CALLS = [
     ("search", "min-mono", "0", "2"),
     ("search", "exists-avoiding", "5", "2", "--targets", "K9,K3"),
     ("search", "min-mono", "5", "2", "--jobs", "0"),
-    ("search", "max-protected", "50", "2", "--budget", "5000"),
+    ("search", "min-mono", "5", "2", "--budget", "-5"),
+    ("grstar-search", "5", "3", "--budget", "-1"),
+    ("grstar-search", "1", "3", "--budget", "-1"),
     ("verify-suite", "--level", "bogus"),
 ]
 
@@ -232,6 +234,8 @@ GOOD_CALLS = [
     ("grstar-check", "good.gecx"),
     ("grstar-search", "3", "2"),
     ("search", "min-mono", "6", "2", "--jobs", "2"),
+    # 1,225 edges deep: the search has no depth limit, so the budget ends it
+    ("search", "max-protected", "50", "2", "--budget", "5000"),
     ("verify-suite", "--level", "fast"),
 ]
 
@@ -252,6 +256,8 @@ def test_cli_contract(tmp_path):
         proc = _gallai(tmp_path, *argv)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stderr == "", argv
+        if "--budget" in argv:
+            assert json.loads(proc.stdout)["exhaustive"] is False, argv
         verbs.add(argv[0])
     assert verbs == {
         "formula",

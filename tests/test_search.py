@@ -17,11 +17,23 @@ from gallai import (
     min_mono_triangles,
     triangle_census,
 )
-from gallai.search import _SplitPairs, _combine_optimum, _split_prefixes
+from gallai.search import (
+    DEFAULT_BUDGET,
+    _SplitPairs,
+    _combine,
+    _edge_plan,
+    _exists,
+    _split_prefixes,
+)
 
 # min_mono_triangles outcomes recorded from the kernel without the seed
 # incumbent and the counting bound, for jobs 1 and 2
 MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
+# serial outcomes and node counts recorded from the three recursive
+# kernels the single engine replaced: every _jobs_grid() call, the
+# benchmark instances in full and at budgets 0, 1, 5, 50 and 1000, and
+# the pair search behind find_gr_star_pair_witness
+SEARCH_GRID = Path(__file__).parent / "data" / "search_grid.json"
 
 
 def test_min_mono_matches_goodman_small():
@@ -226,7 +238,7 @@ def test_jobs_deterministic():
 
 def test_split_prefixes_follow_dfs_order():
     for n, k, jobs, class_of in [(8, 2, 2, None), (11, 3, 2, None), (9, 2, 3, [0, 0, 1])]:
-        prefixes = _split_prefixes(n, k, jobs, class_of)
+        prefixes = _split_prefixes(_edge_plan(n), k, jobs, class_of)
         assert len(prefixes) >= 4 * jobs
         assert len({len(p) for p in prefixes}) == 1
         # column-order tuples in DFS order are sorted
@@ -242,8 +254,14 @@ def test_parallel_runs_combine_in_dfs_order():
     earlier = (1, 1, 2, 1, 1, 1)
     later = (1, 1, 1, 2, 1, 1)
     runs = [(None, None, 4, True), (3, earlier, 5, True), (3, later, 6, True)]
-    assert _combine_optimum(runs, minimize=True) == (3, earlier, 15, True)
-    assert _combine_optimum(runs, minimize=False) == (3, earlier, 15, True)
+    assert _combine(0, runs) == (3, earlier, 15, True)
+    runs = [(None, None, 4, True), (-3, earlier, 5, True), (-3, later, 6, True)]
+    assert _combine(-6, runs) == (-3, earlier, 15, True)
+    # a leaf at the least possible cost settles the run even where another
+    # subtree ran out of budget, as the first exists witness does
+    runs = [(None, None, 4, False), (0, earlier, 5, True)]
+    assert _combine(0, runs) == (0, earlier, 9, True)
+    assert _combine(-1, runs) == (0, earlier, 9, False)
 
 
 def test_jobs_share_one_budget():
@@ -267,6 +285,48 @@ def test_jobs_must_be_positive():
             exists_avoiding(5, 2, ["K3", "K3"], jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             max_protected_edges(5, 2, jobs=jobs)
+
+
+def test_budget_must_be_non_negative():
+    with pytest.raises(ValueError, match="budget"):
+        min_mono_triangles(5, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        exists_avoiding(5, 2, ["K3", "K3"], budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        max_protected_edges(5, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        find_gr_star_pair_witness(5, 3, budget=-1)
+
+
+def test_search_matches_previous_kernels():
+    searches = {f.__name__: f for f in (min_mono_triangles, exists_avoiding, max_protected_edges)}
+    cases = json.loads(SEARCH_GRID.read_text())
+    assert len(cases) == 127
+    for case in cases:
+        args = case["args"]
+        if case["search"] == "find_gr_star_pair_witness":
+            n, k = args
+            out = _exists(n, k, ["K3"] * k, True, DEFAULT_BUDGET, 1, saturation_cap=True)
+            assert out.witness == find_gr_star_pair_witness(n, k)
+        else:
+            budget = DEFAULT_BUDGET if case["budget"] is None else case["budget"]
+            out = searches[case["search"]](*args, budget=budget)
+        witness = out.witness.serialize() if out.witness is not None else None
+        got = (out.value, out.exhaustive, witness, out.nodes_explored)
+        assert got == (case["value"], case["exhaustive"], case["witness"], case["nodes"]), case
+
+
+def test_large_n_has_no_depth_limit():
+    # every edge is one level of the DFS, 1,770 of them at n = 60; a
+    # small budget must end the run as not exhaustive, whatever depth
+    # it reached
+    for out in (
+        max_protected_edges(60, 2, budget=5000),
+        min_mono_triangles(60, 3, budget=5000),
+        exists_avoiding(60, 2, ["K4+e", "K4+e"], budget=5000),
+    ):
+        assert not out.exhaustive
+        assert out.nodes_explored == 5001
 
 
 def test_nodes_counted():
