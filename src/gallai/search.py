@@ -14,7 +14,13 @@ DFS to colorings satisfying them loses no orbit:
   * colors that play interchangeable roles (same avoidance target, or
     all colors for permutation-invariant objectives) must make their
     first appearances in increasing order;
-  * the colors along vertex 1's star must be nondecreasing.
+  * swapping two consecutive vertices v - 1 and v must not give a
+    smaller coloring.  The swap fixes every column before v - 1 and
+    exchanges the first v - 2 edges of columns v - 1 and v, so column
+    v - 1 must not exceed column v there: while (1,v),...,(u-1,v)
+    match (1,v-1),...,(u-1,v-1) color for color, edge (u,v) with
+    u <= v - 2 takes no color below that of (u,v-1).  At u = 1 this
+    is the order of vertex 1's star, which the rule generalizes.
 
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
@@ -114,19 +120,19 @@ class SearchOutcome:
 class _Plan(NamedTuple):
     """The column-order traversal, one column per field: each edge's
     endpoints u < v, its pair index, the index pairs of the triangles it
-    completes with earlier edges, and the index of the previous vertex-1
-    star edge (-1 off the star and at (1,2))."""
+    completes with earlier edges, and the pair index of the edge (u,v-1)
+    it is compared with (-1 when u = v - 1, where there is none)."""
 
     n: int
     u: list
     v: list
     idx: list
     tris: list
-    star: list
+    mirror: list
 
 
 def _edge_plan(n: int) -> _Plan:
-    us, vs, idxs, trises, stars = [], [], [], [], []
+    us, vs, idxs, trises, mirrors = [], [], [], [], []
     for v in range(2, n + 1):
         for u in range(1, v):
             us.append(u)
@@ -135,8 +141,8 @@ def _edge_plan(n: int) -> _Plan:
             trises.append(
                 tuple((pair_index(n, w, u), pair_index(n, w, v)) for w in range(1, u))
             )
-            stars.append(pair_index(n, 1, v - 1) if (u == 1 and v >= 3) else -1)
-    return _Plan(n, us, vs, idxs, trises, stars)
+            mirrors.append(pair_index(n, u, v - 1) if u <= v - 2 else -1)
+    return _Plan(n, us, vs, idxs, trises, mirrors)
 
 
 class _ColorBook:
@@ -216,11 +222,16 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
 
     Returns (the kept leaf's cost or None, its colors, nodes,
     exhaustive)."""
-    idxs, stars = plan.idx, plan.star
+    idxs, mirrors = plan.idx, plan.mirror
     m = len(idxs)
-    # a trailing 1 after the n(n-1)/2 colors: col[star] is each edge's
-    # least color, star = -1 marking no vertex-1 star bound
+    # a trailing 1 after the n(n-1)/2 colors: col[-1] is the least color,
+    # the bound of an edge with no mirror
     col = [0] * comb(plan.n, 2) + [1]
+    # tie[t]: edge t's column has matched the previous column on its
+    # earlier edges, so edge t takes no color below its mirror's; the
+    # comparison restarts at each column's first edge, (1,v)
+    fresh = [u == 1 for u in plan.u] + [True]
+    tie = [True] * (m + 1)
     apply, undo, leaf = objective(plan, col)
     book = _ColorBook(k, class_of)
     allowed, use, unuse = book.allowed, book.use, book.unuse
@@ -232,16 +243,17 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     prefix = task.prefix if task is not None else ()
     base = len(prefix)
     for t, c in enumerate(prefix):
-        if c < col[stars[t]] or not apply(t, c, cut):
+        if c < (col[mirrors[t]] if tie[t] else 1) or not apply(t, c, cut):
             base = -1  # the prefix itself is infeasible: its subtree is empty
             break
         col[idxs[t]] = c
         use(c)
+        tie[t + 1] = fresh[t + 1] or (tie[t] and c == col[mirrors[t]])
 
     t = base
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if 0 <= t < m:
-        its[t] = iter(allowed(col[stars[t]]))
+        its[t] = iter(allowed(col[mirrors[t]] if tie[t] else 1))
     while t >= base >= 0:
         for c in its[t]:
             if not apply(t, c, cut):
@@ -266,9 +278,10 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 limit += grant
             col[idxs[t]] = c
             use(c)
+            tie[t + 1] = fresh[t + 1] or (tie[t] and c == col[mirrors[t]])
             t += 1
             if t < m:
-                its[t] = iter(allowed(col[stars[t]]))
+                its[t] = iter(allowed(col[mirrors[t]] if tie[t] else 1))
             break
         else:
             if t == m:

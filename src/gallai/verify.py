@@ -144,6 +144,17 @@ def check_ramsey_brackets():
     _require(out.value == 0 and out.exhaustive)
 
 
+def check_gallai_min_mono_frontier():
+    # the exhaustive search settles g(3, n) at the upper end of the
+    # bracket, so the multiplicity construction is optimal there
+    for n, want in [(13, 3), (14, 4)]:
+        out = search.min_mono_triangles(n, 3, True)
+        _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
+        _require(formulas.g_multiplicity_bounds(3, n)[0] == want, n)
+        cen = census.triangle_census(out.witness)
+        _require(cen.mono_total == want and cen.rainbow == 0, (n, cen))
+
+
 def check_gr_k3_witnesses():
     for k, order in [(1, 2), (2, 5), (3, 10), (4, 25), (5, 50)]:
         c = construct.construct_gr_k3_extremal(k)
@@ -336,6 +347,7 @@ FAST_CHECKS = [
 FULL_CHECKS = FAST_CHECKS + [
     ("goodman-oracle-n7", check_goodman_oracle_n7),
     ("ramsey-brackets", check_ramsey_brackets),
+    ("gallai-min-mono-frontier", check_gallai_min_mono_frontier),
     ("gr-k3-witnesses", check_gr_k3_witnesses),
     ("gr-k4e-witnesses", check_gr_k4e_witnesses),
     ("multiplicity-exactness", check_multiplicity_exactness),

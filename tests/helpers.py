@@ -115,3 +115,17 @@ def brute_first_k4e(c, color):
                 if pendant not in quad and c.color(y, pendant) == color:
                     return quad + (pendant,)
     return None
+
+
+def brute_exists_avoiding(n, k, targets, gallai_only=False):
+    """1 if some k-coloring of K_n (with no rainbow triangle, under
+    gallai_only) has no monochromatic targets[c-1] in any color c, else 0."""
+    for c in all_colorings(n, k):
+        if any(
+            brute_has_mono_clique(c, q, 3) if target == "K3" else brute_has_mono_k4e(c, q)
+            for q, target in enumerate(targets, 1)
+        ):
+            continue
+        if not (gallai_only and brute_census(c)[2]):
+            return 1
+    return 0

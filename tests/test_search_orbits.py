@@ -1,0 +1,115 @@
+"""The search's reduced space against the unreduced one, at every (n, k)
+small enough to enumerate all k^C(n,2) colorings of K_n.
+
+The engine keeps only colorings that pass its two symmetry reductions:
+interchangeable colors first appear in increasing order, and swapping
+consecutive vertices never gives a smaller coloring in column order.
+Both must hold for the least member of every orbit under vertex
+permutations and the allowed color relabelings, so the leaves' orbits
+cover every coloring, each orbit's least member is a leaf, and every
+search value equals the brute force over all colorings."""
+
+from functools import partial
+from itertools import permutations, product
+from math import comb, inf
+
+import pytest
+
+import helpers
+from gallai import exists_avoiding, max_protected_edges, min_mono_triangles
+from gallai.search import _edge_plan, _prefix_hooks, _search
+
+SIZES = (
+    [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)]
+)
+
+
+def _leaves(n, k, class_of):
+    """The reduced space: every coloring the engine reaches, in column order."""
+    out = []
+    _search(_edge_plan(n), k, class_of, partial(_prefix_hooks, out=out), 0, 0, inf)
+    return out
+
+
+def _symmetries(n, k, class_of):
+    """The group as (sources, relabels): the image of a column-order
+    tuple x under a vertex permutation and a color relabeling is
+    tuple(sigma[x[i]] for i in src), src one of sources and sigma one
+    of relabels."""
+    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    where = {pair: i for i, pair in enumerate(pairs)}
+    sources = []
+    for perm in permutations(range(1, n + 1)):
+        src = [0] * len(pairs)
+        for i, (u, v) in enumerate(pairs):
+            a, b = sorted((perm[u - 1], perm[v - 1]))
+            src[where[a, b]] = i
+        sources.append(src)
+    relabels = [
+        (0,) + sigma
+        for sigma in permutations(range(1, k + 1))
+        if all(class_of[sigma[c - 1]] == class_of[c] for c in range(1, k + 1))
+    ]
+    return sources, relabels
+
+
+@pytest.mark.parametrize("n, k", SIZES)
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-class", "mixed-targets"])
+def test_leaf_orbits_cover_every_coloring(n, k, mixed):
+    # with no class map every color is interchangeable; the mixed map is
+    # the one exists_avoiding builds for targets [K4+e, K3, ..., K3]
+    class_of = [0, 0] + [1] * (k - 1) if mixed else None
+    leaves = _leaves(n, k, class_of)
+    kept = set(leaves)
+    assert len(kept) == len(leaves)
+    sources, relabels = _symmetries(n, k, class_of or [0] * (k + 1))
+    covered = set()
+    for leaf in leaves:
+        images = {tuple(map(leaf.__getitem__, src)) for src in sources}
+        orbit = {tuple(sigma[c] for c in x) for x in images for sigma in relabels}
+        assert min(orbit) in kept, leaf
+        covered |= orbit
+    assert len(covered) == k ** comb(n, 2)
+
+
+@pytest.mark.parametrize("n, k", SIZES)
+def test_values_match_unreduced_space(n, k):
+    for gallai_only in (False, True):
+        out = min_mono_triangles(n, k, gallai_only)
+        assert out.exhaustive
+        assert out.value == helpers.brute_min_mono(n, k, gallai_only)
+        for targets in (["K3"] * k, ["K4+e"] + ["K3"] * (k - 1)):
+            out = exists_avoiding(n, k, targets, gallai_only)
+            assert out.exhaustive
+            assert out.value == helpers.brute_exists_avoiding(n, k, targets, gallai_only)
+    out = max_protected_edges(n, k)
+    assert out.exhaustive
+    assert out.value == helpers.brute_max_protected(n, k)
+
+
+class _Replay:
+    """A parallel task's stand-in: a prefix to replay, an unlimited
+    budget and no other subtree to trade incumbents with."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def trade(self, found, cut):
+        return 1 << 40, cut, True
+
+    def settle(self, nodes, found):
+        pass
+
+
+def test_prefix_replay_keeps_to_the_reduced_space():
+    # every coloring of K5's first eight edges, canonical or not, replays
+    # to exactly the serial leaves that extend it; colors 1 and 2 are not
+    # interchangeable, so the transposition rule alone decides
+    n, k, class_of = 5, 2, [0, 0, 1]
+    plan = _edge_plan(n)
+    leaves = _leaves(n, k, class_of)
+    for prefix in product((1, 2), repeat=8):
+        out = []
+        hooks = partial(_prefix_hooks, out=out)
+        _search(plan, k, class_of, hooks, 0, 0, inf, task=_Replay(prefix))
+        assert out == [leaf for leaf in leaves if leaf[:8] == prefix], prefix
