@@ -231,7 +231,7 @@ def _cmd_verify_suite(args):
         for r in results:
             status = "PASS" if r.ok else "FAIL"
             line = f"{status} {r.name} ({r.seconds:.2f}s)"
-            if not r.ok:
+            if r.detail:
                 line += f": {r.detail}"
             print(line)
         print(f"{'OK' if ok else 'FAILED'}: {sum(r.ok for r in results)}/{len(results)} checks passed")

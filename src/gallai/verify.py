@@ -3,8 +3,11 @@
 Each check compares library output against an independent expectation:
 closed formulas against exhaustive search, constructions against the
 censuses and subgraph hunts, the partition algorithm against brute-force
-enumeration at tiny sizes and randomized blow-ups at desk scale.  The
-fast level is a sub-minute subset; the full level runs everything.
+enumeration at tiny sizes and randomized blow-ups at desk scale.  A
+check raises on the first failure and otherwise returns a one-line
+summary of what it examined.  The fast level is a sub-minute subset;
+the full level runs everything, and `tests/test_acceptance.py` runs it
+one check at a time.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def check_goodman_oracle_small():
         _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
         _require(out.value == formulas.goodman_m2(n))
         _require(census.triangle_census(out.witness).mono_total == out.value)
+    return "min mono over 2-colorings equals goodman_m2 for n=3..6: [0, 0, 0, 2]"
 
 
 def check_pentagon_gadget():
@@ -70,6 +74,7 @@ def check_pentagon_gadget():
     _require(cen.mono_total == 0 and cen.rainbow == 0, cen)
     split = [len(p.edges_by_color()[c]) for c in (1, 2)]
     _require(split == [5, 5], split)
+    return "pentagon 2-coloring: 5 + 5 edges, no monochromatic or rainbow triangle"
 
 
 def check_paley17_gadget():
@@ -78,6 +83,7 @@ def check_paley17_gadget():
         _require(set(p.degrees()[c][1:]) == {8}, "color classes must be 8-regular")
         _require(not census.find_mono_subgraph(p, c, "K4").present, f"K4 in color {c}")
     _require(census.triangle_census(p).rainbow == 0)
+    return "Paley-17 2-coloring: both classes 8-regular and K4-free, no rainbow triangle"
 
 
 def check_figure1_fixture():
@@ -87,6 +93,7 @@ def check_figure1_fixture():
     _require(len(set(fx.singleton_colors)) == 2)
     report = grstar.check_gr_star_conditions(fx)
     _require(report.passes, report)
+    return "Figure 1 fixture (n=10, k=4, two singleton colours) passes the GR* conditions"
 
 
 def check_formula_values():
@@ -108,6 +115,7 @@ def check_formula_values():
     _require(formulas.g_multiplicity_bounds(4, 26) == (2, 2))
     _require(formulas.ex_star(20, 3) == 20)
     _require(formulas.ex_star(7, 4) == 10)
+    return "spot values of goodman_m2, m3, gr_k3, gr_mixed_k4e, gr_star_k3, turan_count, g bounds, ex_star"
 
 
 def check_gec_roundtrip():
@@ -118,6 +126,7 @@ def check_gec_roundtrip():
     ]
     for c in samples:
         _require(parse_coloring(c.serialize()) == c)
+    return f"{len(samples)} colorings round-trip through .gec"
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +135,9 @@ def check_gec_roundtrip():
 
 def check_goodman_oracle_n7():
     out = search.min_mono_triangles(7, 2)
-    _require(out.exhaustive and out.value == 4, out.value)
+    _require(out.exhaustive and out.value == 4 == formulas.goodman_m2(7), out.value)
     _require(census.triangle_census(out.witness).mono_total == 4)
+    return "min mono over 2-colorings of K7 is 4 = goodman_m2(7), exhaustively"
 
 
 def check_ramsey_brackets():
@@ -142,6 +152,7 @@ def check_ramsey_brackets():
     _require(not census.find_mono_subgraph(w, 2, "K3").present)
     out = search.exists_avoiding(9, 2, ["K4+e", "K3"])
     _require(out.value == 0 and out.exhaustive)
+    return "avoidance flips at n=6 for (K3,K3) and at n=9 for (K4+e,K3)"
 
 
 def check_gallai_min_mono_frontier():
@@ -153,25 +164,34 @@ def check_gallai_min_mono_frontier():
         _require(formulas.g_multiplicity_bounds(3, n)[0] == want, n)
         cen = census.triangle_census(out.witness)
         _require(cen.mono_total == want and cen.rainbow == 0, (n, cen))
+    return "g(3,n) proved exactly by search for n=13, 14: [3, 4]"
 
 
 def check_gr_k3_witnesses():
-    for k, order in [(1, 2), (2, 5), (3, 10), (4, 25), (5, 50)]:
+    orders = [2, 5, 10, 25, 50]
+    for k, order in enumerate(orders, 1):
         c = construct.construct_gr_k3_extremal(k)
         _require(c.n == order == formulas.gr_k3(k) - 1)
         cen = census.triangle_census(c)
         _require(cen.rainbow == 0 and cen.mono_total == 0, (k, cen))
+    return f"triangle-free Gallai witnesses at sizes {orders}"
 
 
 def check_gr_k4e_witnesses():
-    for k, s in _gr_k4e_instances():
+    # orders pinned independently of the formula
+    spot = {(2, 1): 8, (2, 2): 17, (3, 1): 20, (3, 2): 34, (3, 3): 68, (4, 4): 289}
+    instances = _gr_k4e_instances()
+    _require(spot.keys() <= set(instances))
+    for k, s in instances:
         c = construct.construct_gr_k4e_extremal(k, s)
-        _require(c.n == formulas.mixed_k4e_extremal_order(k, s))
+        _require(c.n == formulas.mixed_k4e_extremal_order(k, s), (k, s))
+        _require(c.n == spot.get((k, s), c.n), (k, s, c.n))
         _require(census.triangle_census(c).rainbow == 0)
         for q in range(1, s + 1):
             _require(not census.find_mono_subgraph(c, q, "K4+e").present, (k, s, q))
         for q in range(s + 1, k + 1):
             _require(not census.find_mono_subgraph(c, q, "K3").present, (k, s, q))
+    return f"{len(instances)} mixed-target witnesses up to 300 vertices"
 
 
 def check_multiplicity_exactness():
@@ -189,6 +209,7 @@ def check_multiplicity_exactness():
             ).mono_total
             _require(got == upper, (k, n, got, upper))
             _require(got >= lower, (k, n, got, lower))
+    return "multiplicity constructions meet the upper bound for k<=4, n<=gr_k3(k)+30"
 
 
 def check_f_lower_turan():
@@ -198,6 +219,7 @@ def check_f_lower_turan():
         want = formulas.turan_count(n, formulas.gr_k3(k - 1) - 1)
         _require(got == want, (k, n, got, want))
         _require(census.triangle_census(c).rainbow == 0)
+    return "protected-edge counts equal Turan numbers on 4 rainbow-free instances"
 
 
 def _set_partitions(items):
@@ -211,23 +233,28 @@ def _set_partitions(items):
         yield [[first]] + sub
 
 
+def _between_colors(coloring, groups):
+    """The colours between the parts of a Gallai partition, or None when
+    groups is not one: it needs >= 2 parts, monochromatic part-pairs and
+    at most two between-colours in total."""
+    if len(groups) < 2:
+        return None
+    between = set()
+    for a, b in combinations(groups, 2):
+        colors = {coloring.color(u, v) for u in a for v in b}
+        if len(colors) != 1:
+            return None
+        between |= colors
+    return frozenset(between) if len(between) <= 2 else None
+
+
 def _valid_partitions(coloring):
-    """All Gallai partitions of the coloring: >= 2 parts, monochromatic
-    part-pairs, at most two between-colors in total."""
+    """All Gallai partitions of the coloring, each with its between-colours."""
     out = []
     for p in _set_partitions(list(range(1, coloring.n + 1))):
-        if len(p) < 2:
-            continue
-        between = set()
-        ok = True
-        for a, b in combinations(range(len(p)), 2):
-            colors = {coloring.color(u, v) for u in p[a] for v in p[b]}
-            if len(colors) != 1:
-                ok = False
-                break
-            between |= colors
-        if ok and len(between) <= 2:
-            out.append((p, frozenset(between)))
+        between = _between_colors(coloring, p)
+        if between is not None:
+            out.append((p, between))
     return out
 
 
@@ -238,16 +265,19 @@ def _refines(fine, coarse):
 
 def check_partition_refinement_small():
     """Brute-force the refinement lemma on every Gallai coloring with
-    n <= 5, k <= 3: for each candidate color set S, the merge fixpoint
-    refines every valid partition whose between-colors lie in S, and
-    exists whenever such a partition exists."""
+    n <= 5, k <= 3: each has a valid partition, and for each candidate
+    color set S, the merge fixpoint refines every valid partition whose
+    between-colors lie in S, and exists whenever such a partition exists."""
+    examined = 0
     for n in range(2, 6):
         pairs = comb(n, 2)
         for colors in product((1, 2, 3), repeat=pairs):
             c = Coloring(n, 3, colors)
             if census.triangle_census(c).rainbow:
                 continue
+            examined += 1
             valid = _valid_partitions(c)
+            _require(valid, ("Gallai coloring must admit a partition", n, colors))
             gp = find_gallai_partition(c)
             _require(verify_gallai_partition(c, gp), (n, colors))
             for s in _candidate_color_sets(3):
@@ -259,9 +289,11 @@ def check_partition_refinement_small():
                 groups, _, _ = fix
                 for p in relevant:
                     _require(_refines(groups, p), (n, colors, s, p))
+    return f"refinement lemma brute-forced on {examined} Gallai colorings with n<=5, k<=3"
 
 
 def check_partition_soundness():
+    # find_gallai_partition needs n >= 2; the smallest here is gr_k3_extremal(1), n = 2
     colorings = [construct.construct_gr_k3_extremal(k) for k in range(1, 6)]
     colorings += [
         construct.construct_gr_k4e_extremal(k, s) for k, s in _gr_k4e_instances()
@@ -270,14 +302,12 @@ def check_partition_soundness():
         base = formulas.gr_k3(k)
         colorings += [
             construct.construct_multiplicity_extremal(k, n)
-            for n in range(base, base + 31, 10)
+            for n in range(base, base + 31)
         ]
     colorings += [
         construct.construct_f_lower(n, k) for k, n in [(2, 6), (2, 20), (3, 30), (4, 55)]
     ]
     for c in colorings:
-        if c.n < 2:
-            continue
         gp = find_gallai_partition(c)
         _require(verify_gallai_partition(c, gp), c)
 
@@ -286,6 +316,7 @@ def check_partition_soundness():
         c = construct.random_gallai_coloring(rng.randint(2, 60), rng.randint(1, 6), rng)
         gp = find_gallai_partition(c)
         _require(verify_gallai_partition(c, gp), f"random instance {i}")
+    return f"partition sound on {len(colorings)} constructions and 1000 random Gallai blow-ups"
 
 
 def check_grstar_exactness():
@@ -294,7 +325,7 @@ def check_grstar_exactness():
         _require(found == want, (n, k, found))
         if found:
             _require(grstar.check_gr_star_conditions(witness).passes)
-    check_figure1_fixture()
+    return "GR* witness existence flips at n=3 (k=2) and at n=6 (k=3)"
 
 
 def check_nim_star_bound():
@@ -305,6 +336,7 @@ def check_nim_star_bound():
         _require(got >= want, (n, h, k, got, want))
     c = construct.construct_nim_star(20, 3, 2)
     _require(census.count_nim_star_edges(c, 3) == formulas.ex_star(20, 3))
+    return "layered star-free colorings meet the nim lower bound on 3 instances; equality at k=2"
 
 
 def check_census_properties():
@@ -323,16 +355,19 @@ def check_census_properties():
         _require(cen2.bichromatic == cen.bichromatic and cen2.rainbow == cen.rainbow, i)
         for q in range(1, k + 1):
             _require(cen2.mono_per_color[cperm[q]] == cen.mono_per_color[q], i)
-        _require(census.count_protected_edges(cc) == census.count_protected_edges(c), i)
+        protected = census.count_protected_edges(c)
+        _require(census.count_protected_edges(cc) == protected, i)
         h = rng.randint(1, 6)
-        _require(census.count_nim_star_edges(cc, h) == census.count_nim_star_edges(c, h), i)
+        nim = census.count_nim_star_edges(c, h)
+        _require(census.count_nim_star_edges(cc, h) == nim, i)
 
         vperm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
         cv = c.permute_vertices(vperm)
         cen3 = census.triangle_census(cv)
         _require(cen3 == cen, i)
-        _require(census.count_protected_edges(cv) == census.count_protected_edges(c), i)
-        _require(census.count_nim_star_edges(cv, h) == census.count_nim_star_edges(c, h), i)
+        _require(census.count_protected_edges(cv) == protected, i)
+        _require(census.count_nim_star_edges(cv, h) == nim, i)
+    return "conservation and permutation invariances on 10^4 seeded colorings"
 
 
 FAST_CHECKS = [
@@ -360,18 +395,19 @@ FULL_CHECKS = FAST_CHECKS + [
 ]
 
 
+def run_check(name, fn) -> CheckResult:
+    """Run one check; its detail is the check's summary when it passes."""
+    start = time.perf_counter()
+    try:
+        ok, detail = True, fn()
+    except Exception as exc:
+        # a crash fails its own check, not the battery
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, ok, detail, time.perf_counter() - start)
+
+
 def run_suite(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     checks = FAST_CHECKS if level == "fast" else FULL_CHECKS
-    results = []
-    for name, fn in checks:
-        start = time.time()
-        try:
-            fn()
-            results.append(CheckResult(name, True, "", time.time() - start))
-        except Exception as exc:
-            # a crash fails its own check, not the battery
-            detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, False, detail, time.time() - start))
-    return results
+    return [run_check(name, fn) for name, fn in checks]

@@ -6,6 +6,7 @@ from itertools import combinations, product
 from math import comb
 
 from gallai import Coloring, lex_pairs
+from gallai.verify import _between_colors, _set_partitions
 
 
 def all_colorings(n, k):
@@ -53,6 +54,17 @@ def brute_nim_star(c, h):
         if du <= h - 1 and dv <= h - 1:
             count += 1
     return count
+
+
+def min_valid_partition_size(coloring, partition):
+    """Smallest part count among valid coarsenings of the partition,
+    by exhaustive enumeration of groupings of its parts."""
+    sizes = []
+    for grouping in _set_partitions(list(partition.parts)):
+        merged = [[v for part in group for v in part] for group in grouping]
+        if _between_colors(coloring, merged) is not None:
+            sizes.append(len(merged))
+    return min(sizes, default=None)
 
 
 def brute_min_mono(n, k, gallai_only=False):

@@ -184,6 +184,8 @@ def test_verify_suite_fast_json(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert {c["name"] for c in doc["checks"]} >= {"pentagon-gadget", "figure1-fixture"}
+    # each passing check reports what it examined
+    assert all(c["detail"] for c in doc["checks"] if c["ok"])
 
 
 def test_verify_suite_fast_text(capsys):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import helpers
 from gallai import (
     Coloring,
     GallaiPartition,
@@ -132,15 +133,13 @@ def test_coarsen_pentagon_stays_five():
 def test_coarsen_reaches_minimum_exhaustively():
     # compare against the true minimum over all valid coarsenings,
     # computed by brute force over set partitions
-    from verify_support import min_valid_partition_size
-
     rng = random.Random(5)
     for _ in range(40):
         c = random_gallai_coloring(rng.randint(2, 7), rng.randint(1, 3), rng)
         gp = find_gallai_partition(c)
         coarse = coarsen_to_min_parts(c, gp)
         assert verify_gallai_partition(c, coarse)
-        best = min_valid_partition_size(c, gp)
+        best = helpers.min_valid_partition_size(c, gp)
         assert len(coarse.parts) == best, (c.serialize(), best)
 
 
