@@ -65,24 +65,30 @@ in every parallel subtree alike:
 A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.
 
-With jobs > 1 the space is split at the first depth that has at least
-4 x jobs canonical prefixes, found by the same engine run on the
-first edges only, and a pool of `jobs` processes takes the prefixes
-one at a time.  All subtrees share one budget, leased in small slices
-(a node the budget refuses is not counted, so a run explores at most
-budget + 1 nodes for every jobs), and one incumbent: the least cost
-and the index, in DFS order, of the earliest prefix that reached it.
-A subtree prunes ties with a cost an earlier prefix found and keeps
-ties with a later prefix's, and the results are combined in prefix
-order, so unless the budget runs out the value, the witness and
-`exhaustive` are those of the serial run.  A subtree stops once an
-earlier prefix holds a leaf of the least cost, so for exists_avoiding
-the first witness in prefix order decides the run.  Node counts with
-jobs > 1 vary from run to run.
+With jobs > 1 (at most the CPU count) the space is split at the first
+depth that has at least 4 x jobs canonical prefixes, found by the same
+engine run on the first edges only.  The parent process claims the
+prefixes from a shared counter, one at a time in DFS order, and
+searches them itself; once it has leased more than _PROBE nodes it
+starts jobs - 1 helper processes, which claim from the same counter
+until every prefix is taken.  All subtrees share one budget, leased in
+small slices (a node the budget refuses is not counted, so a run
+explores at most budget + 1 nodes for every jobs), and one incumbent:
+the least cost and the index, in DFS order, of the earliest prefix
+that reached it.  A subtree prunes ties with a cost an earlier prefix
+found and keeps ties with a later prefix's, and the results are
+combined in prefix order, so unless the budget runs out the value, the
+witness and `exhaustive` are those of the serial run.  A subtree stops
+once an earlier prefix holds a leaf of the least cost, so for
+exists_avoiding the first witness in prefix order decides the run.  A
+run that ends inside the allowance starts no process and repeats
+exactly, node count included; node counts of longer runs vary from run
+to run.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from math import comb, inf
@@ -676,22 +682,32 @@ def _split_prefixes(plan, k, jobs, class_of):
 # enough that the lock is rarely taken
 _SLICE = 256
 
+# nodes the parent of a parallel run searches alone before it starts its
+# helpers.  Measured on 2 vCPUs with the helper started at once, two jobs
+# lose to one on runs of up to about 24 k nodes (process start-up and the
+# uneven split) and win from about 47 k on, so a run this short forks
+# nothing
+_PROBE = 2**15
+
 
 class _Subtree:
     """One task of a parallel run: its prefix, the prefix's position in
     DFS order, and the state all tasks of the run share.
 
     The shared state is an array [unleased budget, best cost, index of
-    the earliest prefix that reached that cost], guarded by its lock.
-    Before any prefix reaches a cost, the index is the number of
-    prefixes, so every subtree keeps leaves that tie the starting cost.
+    the earliest prefix that reached that cost, next unclaimed prefix],
+    guarded by its lock.  Before any prefix reaches a cost, the index is
+    the number of prefixes, so every subtree keeps leaves that tie the
+    starting cost.  In the parent, helpers is the run's _Helpers, told
+    of every node the subtree leases or gives back.
     """
 
-    def __init__(self, shared, index, prefix):
+    def __init__(self, shared, index, prefix, helpers=None):
         self.lock = shared.get_lock()
         self.cells = shared.get_obj()
         self.index = index
         self.prefix = prefix
+        self.helpers = helpers
         self.leased = 0
 
     def trade(self, found, cut):
@@ -706,6 +722,8 @@ class _Subtree:
             cells[0] -= grant
             best, first = cells[1], cells[2]
         self.leased += grant
+        if self.helpers is not None:
+            self.helpers.lease(grant)
         # ties with an earlier prefix's cost are pruned, with a later's kept
         if first > self.index:
             best += 1
@@ -717,6 +735,8 @@ class _Subtree:
         with self.lock:
             self._publish(found)
             self.cells[0] += self.leased - nodes
+        if self.helpers is not None:
+            self.helpers.lease(nodes - self.leased)
 
     def _publish(self, found):
         # caller holds the lock; ties go to the earlier prefix
@@ -726,39 +746,95 @@ class _Subtree:
             cells[2] = self.index
 
 
-# (engine arguments, prefixes, shared state) of the run a pool worker serves
+def _claims(args, prefixes, shared, helpers=None):
+    """Claim prefixes from the shared counter, in DFS order, and search
+    each one's subtree until none is left unclaimed; yields (index,
+    engine result).  The parent and every helper run this loop."""
+    lock, cells = shared.get_lock(), shared.get_obj()
+    while True:
+        with lock:
+            index = cells[3]
+            cells[3] = index + 1
+        if index >= len(prefixes):
+            return
+        yield index, _search(*args, task=_Subtree(shared, index, prefixes[index], helpers))
+
+
+class _Helpers:
+    """The parent's helper processes: none until the parent has leased
+    more than _PROBE nodes, then jobs - 1 of them at once, each claiming
+    prefixes as the parent does.  A prefix is searched by whichever
+    process claims it, so no work is repeated at the hand-off."""
+
+    def __init__(self, jobs, run):
+        self.jobs = jobs
+        self.run = run  # (engine arguments, prefixes, shared state)
+        self.leased = 0
+        self.pool = None
+        self.pending = None
+
+    def lease(self, nodes):
+        """Count nodes the parent leased (given back when negative) and
+        start the helpers once the count passes _PROBE."""
+        self.leased += nodes
+        if self.pool is None and self.leased > _PROBE:
+            import multiprocessing
+
+            self.pool = multiprocessing.Pool(self.jobs - 1, _init_helper, self.run)
+            self.pending = self.pool.map_async(_helper, range(self.jobs - 1))
+
+    def join(self):
+        """The helpers' (index, engine result) pairs, once the parent has
+        nothing left to claim."""
+        if self.pool is None:
+            return []
+        return [run for runs in self.pending.get() for run in runs]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.terminate()
+
+
+# (engine arguments, prefixes, shared state) of the run a helper serves
 _POOL_RUN = None
 
 
-def _init_worker(*run):
+def _init_helper(*run):
     global _POOL_RUN
     _POOL_RUN = run
 
 
-def _worker(index):
-    args, prefixes, shared = _POOL_RUN
-    return _search(*args, task=_Subtree(shared, index, prefixes[index]))
+def _helper(_):
+    return list(_claims(*_POOL_RUN))
 
 
 def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
     """Run the engine over the whole reduced space of K_n and combine its
     runs: (least cost or None, its colors, nodes, exhaustive).
 
-    With jobs > 1 the space is split into prefixes that a pool takes one
-    task at a time; the tasks share one budget and one incumbent, which
-    starts at cost `start`."""
+    With jobs > 1 the space is split into prefixes that the parent, and
+    once it has leased more than _PROBE nodes jobs - 1 helper processes,
+    claim in DFS order; the subtrees share one budget and one incumbent,
+    which starts at cost `start`."""
     plan = _edge_plan(n)
     args = (plan, k, class_of, objective, start, floor, budget)
+    # no more processes than CPUs: the verdict does not depend on jobs
+    jobs = min(jobs, os.cpu_count() or 1)
     prefixes = _split_prefixes(plan, k, jobs, class_of) if jobs > 1 else []
     if len(prefixes) <= 1:
         return _combine(floor, [_search(*args)])
     import multiprocessing
 
-    shared = multiprocessing.Array("q", [min(budget, 2**62), start, len(prefixes)])
-    with multiprocessing.Pool(
-        min(jobs, len(prefixes)), _init_worker, (args, prefixes, shared)
-    ) as pool:
-        return _combine(floor, pool.imap(_worker, range(len(prefixes))))
+    shared = multiprocessing.Array("q", [min(budget, 2**62), start, len(prefixes), 0])
+    runs = [None] * len(prefixes)
+    with _Helpers(jobs, (args, prefixes, shared)) as helpers:
+        claimed = list(_claims(args, prefixes, shared, helpers)) + helpers.join()
+    for index, run in claimed:
+        runs[index] = run
+    return _combine(floor, runs)
 
 
 def _combine(floor, runs):

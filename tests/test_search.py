@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from itertools import combinations, product
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from gallai import (
     min_mono_triangles,
     triangle_census,
 )
+from gallai import search
 from gallai.search import (
     DEFAULT_BUDGET,
     _SplitPairs,
@@ -216,20 +219,135 @@ def _jobs_grid():
         yield exists_avoiding, (n, 3, k3_3, True)
 
 
-def test_jobs_deterministic():
+def _assert_jobs_match_serial(monkeypatch):
     # the parallel split, the shared incumbent and the prefix-order
     # combine must reproduce the serial value, witness and verdict;
-    # node counts with jobs > 1 vary from run to run and are not compared
-    for search, args in _jobs_grid():
-        serial = search(*args)
+    # three CPUs keep jobs=3 from being capped to this machine's count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for f, args in _jobs_grid():
+        serial = f(*args)
         for jobs in (2, 3):
-            out = search(*args, jobs=jobs)
+            out = f(*args, jobs=jobs)
             got = (out.value, out.witness, out.exhaustive)
             assert got == (serial.value, serial.witness, serial.exhaustive), (
-                search.__name__,
+                f.__name__,
                 args,
                 jobs,
             )
+
+
+def test_jobs_deterministic(monkeypatch):
+    # at the default allowance every grid call ends in the parent
+    _assert_jobs_match_serial(monkeypatch)
+
+
+def test_jobs_deterministic_with_helpers(monkeypatch):
+    # helpers start at the parent's first trade
+    monkeypatch.setattr(search, "_PROBE", 0)
+    _assert_jobs_match_serial(monkeypatch)
+
+
+def _forbid_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+
+
+def _count_pools(monkeypatch, most=None):
+    """Records the size of every pool started, through the real Pool; a
+    pool of more than `most` processes fails the test before it starts."""
+    starts = []
+    real = multiprocessing.Pool
+
+    def pool(processes, *args, **kwargs):
+        assert most is None or processes <= most, processes
+        starts.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    return starts
+
+
+def test_jobs_within_allowance_start_no_process(monkeypatch):
+    # a run that ends inside the allowance is the parent's alone, so it
+    # repeats exactly, node count included
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _forbid_processes(monkeypatch)
+    calls = [
+        (min_mono_triangles, (11, 3, True)),
+        (exists_avoiding, (11, 3, ["K3"] * 3, True)),
+        (max_protected_edges, (8, 2)),
+    ]
+    for f, args in calls:
+        serial = f(*args)
+        first, second = f(*args, jobs=2), f(*args, jobs=2)
+        assert first.nodes_explored == second.nodes_explored <= search._PROBE
+        for out in (first, second):
+            assert (out.value, out.witness, out.exhaustive) == (
+                serial.value,
+                serial.witness,
+                serial.exhaustive,
+            )
+
+
+def test_long_runs_start_helpers(monkeypatch):
+    # both runs outgrow the allowance: the parent starts a helper partway
+    # through, and neither repeats nor loses a prefix at the hand-off
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    starts = _count_pools(monkeypatch)
+    for f, args in [(min_mono_triangles, (12, 3, True)), (max_protected_edges, (9, 2))]:
+        serial = f(*args)
+        assert serial.nodes_explored > search._PROBE
+        out = f(*args, jobs=2)
+        assert (out.value, out.witness, out.exhaustive) == (
+            serial.value,
+            serial.witness,
+            serial.exhaustive,
+        )
+    assert starts == [1, 1]
+
+
+def test_parent_witness_stops_helpers(monkeypatch):
+    # the first witness lies in the first prefix, which the parent claims;
+    # a helper starts once the parent passes the allowance and searches
+    # later prefixes, whose subtrees hold more than 2 M nodes, until the
+    # parent publishes its witness
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    starts = _count_pools(monkeypatch)
+    args = (13, 2, ["K4+e", "K4+e"])
+    serial = exists_avoiding(*args)
+    assert serial.value == 1 and serial.nodes_explored > search._PROBE
+    budget = 1_500_000
+    out = exists_avoiding(*args, budget=budget, jobs=2)
+    assert starts == [1]
+    assert (out.value, out.witness, out.exhaustive) == (1, serial.witness, True)
+    # a helper that kept searching would spend the whole budget
+    assert out.nodes_explored < budget // 2
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # --jobs 10000 on two CPUs splits for two jobs and starts one helper
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_PROBE", 0)
+    starts = _count_pools(monkeypatch, most=1)
+    split_jobs = []
+    real_split = search._split_prefixes
+
+    def split(plan, k, jobs, class_of):
+        split_jobs.append(jobs)
+        return real_split(plan, k, jobs, class_of)
+
+    monkeypatch.setattr(search, "_split_prefixes", split)
+    serial = min_mono_triangles(8, 2)
+    out = min_mono_triangles(8, 2, jobs=10_000)
+    assert (out.value, out.witness, out.exhaustive) == (
+        serial.value,
+        serial.witness,
+        serial.exhaustive,
+    )
+    assert split_jobs == [2] and starts == [1]
 
 
 def test_split_prefixes_follow_dfs_order():
@@ -260,7 +378,7 @@ def test_parallel_runs_combine_in_dfs_order():
     assert _combine(-1, runs) == (0, earlier, 9, False)
 
 
-def test_jobs_share_one_budget():
+def _assert_jobs_share_one_budget():
     # one budget bounds the whole run, not each subtree; four jobs run
     # more workers than this test is likely to have cores, so a lost
     # update to the shared counter would overspend it
@@ -271,6 +389,17 @@ def test_jobs_share_one_budget():
         out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=2_000, jobs=jobs)
         assert out.nodes_explored <= 2_001
         assert not out.exhaustive and out.value is None
+
+
+def test_jobs_share_one_budget(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _assert_jobs_share_one_budget()
+
+
+def test_jobs_share_one_budget_with_helpers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "_PROBE", 0)
+    _assert_jobs_share_one_budget()
 
 
 def test_jobs_must_be_positive():
