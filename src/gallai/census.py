@@ -74,17 +74,19 @@ def triangle_census(coloring: Coloring) -> TriangleCensus:
     n, k = coloring.n, coloring.k
     adj = coloring.adjacency()
     deg = coloring.degrees()
-    by_color = coloring.edges_by_color()
 
+    # triples[c]: over the c-colored edges, the common c-neighbors of
+    # their ends; each c-colored triangle is counted once per edge
+    triples = [0] * (k + 1)
+    colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, c in zip(range(u + 1, n + 1), colors):
+            triples[c] += (adj[c][u] & adj[c][v]).bit_count()
     mono = {}
     for c in range(1, k + 1):
-        adj_c = adj[c]
-        triples = 0
-        for u, v in by_color[c]:
-            triples += (adj_c[u] & adj_c[v]).bit_count()
-        if triples % 3:
-            raise RuntimeError(f"color {c}: triangle edge count {triples} not divisible by 3")
-        mono[c] = triples // 3
+        if triples[c] % 3:
+            raise RuntimeError(f"color {c}: triangle edge count {triples[c]} not divisible by 3")
+        mono[c] = triples[c] // 3
     mono_total = sum(mono.values())
 
     cherries = 0

@@ -62,10 +62,11 @@ class Coloring:
             raise ValueError(
                 f"expected {comb(n, 2)} colors for n={n}, got {len(colors)}"
             )
-        for i, c in enumerate(colors):
-            if not 1 <= c <= k:
-                u, v = lex_pairs(n)[i]
-                raise ValueError(f"color {c} on pair ({u},{v}) outside 1..{k}")
+        if colors and not 1 <= min(colors) <= max(colors) <= k:
+            # name the first offending pair
+            for (u, v), c in zip(combinations(range(1, n + 1), 2), colors):
+                if not 1 <= c <= k:
+                    raise ValueError(f"color {c} on pair ({u},{v}) outside 1..{k}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "colors", colors)
@@ -90,11 +91,9 @@ class Coloring:
 
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
-        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v;
-        # by_color[c] the list of c-colored pairs.
+        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.
         adj = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
         deg = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
-        by_color: list = [None] + [[] for _ in range(self.k)]
         n = self.n
         colors = iter(self.colors)
         for u in range(1, n + 1):
@@ -103,8 +102,7 @@ class Coloring:
                 adj[c][v] |= 1 << (u - 1)
                 deg[c][u] += 1
                 deg[c][v] += 1
-                by_color[c].append((u, v))
-        object.__setattr__(self, "_derived", (adj, deg, by_color))
+        object.__setattr__(self, "_derived", (adj, deg))
 
     def adjacency(self) -> list:
         """Per-color adjacency bitsets, indexed adj[color][vertex]."""
@@ -119,10 +117,15 @@ class Coloring:
         return self._derived[1]
 
     def edges_by_color(self) -> list:
-        """Lists of pairs per color, indexed by color."""
-        if self._derived is None:
-            self._build_derived()
-        return self._derived[2]
+        """Lists of pairs per color, indexed by color, each in
+        lexicographic order.
+
+        Built on each call and not cached, as lex_pairs is, so no pair
+        list outlives its caller."""
+        by_color: list = [None] + [[] for _ in range(self.k)]
+        for u, v, c in self.edges():
+            by_color[c].append((u, v))
+        return by_color
 
     def with_k(self, k: int) -> "Coloring":
         """Same coloring reinterpreted over a larger color universe."""
@@ -213,7 +216,7 @@ def _parse_body(lines: list[tuple[int, str]]) -> Coloring:
             raise GecFormatError(f"line {lineno}: pair ({u},{v}) must satisfy 1 <= u < v <= {n}")
         if not 1 <= c <= k:
             raise GecFormatError(f"line {lineno}: color {c} outside 1..{k}")
-        idx = pair_index(n, u, v)
+        idx = (u - 1) * n - u * (u + 1) // 2 + v - 1  # pair_index(n, u, v)
         if colors[idx]:
             raise GecFormatError(f"line {lineno}: duplicate pair ({u},{v})")
         colors[idx] = c

@@ -93,25 +93,22 @@ def blow_up(base: Coloring, inserts: Sequence[Coloring]) -> Coloring:
     if len(ks) != 1:
         raise ValueError(f"mismatched color universes: {sorted(ks)}")
 
-    n = sum(h.n for h in inserts)
-    owner = [0] * (n + 1)  # vertex -> base copy index (1-based)
-    local = [0] * (n + 1)  # vertex -> vertex within its copy
-    v = 1
-    for i, h in enumerate(inserts, start=1):
-        for j in range(1, h.n + 1):
-            owner[v] = i
-            local[v] = j
-            v += 1
-
-    out = []
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            i, j = owner[x], owner[y]
-            if i == j:
-                out.append(inserts[i - 1].color(local[x], local[y]))
-            else:
-                out.append(base.color(i, j))
-    return Coloring(n, base.k, out)
+    sizes = [h.n for h in inserts]
+    base_colors = iter(base.colors)
+    out: list[int] = []
+    for i, h in enumerate(inserts):
+        # the colors from a vertex of copy i to every later copy, which
+        # end the row of each of its vertices
+        tail: list[int] = []
+        for size, c in zip(sizes[i + 1 :], base_colors):
+            tail += [c] * size
+        # each vertex's row starts with its pairs inside the copy
+        start = 0
+        for later in range(h.n - 1, -1, -1):
+            out += h.colors[start : start + later]
+            out += tail
+            start += later
+    return Coloring(sum(sizes), base.k, out)
 
 
 def _join_two_copies(g: Coloring, color: int, k: int) -> Coloring:

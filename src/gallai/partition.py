@@ -1,22 +1,28 @@
 """Constructive decomposition of Gallai colorings.
 
-Every Gallai coloring of K_n (n >= 2) admits a partition of the vertex
-set into at least two parts such that each pair of parts is joined
-monochromatically and at most two colors appear between parts in total.
-The algorithm here finds one: for each candidate color set S of size 1
-or 2, taken in lexicographic order, it forms the connected components
-of the graph of edges whose color lies OUTSIDE S, then merges any two
-components joined by more than one color until no bichromatic pair of
-parts remains, and returns the first S whose fixpoint keeps at least
-two parts.
+A Gallai partition of a coloring of K_n (n >= 2) splits the vertex set
+into at least two parts so that each pair of parts is joined in one
+color and at most two colors appear between parts in total.  Every
+Gallai coloring has one (Gallai 1967; Gyarfas & Simonyi, J. Graph
+Theory 46, 2004).  The algorithm rests on one lemma.
 
-Correctness: a valid partition with between-part colors inside S has
-parts that are unions of non-S components, and edges between distinct
-valid parts are monochromatic, so merging never crosses its boundaries;
-the fixpoint therefore refines every such partition and in particular
-stays nontrivial whenever one exists.  (On Gallai inputs the merge
-stage is typically a no-op: vertices joined by a non-S path see every
-external vertex in one color, else a rainbow triangle would arise.)
+Lemma.  Take a Gallai coloring and a color set S.  Distinct components
+A and B of the graph of edges whose color is not in S are joined in a
+single color.
+
+Proof.  Let u, u' in A be joined by an edge of color c not in S, and
+let w be in B.  The edges uw and u'w have colors in S, else w would lie
+in A.  Triangle uu'w is not rainbow and c differs from both colors, so
+c(uw) = c(u'w).  A is connected, so w sees all of A in one color; by
+symmetry each u in A sees all of B in one color, and together the two
+make every A-B edge one color.
+
+So for |S| <= 2 the non-S components form a Gallai partition as soon as
+there are at least two of them.  Conversely, the parts of any Gallai
+partition whose between-colors lie in S are unions of non-S components,
+since a non-S edge never joins two parts.  A Gallai partition exists, so
+some S of size 1 or 2 splits the graph, and trying the candidate sets in
+lexicographic order finds the first one.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import find_rainbow_triangle, triangle_census
-from .coloring import Coloring, pair_index
+from .coloring import Coloring
 
 
 class NotGallaiError(ValueError):
@@ -49,151 +55,82 @@ class GallaiPartition:
     reduced: Coloring
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-
 def _candidate_color_sets(k: int) -> list[tuple[int, ...]]:
     sets = [(a,) for a in range(1, k + 1)]
     sets += [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
     return sorted(sets)
 
 
-def _components_outside(coloring: Coloring, colors: frozenset[int]) -> list[int]:
-    """Component id per vertex (index 0 unused) of the graph formed by
-    edges whose color is not in the given set."""
-    n = coloring.n
-    uf = _UnionFind(n + 1)
-    pair_colors = iter(coloring.colors)
-    for u in range(1, n + 1):
-        for v, c in zip(range(u + 1, n + 1), pair_colors):
-            if c not in colors:
-                uf.union(u, v)
-    roots = {}
-    comp = [0] * (n + 1)
-    for v in range(1, n + 1):
-        r = uf.find(v)
-        comp[v] = roots.setdefault(r, len(roots))
-    return comp
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask (vertex v <-> bit v-1), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
-def _merge_fixpoint(coloring: Coloring, s: tuple[int, ...]):
-    """Run the component-then-merge procedure for one candidate color
-    set; returns (groups, pair_color) with pair_color keyed by group
-    index pairs, or None when everything collapses to a single part."""
-    n = coloring.n
-    s_set = frozenset(s)
-    comp = _components_outside(coloring, s_set)
-    p = max(comp) + 1 if n else 0
-    if p < 2:
-        return None
-
-    # between-component color table; None marks a bichromatic pair
-    table: dict[tuple[int, int], int | None] = {}
-    worklist: list[tuple[int, int]] = []
-    colors = iter(coloring.colors)
-    for u in range(1, n + 1):
-        for v, c in zip(range(u + 1, n + 1), colors):
-            i, j = comp[u], comp[v]
-            if i == j:
-                continue
-            key = (i, j) if i < j else (j, i)
-            prev = table.get(key, 0)
-            if prev == 0:
-                table[key] = c
-            elif prev is not None and prev != c:
-                table[key] = None
-                worklist.append(key)
-
-    uf = _UnionFind(p)
-    active = set(range(p))
-    while worklist:
-        i, j = worklist.pop()
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
-            continue
-        key = (ri, rj) if ri < rj else (rj, ri)
-        if table.get(key, 0) is not None:
-            continue  # pair already repaired by an earlier merge
-        r = uf.union(ri, rj)
-        other = rj if r == ri else ri
-        active.discard(other)
-        table.pop(key, None)
-        for l in active:
-            if l == r:
-                continue
-            ka = (r, l) if r < l else (l, r)
-            kb = (other, l) if other < l else (l, other)
-            va = table.pop(ka, 0)
-            vb = table.pop(kb, 0)
-            merged = va if va == vb else None
-            table[ka] = merged
-            if merged is None:
-                worklist.append(ka)
-    if len(active) < 2:
-        return None
-
-    groups: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(uf.find(comp[v]), []).append(v)
-    pair_color = {}
-    order = sorted(active)
-    for ai, ri in enumerate(order):
-        for rj in order[ai + 1 :]:
-            key = (ri, rj) if ri < rj else (rj, ri)
-            pair_color[(ri, rj)] = table[key]
-    return [sorted(groups[r]) for r in order], pair_color, order
-
-
-def _build_partition(coloring, groups, pair_color, order) -> GallaiPartition:
-    ordered = sorted(range(len(groups)), key=lambda i: groups[i][0])
-    parts = tuple(tuple(groups[i]) for i in ordered)
-    t = len(parts)
-    reduced_colors = [0] * (t * (t - 1) // 2)
-    between = set()
-    for a in range(t):
-        for b in range(a + 1, t):
-            ra, rb = order[ordered[a]], order[ordered[b]]
-            key = (ra, rb) if ra < rb else (rb, ra)
-            c = pair_color[key]
-            reduced_colors[pair_index(t, a + 1, b + 1)] = c
-            between.add(c)
-    reduced = Coloring(t, coloring.k, reduced_colors)
-    return GallaiPartition(parts=parts, between_colors=frozenset(between), reduced=reduced)
+def _components_outside(coloring: Coloring, s: tuple[int, ...]) -> list[int]:
+    """Vertex bitmasks of the components of the graph formed by edges
+    whose color is not in s, in order of their lowest vertex."""
+    adj = coloring.adjacency()
+    inside = [adj[c] for c in s]
+    comps = []
+    unseen = (1 << coloring.n) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        unseen ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length()
+            # every pair has one color, so the unseen non-s neighbors of
+            # v are the unseen vertices it does not reach in a color of s
+            fresh = unseen
+            for adj_c in inside:
+                fresh &= ~adj_c[v]
+            unseen ^= fresh
+            comp |= fresh
+            frontier |= fresh
+        comps.append(comp)
+    return comps
 
 
 def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     """Produce a Gallai partition of a rainbow-triangle-free coloring.
 
-    Deterministic: the first candidate color set (in lexicographic
-    order) whose fixpoint keeps >= 2 parts wins.  Raises NotGallaiError
-    with a witness triangle on non-Gallai input, ValueError for n < 2.
+    Deterministic: the parts are the components of the graph of edges
+    whose color lies outside the first candidate color set S (sets of
+    size 1 or 2 in lexicographic order) with at least two of them, in
+    order of their lowest vertex.  By the module's lemma every pair of
+    parts is monochromatic, so the reduced color of parts A and B is the
+    color of their lowest vertices.  Raises NotGallaiError with a
+    witness triangle on non-Gallai input, ValueError for n < 2.
     """
-    if coloring.n < 2:
+    n = coloring.n
+    if n < 2:
         raise ValueError("partition needs n >= 2")
     if triangle_census(coloring).rainbow > 0:
         raise NotGallaiError(find_rainbow_triangle(coloring))
     for s in _candidate_color_sets(coloring.k):
-        result = _merge_fixpoint(coloring, s)
-        if result is not None:
-            groups, pair_color, order = result
-            return _build_partition(coloring, groups, pair_color, order)
-    raise AssertionError("no Gallai partition found for a Gallai coloring")
+        comps = _components_outside(coloring, s)
+        if len(comps) >= 2:
+            break
+    else:
+        raise AssertionError("no Gallai partition found for a Gallai coloring")
+    parts = tuple(_vertices(comp) for comp in comps)
+    lows = [part[0] for part in parts]
+    colors = coloring.colors
+    reduced = []
+    for a, u in enumerate(lows):
+        row = (u - 1) * n - u * (u + 1) // 2 - 1  # index of pair (u, v) is row + v
+        reduced.extend(colors[row + v] for v in lows[a + 1 :])
+    return GallaiPartition(
+        parts=parts,
+        between_colors=frozenset(reduced),
+        reduced=Coloring(len(parts), coloring.k, reduced),
+    )
 
 
 def verify_gallai_partition(coloring: Coloring, partition: GallaiPartition) -> bool:
@@ -215,16 +152,22 @@ def verify_gallai_partition(coloring: Coloring, partition: GallaiPartition) -> b
     t = len(parts)
     if partition.reduced.n != t or partition.reduced.k != coloring.k:
         return False
-    between = set()
-    for a in range(t):
-        for b in range(a + 1, t):
-            colors = {coloring.color(u, v) for u in parts[a] for v in parts[b]}
-            if len(colors) != 1:
+    adj = coloring.adjacency()
+    masks = [sum(1 << (v - 1) for v in part) for part in parts]
+    reduced = iter(partition.reduced.colors)
+    for a, part in enumerate(parts):
+        # common[c]: the vertices every member of part a sees in color c
+        common: dict[int, int] = {}
+        for mask, c in zip(masks[a + 1 :], reduced):
+            seen_in_c = common.get(c)
+            if seen_in_c is None:
+                seen_in_c = -1
+                for u in part:
+                    seen_in_c &= adj[c][u]
+                common[c] = seen_in_c
+            if mask & ~seen_in_c:
                 return False
-            c = colors.pop()
-            if partition.reduced.color(a + 1, b + 1) != c:
-                return False
-            between.add(c)
+    between = set(partition.reduced.colors)
     if len(between) > 2:
         return False
     return between == set(partition.between_colors)
@@ -240,52 +183,41 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
     pair, so the output is deterministic.
     """
     parts = [list(p) for p in partition.parts]
-    reduced = [
-        [0] * (len(parts) + 1) for _ in range(len(parts) + 1)
-    ]  # 1-based color matrix of the current parts
-    for a in range(1, len(parts) + 1):
-        for b in range(a + 1, len(parts) + 1):
-            c = partition.reduced.color(a, b)
-            reduced[a][b] = reduced[b][a] = c
-
     t = len(parts)
+    # 0-based color matrix of the current parts, 0 on the diagonal
+    matrix = [[0] * t for _ in range(t)]
+    colors = iter(partition.reduced.colors)
+    for a in range(t):
+        row = matrix[a]
+        for b, c in zip(range(a + 1, t), colors):
+            row[b] = matrix[b][a] = c
+
     while t > 2:  # two parts are always a valid floor
-        merged = False
-        for a in range(t):
-            for b in range(a + 1, t):
-                if all(
-                    reduced[a + 1][l + 1] == reduced[b + 1][l + 1]
-                    for l in range(t)
-                    if l != a and l != b
-                ):
-                    parts[a] = sorted(parts[a] + parts[b])
-                    del parts[b]
-                    # rebuild the color matrix without row/column b+1
-                    new = [[0] * t for _ in range(t)]
-                    keep = [i for i in range(1, t + 1) if i != b + 1]
-                    for x, ox in enumerate(keep, start=1):
-                        for y, oy in enumerate(keep, start=1):
-                            new[x][y] = reduced[ox][oy]
-                    reduced = new
-                    t -= 1
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
+        pair = next(
+            (
+                (a, b)
+                for a in range(t)
+                for b in range(a + 1, t)
+                if matrix[a][:a] == matrix[b][:a]
+                and matrix[a][a + 1 : b] == matrix[b][a + 1 : b]
+                and matrix[a][b + 1 :] == matrix[b][b + 1 :]
+            ),
+            None,
+        )
+        if pair is None:
             break
+        a, b = pair
+        parts[a] = sorted(parts[a] + parts[b])
+        del parts[b]
+        del matrix[b]
+        for row in matrix:
+            del row[b]
+        t -= 1
 
     order = sorted(range(t), key=lambda i: parts[i][0])
-    out_parts = tuple(tuple(parts[i]) for i in order)
-    colors = [0] * (t * (t - 1) // 2)
-    between = set()
-    for a in range(t):
-        for b in range(a + 1, t):
-            c = reduced[order[a] + 1][order[b] + 1]
-            colors[pair_index(t, a + 1, b + 1)] = c
-            between.add(c)
+    reduced = [matrix[i][j] for x, i in enumerate(order) for j in order[x + 1 :]]
     return GallaiPartition(
-        parts=out_parts,
-        between_colors=frozenset(between),
-        reduced=Coloring(t, coloring.k, colors),
+        parts=tuple(tuple(parts[i]) for i in order),
+        between_colors=frozenset(reduced),
+        reduced=Coloring(t, coloring.k, reduced),
     )

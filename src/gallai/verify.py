@@ -22,7 +22,8 @@ from . import census, construct, formulas, grstar, search
 from .coloring import Coloring, parse_coloring
 from .partition import (
     _candidate_color_sets,
-    _merge_fixpoint,
+    _components_outside,
+    _vertices,
     find_gallai_partition,
     verify_gallai_partition,
 )
@@ -264,10 +265,11 @@ def _refines(fine, coarse):
 
 
 def check_partition_refinement_small():
-    """Brute-force the refinement lemma on every Gallai coloring with
+    """Brute-force the partition lemma on every Gallai coloring with
     n <= 5, k <= 3: each has a valid partition, and for each candidate
-    color set S, the merge fixpoint refines every valid partition whose
-    between-colors lie in S, and exists whenever such a partition exists."""
+    color set S the components of the non-S graph are pairwise
+    monochromatic, refine every valid partition whose between-colors lie
+    in S, and number at least two whenever such a partition exists."""
     examined = 0
     for n in range(2, 6):
         pairs = comb(n, 2)
@@ -281,15 +283,17 @@ def check_partition_refinement_small():
             gp = find_gallai_partition(c)
             _require(verify_gallai_partition(c, gp), (n, colors))
             for s in _candidate_color_sets(3):
-                fix = _merge_fixpoint(c, s)
+                groups = [_vertices(comp) for comp in _components_outside(c, s)]
                 relevant = [p for p, between in valid if between <= set(s)]
-                if fix is None:
+                if len(groups) < 2:
                     _require(not relevant, (n, colors, s))
                     continue
-                groups, _, _ = fix
+                # the lemma: the components are pairwise monochromatic
+                # (every color between them lies in s, so at most two)
+                _require(_between_colors(c, groups) is not None, (n, colors, s))
                 for p in relevant:
                     _require(_refines(groups, p), (n, colors, s, p))
-    return f"refinement lemma brute-forced on {examined} Gallai colorings with n<=5, k<=3"
+    return f"partition lemma brute-forced on {examined} Gallai colorings with n<=5, k<=3"
 
 
 def check_partition_soundness():

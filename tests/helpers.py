@@ -67,6 +67,26 @@ def min_valid_partition_size(coloring, partition):
     return min(sizes, default=None)
 
 
+def brute_verify_partition(coloring, partition):
+    """verify_gallai_partition by definition: the parts cover 1..n
+    exactly once, every part-pair is monochromatic with at most two
+    between-colours in total, and reduced and between_colors record
+    them."""
+    parts = partition.parts
+    if sorted(v for part in parts for v in part) != list(range(1, coloring.n + 1)):
+        return False
+    between = _between_colors(coloring, parts)
+    if between is None:
+        return False
+    t, reduced = len(parts), partition.reduced
+    if (reduced.n, reduced.k) != (t, coloring.k):
+        return False
+    for a, b in combinations(range(t), 2):
+        if reduced.color(a + 1, b + 1) != coloring.color(parts[a][0], parts[b][0]):
+            return False
+    return between == partition.between_colors
+
+
 def brute_min_mono(n, k, gallai_only=False):
     best = None
     for c in all_colorings(n, k):
