@@ -14,13 +14,19 @@ DFS to colorings satisfying them loses no orbit:
   * colors that play interchangeable roles (same avoidance target, or
     all colors for permutation-invariant objectives) must make their
     first appearances in increasing order;
-  * swapping two consecutive vertices v - 1 and v must not give a
-    smaller coloring.  The swap fixes every column before v - 1 and
-    exchanges the first v - 2 edges of columns v - 1 and v, so column
-    v - 1 must not exceed column v there: while (1,v),...,(u-1,v)
-    match (1,v-1),...,(u-1,v-1) color for color, edge (u,v) with
-    u <= v - 2 takes no color below that of (u,v-1).  At u = 1 this
-    is the order of vertex 1's star, which the rule generalizes.
+  * swapping any two vertices must not give a smaller coloring in
+    column order.  The engine decides each swap edge by edge, as soon
+    as the edges colored so far show the image differing from the
+    coloring: while column v is colored, a swap (i, v) with i < v
+    compares column v with vertex i's row, so edge (a, v), a != i,
+    takes no color below that of {a, i}; a swap (i, j) with j < v that
+    K_{v-1} leaves unchanged compares (i, v) with (j, v), so edge
+    (j, v) takes no color below that of (i, v).  A swap stays tied, and
+    keeps constraining, only while the two colors are equal, and the
+    swaps (i, v) still tied when column v ends join the second kind.
+    This is orderly generation (Read 1978; McKay, J. Algorithms 26,
+    1998) restricted to transpositions.  At a = 1 and i = v - 1 it is
+    the order of vertex 1's star, which the rule generalizes.
 
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
@@ -67,9 +73,10 @@ degrades the outcome to exhaustive=False, never silently.
 
 With jobs > 1 (at most the CPU count) the space is split at the first
 depth that has at least 4 x jobs canonical prefixes, found by the same
-engine run on the first edges only.  The parent process claims the
-prefixes from a shared counter, one at a time in DFS order, and
-searches them itself; once it has leased more than _PROBE nodes it
+engine run on the first edges only; a space where only the complete
+colorings are that many is searched serially.  The parent process
+claims the prefixes from a shared counter, one at a time in DFS order,
+and searches them itself; once it has leased more than _PROBE nodes it
 starts jobs - 1 helper processes, which claim from the same counter
 until every prefix is taken.  All subtrees share one budget, leased in
 small slices (a node the budget refuses is not counted, so a run
@@ -89,6 +96,7 @@ to run.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from math import comb, inf
@@ -126,29 +134,39 @@ class SearchOutcome:
 class _Plan(NamedTuple):
     """The column-order traversal, one column per field: each edge's
     endpoints u < v, its pair index, the index pairs of the triangles it
-    completes with earlier edges, and the pair index of the edge (u,v-1)
-    it is compared with (-1 when u = v - 1, where there is none)."""
+    completes with earlier edges, and the two lookups of the
+    transposition rule (module docstring): where _search keeps the mask
+    of the tied swaps (i, u) that edge (u, v) goes on comparing, and
+    the mask of the vertices below v at a column's first edge, where
+    every swap (i, v) starts tied (0 elsewhere)."""
 
     n: int
     u: list
     v: list
     idx: list
     tris: list
-    mirror: list
+    back: list
+    first: list
 
 
 def _edge_plan(n: int) -> _Plan:
-    us, vs, idxs, trises, mirrors = [], [], [], [], []
+    us, vs, idxs, trises, backs, firsts = [], [], [], [], [], []
     for v in range(2, n + 1):
         for u in range(1, v):
+            t = len(us)
             us.append(u)
             vs.append(v)
             idxs.append(pair_index(n, u, v))
             trises.append(
                 tuple((pair_index(n, w, u), pair_index(n, w, v)) for w in range(1, u))
             )
-            mirrors.append(pair_index(n, u, v - 1) if u <= v - 2 else -1)
-    return _Plan(n, us, vs, idxs, trises, mirrors)
+            # where _search's tie list holds the swaps (i, u) tied through
+            # K_{v-1}: slot ~d for those edge (u, v-1), at depth d = t - v + 2,
+            # left tied, or at u = v - 1 the depth of (1, v), where the
+            # swaps column v - 1 ended tied on are kept
+            backs.append(~(t - v + 2) if u < v - 1 else t - u + 1)
+            firsts.append(((1 << v) - 2) if u == 1 else 0)
+    return _Plan(n, us, vs, idxs, trises, backs, firsts)
 
 
 class _ColorBook:
@@ -156,45 +174,36 @@ class _ColorBook:
 
     Colors are grouped into interchangeability classes; a color not yet
     on any edge is allowed only if it is the smallest unused color of
-    its class.  Colors are released in LIFO order during backtracking,
-    which keeps the per-class cursor consistent.
+    its class.  open lists the allowed colors in increasing order, and
+    is kept in place: the first use of a color opens the next color of
+    its class, and releasing it closes that color again.  Colors are
+    released in LIFO order during backtracking, which keeps this
+    consistent.
     """
 
     def __init__(self, k: int, class_of: Optional[Sequence[int]] = None):
-        self.k = k
         if class_of is None:
             class_of = [0] * (k + 1)
-        self.class_of = list(class_of)
-        colors_by_class: dict[int, list[int]] = {}
+        self.after = [0] * (k + 1)  # the next color of each color's class, or 0
+        self.open = []
+        last: dict[int, int] = {}
         for c in range(1, k + 1):
-            colors_by_class.setdefault(self.class_of[c], []).append(c)
-        self.colors_by_class = colors_by_class
-        self.fresh = {cls: 0 for cls in colors_by_class}
+            if class_of[c] in last:
+                self.after[last[class_of[c]]] = c
+            else:
+                self.open.append(c)
+            last[class_of[c]] = c
         self.used = [0] * (k + 1)
 
-    def allowed(self, lo: int) -> list[int]:
-        """The colors from lo up that the next edge may take."""
-        out = []
-        for c in range(lo, self.k + 1):
-            if self.used[c]:
-                out.append(c)
-            else:
-                cls = self.class_of[c]
-                lst = self.colors_by_class[cls]
-                f = self.fresh[cls]
-                if f < len(lst) and lst[f] == c:
-                    out.append(c)
-        return out
-
     def use(self, c: int):
-        if self.used[c] == 0:
-            self.fresh[self.class_of[c]] += 1
         self.used[c] += 1
+        if self.used[c] == 1 and self.after[c]:
+            insort(self.open, self.after[c])
 
     def unuse(self, c: int):
         self.used[c] -= 1
-        if self.used[c] == 0:
-            self.fresh[self.class_of[c]] -= 1
+        if self.used[c] == 0 and self.after[c]:
+            self.open.remove(self.after[c])
 
 
 # ---------------------------------------------------------------------------
@@ -226,41 +235,42 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     leases its nodes from the shared budget and trades incumbents
     through the task.
 
+    The colors an edge may take start at the largest color a tied
+    vertex swap (module docstring) puts below it, so every leaf is no
+    larger in column order than its image under any transposition.
+
     Returns (the kept leaf's cost or None, its colors, nodes,
     exhaustive)."""
-    idxs, mirrors = plan.idx, plan.mirror
+    us, vs, idxs, backs, firsts = plan.u, plan.v, plan.idx, plan.back, plan.first
     m = len(idxs)
-    # a trailing 1 after the n(n-1)/2 colors: col[-1] is the least color,
-    # the bound of an edge with no mirror
-    col = [0] * comb(plan.n, 2) + [1]
-    # tie[t]: edge t's column has matched the previous column on its
-    # earlier edges, so edge t takes no color below its mirror's; the
-    # comparison restarts at each column's first edge, (1,v)
-    fresh = [u == 1 for u in plan.u] + [True]
-    tie = [True] * (m + 1)
+    col = [0] * comb(plan.n, 2)
+    # the tied swaps, bit i for vertex i: tie[t] the swaps (i, v) before
+    # edge t = (u, v), tie[~t] the swaps (i, u) once edge t is colored
+    tie = [0] * (2 * len(col) + 2)
+    # rows[c][x]: bit y set when edge {x, y} has color c
+    rows = [[0] * (plan.n + 1) for _ in range(k + 1)]
+    top = range(k, 1, -1)
     apply, undo, leaf = objective(plan, col)
     book = _ColorBook(k, class_of)
-    allowed, use, unuse = book.allowed, book.use, book.unuse
+    opened, use, unuse = book.open, book.use, book.unuse
+    prefix = () if task is None else task.prefix
+    base = len(prefix)
+
     cut = start + 1
     best_col = None
-    nodes = 0
+    # the replayed prefix edges count from -base, so a subtree counts its
+    # own nodes from 1; a serial run stops at its first node over budget
+    nodes = -base
     limit = budget if task is None else 0
     exhaustive = True
-    prefix = task.prefix if task is not None else ()
-    base = len(prefix)
-    for t, c in enumerate(prefix):
-        if c < (col[mirrors[t]] if tie[t] else 1) or not apply(t, c, cut):
-            base = -1  # the prefix itself is infeasible: its subtree is empty
-            break
-        col[idxs[t]] = c
-        use(c)
-        tie[t + 1] = fresh[t + 1] or (tie[t] and c == col[mirrors[t]])
-
-    t = base
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
-    if 0 <= t < m:
-        its[t] = iter(allowed(col[mirrors[t]] if tie[t] else 1))
-    while t >= base >= 0:
+    if m:
+        out = opened[:]  # edge (1, 2) is free of ties
+        if base:
+            out = (prefix[0],) if prefix[0] in out else ()
+        its[0] = iter(out)
+    t = 0
+    while t >= 0:
         for c in its[t]:
             if not apply(t, c, cut):
                 continue
@@ -284,25 +294,53 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 limit += grant
             col[idxs[t]] = c
             use(c)
-            tie[t + 1] = fresh[t + 1] or (tie[t] and c == col[mirrors[t]])
+            u = us[t]
+            v = vs[t]
+            row = rows[c]
+            tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
+            tie[~t] = tie[backs[t]] & row[v]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
             t += 1
             if t < m:
-                its[t] = iter(allowed(col[mirrors[t]] if tie[t] else 1))
+                # the colors edge t may take, only prefix[t] among them while
+                # the prefix is replayed; the least is 1 or a color in use,
+                # so it is open
+                a = tie[t] | firsts[t]
+                b = tie[backs[t]]
+                u = us[t]
+                v = vs[t]
+                lo = 1
+                for x in top:
+                    if rows[x][u] & a or rows[x][v] & b:
+                        lo = x
+                        break
+                out = opened[opened.index(lo) :]
+                if t < base:
+                    out = (prefix[t],) if prefix[t] in out else ()
+                its[t] = iter(out)
             break
         else:
             if t == m:
                 cost = leaf()
                 if cost < cut:
                     cut = cost
-                    best_col = tuple(col[:-1])
+                    best_col = tuple(col)
                     if cut <= floor:
                         break
             t -= 1
-            if t >= base:
-                c = col[idxs[t]]
-                unuse(c)
-                if undo is not None:
-                    undo(t, c)
+            if t < base:
+                break  # back at the prefix, or the prefix itself failed
+            c = col[idxs[t]]
+            unuse(c)
+            u = us[t]
+            v = vs[t]
+            row = rows[c]
+            row[u] ^= 1 << v
+            row[v] ^= 1 << u
+            if undo is not None:
+                undo(t, c)
+    nodes = max(nodes, 0)  # below 0 only when the prefix itself failed
     found = cut if best_col is not None else None
     if task is not None:
         task.settle(nodes, found)
@@ -365,7 +403,7 @@ def _min_mono_hooks(plan, col, gallai_only, split):
     Goodman's counting bound: with s the sum of the per-vertex
     split-pair maxima, every completion has at least C(n,3) - s/2
     monochromatic triangles."""
-    n, us, vs, _, trises, _ = plan
+    n, us, vs, trises = plan.n, plan.u, plan.v, plan.tris
     m = len(us)
     triples = comb(n, 3)
     weight = [n ** (c - 1) for c in range(split.k + 1)]
@@ -444,7 +482,7 @@ def _exists_hooks(plan, col, targets, gallai_only, saturation_cap):
     """Cost: 0 for every leaf; apply refuses an edge that completes its
     color's target, a rainbow triangle under gallai_only, or, with
     saturation_cap, a vertex that meets every color."""
-    n, us, vs, _, trises, _ = plan
+    n, us, vs, trises = plan.n, plan.u, plan.v, plan.tris
     k = len(targets)
     m = len(us)
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
@@ -574,7 +612,7 @@ def _max_protected_hooks(plan, col):
     """Cost: minus the protected-edge count.  The edges of each
     monochromatic or rainbow triangle are unprotected, so the edges not
     yet unprotected bound every completion."""
-    _, _, _, idxs, trises, _ = plan
+    idxs, trises = plan.idx, plan.tris
     m = len(idxs)
     unprot = [0] * (m + 1)  # bitmask of the unprotected pair indices
     count = [0] * (m + 1)  # its popcount
@@ -664,16 +702,24 @@ def _prefix_hooks(plan, col, out):
 
 
 def _split_prefixes(plan, k, jobs, class_of):
-    """The canonical prefixes of the first depth that has at least
-    4 x jobs of them (all canonical colorings if no depth has), in DFS
-    order."""
+    """The canonical prefixes of the first depth short of a complete
+    coloring that has at least 4 x jobs of them, in DFS order, or [()],
+    the whole space, if none has.  Such a space is small, and a complete
+    coloring as a prefix would leave its subtree no node to count."""
     prefixes = [()]
-    for depth in range(1, len(plan.idx) + 1):
+    depth = 0
+    while len(prefixes) < 4 * jobs:
+        # an edge at most multiplies the count by k, so no depth before
+        # this one can have enough prefixes
+        reach = len(prefixes)
+        while reach < 4 * jobs and depth < len(plan.idx):
+            reach *= k
+            depth += 1
+        if depth == len(plan.idx):
+            return [()]
         prefixes = []
         head = _Plan(plan.n, *(column[:depth] for column in plan[1:]))
         _search(head, k, class_of, partial(_prefix_hooks, out=prefixes), 0, 0, inf)
-        if len(prefixes) >= 4 * jobs:
-            break
     return prefixes
 
 

@@ -159,13 +159,13 @@ def check_ramsey_brackets():
 def check_gallai_min_mono_frontier():
     # the exhaustive search settles g(3, n) at the upper end of the
     # bracket, so the multiplicity construction is optimal there
-    for n, want in [(13, 3), (14, 4)]:
+    for n, want in [(13, 3), (14, 4), (15, 5)]:
         out = search.min_mono_triangles(n, 3, True)
         _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
         _require(formulas.g_multiplicity_bounds(3, n)[0] == want, n)
         cen = census.triangle_census(out.witness)
         _require(cen.mono_total == want and cen.rainbow == 0, (n, cen))
-    return "g(3,n) proved exactly by search for n=13, 14: [3, 4]"
+    return "g(3,n) proved exactly by search for n=13, 14, 15: [3, 4, 5]"
 
 
 def check_gr_k3_witnesses():

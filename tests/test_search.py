@@ -38,7 +38,9 @@ MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
 # the pair search behind find_gr_star_pair_witness
 SEARCH_GRID = Path(__file__).parent / "data" / "search_grid.json"
 # the engine's exact serial node counts on the same calls, in the same
-# order, recorded once vertex-transposition canonicity cut them
+# order, recorded once every vertex transposition was decided edge by
+# edge; a call the budget cuts short also has its best-so-far value and
+# witness there, which a stronger reduction may change
 SEARCH_NODES = Path(__file__).parent / "data" / "search_nodes.json"
 
 
@@ -297,7 +299,7 @@ def test_long_runs_start_helpers(monkeypatch):
     # through, and neither repeats nor loses a prefix at the hand-off
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     starts = _count_pools(monkeypatch)
-    for f, args in [(min_mono_triangles, (12, 3, True)), (max_protected_edges, (9, 2))]:
+    for f, args in [(min_mono_triangles, (13, 3, True)), (max_protected_edges, (10, 2))]:
         serial = f(*args)
         assert serial.nodes_explored > search._PROBE
         out = f(*args, jobs=2)
@@ -310,16 +312,19 @@ def test_long_runs_start_helpers(monkeypatch):
 
 
 def test_parent_witness_stops_helpers(monkeypatch):
-    # the first witness lies in the first prefix, which the parent claims;
-    # a helper starts once the parent passes the allowance and searches
-    # later prefixes, whose subtrees hold more than 2 M nodes, until the
-    # parent publishes its witness
+    # the first witness lies in prefix 1, 19,539 nodes into the serial
+    # run; prefix 0 holds 1,986 nodes and no witness.  The parent claims
+    # both, and with the allowance lowered to 8,192 nodes a helper starts
+    # while the parent is in prefix 1.  It searches later prefixes, whose
+    # subtrees hold more than the budget (prefix 4 alone 1.34 M nodes),
+    # until the parent publishes its witness
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_PROBE", 2**13)
     starts = _count_pools(monkeypatch)
     args = (13, 2, ["K4+e", "K4+e"])
     serial = exists_avoiding(*args)
     assert serial.value == 1 and serial.nodes_explored > search._PROBE
-    budget = 1_500_000
+    budget = 1_000_000
     out = exists_avoiding(*args, budget=budget, jobs=2)
     assert starts == [1]
     assert (out.value, out.witness, out.exhaustive) == (1, serial.witness, True)
@@ -359,6 +364,23 @@ def test_split_prefixes_follow_dfs_order():
         assert prefixes == sorted(prefixes)
 
 
+def test_tiny_space_runs_serially(monkeypatch):
+    # fewer than 4 x jobs prefixes short of a complete coloring: a split
+    # into complete colorings would leave every subtree a replay with no
+    # node to count, so the space is searched whole, as with one job
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _forbid_processes(monkeypatch)
+    for n in (1, 2, 3, 4):
+        assert _split_prefixes(_edge_plan(n), 2, 2, None) == [()]
+        for f, args in [
+            (min_mono_triangles, (n, 2)),
+            (exists_avoiding, (n, 2, ["K3", "K3"])),
+            (max_protected_edges, (n, 2)),
+        ]:
+            serial, out = f(*args), f(*args, jobs=2)
+            assert out == serial, (f.__name__, args)
+
+
 def test_parallel_runs_combine_in_dfs_order():
     # Coloring.colors is in pair order (1,2),(1,3),(1,4),(2,3),... while
     # the DFS runs in column order (1,2),(1,3),(2,3),(1,4),...: of two
@@ -383,7 +405,7 @@ def _assert_jobs_share_one_budget():
     # more workers than this test is likely to have cores, so a lost
     # update to the shared counter would overspend it
     for jobs in (2, 3, 4):
-        out = max_protected_edges(9, 2, budget=100_000, jobs=jobs)
+        out = max_protected_edges(10, 2, budget=100_000, jobs=jobs)
         assert out.nodes_explored <= 100_001
         assert not out.exhaustive
         out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=2_000, jobs=jobs)
@@ -442,10 +464,28 @@ def test_search_matches_previous_kernels():
             out = searches[case["search"]](*args, budget=budget)
         witness = out.witness.serialize() if out.witness is not None else None
         got = (out.value, out.exhaustive, witness)
-        assert got == (case["value"], case["exhaustive"], case["witness"]), case
+        if case["exhaustive"]:
+            assert got == (case["value"], case["exhaustive"], case["witness"]), case
+        else:
+            # best so far: pinned, and no worse than the previous kernels'
+            assert got == (pin["value"], False, pin["witness"]), pin
+            assert _no_worse(case["search"], out.value, case["value"]), case
         # a symmetry reduction only removes nodes
         assert out.nodes_explored <= case["nodes"], case
         assert out.nodes_explored == pin["nodes"], pin
+
+
+def _no_worse(name, value, recorded):
+    """Whether a best-so-far value is at least as good as the recorded
+    one: no larger for min_mono_triangles, no smaller for
+    max_protected_edges, and a found coloring for exists_avoiding."""
+    if recorded is None:
+        return True
+    if value is None:
+        return False
+    if name == "min_mono_triangles":
+        return value <= recorded
+    return value >= recorded
 
 
 def test_large_n_has_no_depth_limit():

@@ -3,11 +3,13 @@ small enough to enumerate all k^C(n,2) colorings of K_n.
 
 The engine keeps only colorings that pass its two symmetry reductions:
 interchangeable colors first appear in increasing order, and swapping
-consecutive vertices never gives a smaller coloring in column order.
+any two vertices never gives a smaller coloring in column order.
 Both must hold for the least member of every orbit under vertex
 permutations and the allowed color relabelings, so the leaves' orbits
 cover every coloring, each orbit's least member is a leaf, and every
-search value equals the brute force over all colorings."""
+search value equals the brute force over all colorings.  The leaves are
+also exactly the colorings that pass both reductions, so the rule is
+neither weaker nor stronger than stated."""
 
 from functools import partial
 from itertools import permutations, product
@@ -70,6 +72,49 @@ def test_leaf_orbits_cover_every_coloring(n, k, mixed):
         assert min(orbit) in kept, leaf
         covered |= orbit
     assert len(covered) == k ** comb(n, 2)
+
+
+def _transpositions(n):
+    """Each vertex swap (i, j) as a source map over column order, in the
+    form _symmetries uses."""
+    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    where = {pair: i for i, pair in enumerate(pairs)}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            swap = {i: j, j: i}
+            yield [where[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+
+
+def _colors_in_order(x, k, class_of):
+    """Whether the colors of each class first appear in increasing order."""
+    seen = set()
+    for c in x:
+        if c not in seen:
+            if any(class_of[d] == class_of[c] and d not in seen for d in range(1, c)):
+                return False
+            seen.add(c)
+    return True
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 6)]
+)
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-class", "mixed-targets"])
+def test_leaves_are_no_larger_than_any_transposition(n, k, mixed):
+    class_of = [0, 0] + [1] * (k - 1) if mixed else [0] * (k + 1)
+    leaves = _leaves(n, k, class_of)
+    swaps = list(_transpositions(n))
+    for leaf in leaves:
+        for src in swaps:
+            assert leaf <= tuple(map(leaf.__getitem__, src)), (leaf, src)
+    # and no coloring that passes both reductions is missing
+    passing = [
+        x
+        for x in product(range(1, k + 1), repeat=comb(n, 2))
+        if _colors_in_order(x, k, class_of)
+        and all(x <= tuple(map(x.__getitem__, src)) for src in swaps)
+    ]
+    assert leaves == passing
 
 
 @pytest.mark.parametrize("n, k", SIZES)
