@@ -15,15 +15,25 @@ triple enumeration; the rainbow count follows from the total C(n,3).
 This keeps the census near O(n^2) per color, fast enough for the
 n ~ 300 construction checks.
 
-Hunt order: the K3/K4/K4+e hunts orient every edge of the color class
-from its lower vertex to its higher one and run over u < v < w (< x)
-with each vertex taken from the common higher neighborhood of the ones
-before it (Chiba & Nishizeki, SIAM J. Comput. 14, 1985).  Each clique
-is reached exactly once, in lexicographic order of its sorted vertex
-tuple, so the reported witness is the lexicographically smallest: the
-smallest K3, the smallest K4, and for K4+e the smallest K4 with a
-vertex of color-degree above 3, followed by the lowest-numbered pendant
-neighbor of the lowest such vertex.
+Hunt order: the K3/K4/K4+e hunts in color c orient every c-edge from
+its lower vertex to its higher one and run over u < v < w (< x), with
+each vertex taken from the common higher neighborhood of the ones before
+it (Chiba & Nishizeki, SIAM J. Comput. 14, 1985).  Only the lowest
+vertex of each c-twin class, the vertices with one c-neighborhood, takes
+part.  Each clique of such vertices is reached exactly once, in
+lexicographic order of its sorted vertex tuple, so the first one found
+is the smallest among them.  It is also the smallest of all: two c-twins
+are never c-adjacent, since no vertex is its own neighbor, so a clique
+holds at most one vertex of each class, and replacing a clique vertex by
+the lowest vertex of its class keeps a clique and every c-degree while
+making the sorted tuple smaller.  So the reported witness is the
+lexicographically smallest: the smallest K3, the smallest K4, and for
+K4+e the smallest K4 with a vertex of color-degree above 3, followed by
+the lowest-numbered pendant neighbor of the lowest such vertex (any
+vertex, read from the full neighborhood).  The parts of a Gallai
+partition are modules (Gallai 1967), so the blow-up constructions are
+twin-rich, and on them the walk takes one step per triangle of the twin
+quotient instead of one per triangle.
 """
 
 from __future__ import annotations
@@ -130,16 +140,27 @@ def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
 def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
     """Lexicographically smallest witness of `kind` in color c, or None.
 
-    Every edge is oriented from its lower vertex to its higher one, so
-    u < v < w < x runs over each clique exactly once, in lexicographic
-    order, and the first clique reached is the smallest.
+    Every edge is oriented from its lower vertex to its higher one, and
+    only the lowest vertex of each c-twin class takes part, so
+    u < v < w < x runs over each clique of such vertices exactly once,
+    in lexicographic order; the first clique reached is the smallest of
+    all (see the module docstring).  The K4+e pendant is read from the
+    full neighborhood.
     """
     adj_c = coloring.adjacency()[c]
     deg_c = coloring.degrees()[c]
     k3 = kind == "K3"
     k4 = kind == "K4"
-    for u in range(1, coloring.n + 1):
-        su = adj_c[u] >> u << u  # neighbors above u
+    # each c-neighborhood -> its lowest vertex: the pairs run from n
+    # down to 1, and the last write of a key wins
+    lowest = dict(zip(reversed(adj_c[1:]), range(coloring.n, 0, -1)))
+    reps = sum(1 << (r - 1) for r in lowest.values())
+    todo = reps
+    while todo:
+        bu = todo & -todo
+        todo ^= bu
+        u = bu.bit_length()
+        su = (adj_c[u] >> u << u) & reps  # lowest twins among the neighbors above u
         while su:
             bv = su & -su
             su ^= bv
@@ -160,7 +181,7 @@ def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[
                     x = bx.bit_length()
                     for y in (u, v, w, x):
                         if deg_c[y] > 3:
-                            quad = (1 << (u - 1)) | bv | bw | bx
+                            quad = bu | bv | bw | bx
                             extra = adj_c[y] & ~quad
                             return (u, v, w, x, (extra & -extra).bit_length())
     return None

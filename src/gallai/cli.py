@@ -287,7 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="Gallai partition of a .gec file")
     p.add_argument("file")
-    p.add_argument("--minimize", action="store_true")
+    p.add_argument(
+        "--minimize",
+        action="store_true",
+        help="merge pairs of parts until no pair can merge "
+        "(fewer parts, not always the minimum)",
+    )
     p.set_defaults(fn=_cmd_partition)
 
     p = sub.add_parser("grstar-check", help="check witness conditions of a .gecx file")

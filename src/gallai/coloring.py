@@ -92,16 +92,17 @@ class Coloring:
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
         # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.
-        adj = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
-        deg = [None] + [[0] * (self.n + 1) for _ in range(self.k)]
         n = self.n
+        adj = [None] + [[0] * (n + 1) for _ in range(self.k)]
+        bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
         colors = iter(self.colors)
         for u in range(1, n + 1):
-            for v, c in zip(range(u + 1, n + 1), colors):
-                adj[c][u] |= 1 << (v - 1)
-                adj[c][v] |= 1 << (u - 1)
-                deg[c][u] += 1
-                deg[c][v] += 1
+            bu = bits[u]
+            for v, bv, c in zip(range(u + 1, n + 1), bits[u + 1 :], colors):
+                adj_c = adj[c]
+                adj_c[u] |= bv
+                adj_c[v] |= bu
+        deg = [None] + [[mask.bit_count() for mask in adj_c] for adj_c in adj[1:]]
         object.__setattr__(self, "_derived", (adj, deg))
 
     def adjacency(self) -> list:

@@ -174,13 +174,15 @@ def verify_gallai_partition(coloring: Coloring, partition: GallaiPartition) -> b
 
 
 def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> GallaiPartition:
-    """Greedily merge parts (keeping every part-pair monochromatic)
-    until no merge applies, reaching the minimum part count among valid
-    coarsenings.
+    """Merge pairs of parts (keeping every part-pair monochromatic)
+    until no pair can merge.
 
     Two parts may merge iff they see every third part in the same
     color; the scan always merges the lexicographically first such
-    pair, so the output is deterministic.
+    pair, so the output is deterministic.  The result is not always the
+    minimum part count among valid coarsenings: when the minimum has to
+    merge several parts whose quotient is prime (a P4 in some color,
+    say), no pair of them can merge, and the scan stops early.
     """
     parts = [list(p) for p in partition.parts]
     t = len(parts)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from gallai import (
     Coloring,
+    blow_up,
     construct_f_lower,
     construct_gr_k3_extremal,
     construct_gr_k4e_extremal,
@@ -161,6 +162,34 @@ def test_witness_is_lexicographically_smallest(c):
         assert find_mono_subgraph(c, color, "K3").witness == helpers.brute_first_mono_clique(c, color, 3)
         assert find_mono_subgraph(c, color, "K4").witness == helpers.brute_first_mono_clique(c, color, 4)
         assert find_mono_subgraph(c, color, "K4+e").witness == helpers.brute_first_k4e(c, color)
+
+
+def test_witnesses_on_blow_ups_match_brute():
+    # blow-ups make whole inserts into twin classes of a colour, which
+    # random colourings rarely have; relabelling the vertices keeps the
+    # lowest twin from always being the first vertex of its insert
+    rng = random.Random(12)
+    classes = 0
+    for _ in range(450):
+        k = rng.randint(1, 3)
+        t = rng.randint(2, 5)
+        base = Coloring(t, k, [rng.randint(1, k) for _ in range(comb(t, 2))])
+        sizes = [rng.randint(1, 4) for _ in range(t)]
+        while sum(sizes) > 11:
+            sizes[sizes.index(max(sizes))] -= 1
+        inserts = [
+            Coloring(s, k, [rng.randint(1, k) for _ in range(comb(s, 2))]) for s in sizes
+        ]
+        c = blow_up(base, inserts)
+        labels = list(range(1, c.n + 1))
+        rng.shuffle(labels)
+        c = c.permute_vertices(dict(zip(range(1, c.n + 1), labels)))
+        for color in range(1, k + 1):
+            assert find_mono_subgraph(c, color, "K3").witness == helpers.brute_first_mono_clique(c, color, 3)
+            assert find_mono_subgraph(c, color, "K4").witness == helpers.brute_first_mono_clique(c, color, 4)
+            assert find_mono_subgraph(c, color, "K4+e").witness == helpers.brute_first_k4e(c, color)
+            classes += 1
+    assert classes > 800
 
 
 # Witnesses recorded from the pair-scanning hunts that the

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from math import comb
 
@@ -134,6 +135,23 @@ def test_permutations_are_bijections(c):
     assert c.permute_colors(ident_c) == c
     rev = {v: c.n + 1 - v for v in range(1, c.n + 1)}
     assert c.permute_vertices(rev).permute_vertices(rev) == c
+
+
+def test_derived_tables_match_per_pair_recount():
+    rng = random.Random(3)
+    for _ in range(60):
+        n, k = rng.randint(1, 40), rng.randint(1, 5)
+        c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
+        adj = [None] + [[0] * (n + 1) for _ in range(k)]
+        deg = [None] + [[0] * (n + 1) for _ in range(k)]
+        for u, v in lex_pairs(n):
+            q = c.color(u, v)
+            adj[q][u] |= 1 << (v - 1)
+            adj[q][v] |= 1 << (u - 1)
+            deg[q][u] += 1
+            deg[q][v] += 1
+        assert c.adjacency() == adj
+        assert c.degrees() == deg
 
 
 def test_no_pair_table_outlives_its_coloring():

@@ -274,6 +274,22 @@ def test_coarsen_reaches_minimum_exhaustively():
         assert len(coarse.parts) == best, (c.serialize(), best)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: pairwise merging stalls when the minimum must "
+    "merge a prime quotient (here a P4) in one step",
+)
+def test_coarsen_merges_p4_quotient_to_two_parts():
+    # colour 1 is the path 5-1-3-4 and vertex 2 sees every other vertex
+    # in colour 2, so {2}, {1,3,4,5} is a valid coarsening of the five
+    # singletons; no pair of singletons can merge
+    c = Coloring(5, 2, (2, 1, 2, 1, 2, 2, 2, 1, 2, 2))
+    gp = find_gallai_partition(c)
+    assert gp.parts == ((1,), (2,), (3,), (4,), (5,))
+    assert helpers.min_valid_partition_size(c, gp) == 2
+    assert len(coarsen_to_min_parts(c, gp).parts) == 2
+
+
 def test_completeness_exhaustive_tiny():
     # every Gallai coloring of K_4 with 3 colors yields a verified partition
     for colors in product((1, 2, 3), repeat=comb(4, 2)):
