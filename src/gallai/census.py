@@ -39,7 +39,6 @@ quotient instead of one per triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -124,17 +123,27 @@ def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
     n = coloring.n
     if coloring.k < 3:
         return None
-    color = coloring.color
-    for u, v in combinations(range(1, n + 1), 2):
-        a = color(u, v)
-        for w in range(v + 1, n + 1):
-            b = color(u, w)
-            if b == a:
-                continue
-            c = color(v, w)
-            if c != a and c != b:
-                return (u, v, w)
+    adj = coloring.adjacency()
+    full = (1 << n) - 1
+    colors = iter(coloring.colors)
+    for u in range(1, n + 1):
+        for v, a in zip(range(u + 1, n + 1), colors):
+            # the apexes above v, vertex w at bit w - 1
+            apexes = _rainbow_apexes(adj, u, v, a, full >> v << v)
+            if apexes:
+                return (u, v, (apexes & -apexes).bit_length())
     return None
+
+
+def _rainbow_apexes(adj, u, v, a, apexes):
+    """The w in the bitset apexes that make u, v, w a rainbow triangle,
+    where edge uv has color a: w meets u and v in two colors other than
+    a, so w is in neither a-neighborhood and in no common one."""
+    apexes &= ~(adj[a][u] | adj[a][v])
+    if apexes:
+        for adj_x in adj[1:]:
+            apexes &= ~(adj_x[u] & adj_x[v])
+    return apexes
 
 
 def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
@@ -206,7 +215,7 @@ def count_protected_edges(coloring: Coloring) -> int:
     iff the set of vertices avoiding color a toward both endpoints is not
     covered by the same-color-toward-both sets.
     """
-    n, k = coloring.n, coloring.k
+    n = coloring.n
     adj = coloring.adjacency()
     full = (1 << n) - 1
     protected = 0
@@ -214,17 +223,8 @@ def count_protected_edges(coloring: Coloring) -> int:
     for u in range(1, n + 1):
         for v, a in zip(range(u + 1, n + 1), colors):
             adj_a = adj[a]
-            if adj_a[u] & adj_a[v]:
-                continue
-            others = full & ~(1 << (u - 1)) & ~(1 << (v - 1))
-            candidates = others & ~adj_a[u] & ~adj_a[v]
-            if candidates:
-                same = 0
-                for c in range(1, k + 1):
-                    same |= adj[c][u] & adj[c][v]
-                if candidates & ~same:
-                    continue
-            protected += 1
+            if not adj_a[u] & adj_a[v] and not _rainbow_apexes(adj, u, v, a, full):
+                protected += 1
     return protected
 
 

@@ -69,38 +69,29 @@ def _cmd_formula(args):
 # ---------------------------------------------------------------------------
 # construct
 
+_FAMILIES = {
+    "pentagon": (2, construct.pentagon_coloring),
+    "paley17": (2, construct.paley17_coloring),
+    "gr-k3": (1, construct.construct_gr_k3_extremal),
+    "gr-k4e": (2, construct.construct_gr_k4e_extremal),
+    "multiplicity": (2, construct.construct_multiplicity_extremal),
+    "f-lower": (2, construct.construct_f_lower),
+    "nim-star": (3, construct.construct_nim_star),
+    "goodman2": (3, construct.goodman_extremal_2coloring),
+}
+
+
 def _cmd_construct(args):
     fam = args.family
+    arity, build = _FAMILIES[fam]
     a = [int(x) for x in args.args]
-    if fam == "pentagon":
-        c = construct.pentagon_coloring(*_want(a, 2, fam))
-    elif fam == "paley17":
-        c = construct.paley17_coloring(*_want(a, 2, fam))
-    elif fam == "gr-k3":
-        c = construct.construct_gr_k3_extremal(*_want(a, 1, fam))
-    elif fam == "gr-k4e":
-        c = construct.construct_gr_k4e_extremal(*_want(a, 2, fam))
-    elif fam == "multiplicity":
-        c = construct.construct_multiplicity_extremal(*_want(a, 2, fam))
-    elif fam == "f-lower":
-        c = construct.construct_f_lower(*_want(a, 2, fam))
-    elif fam == "nim-star":
-        n, h, k = _want(a, 3, fam)
-        c = construct.construct_nim_star(n, h, k, seed=args.seed)
-    elif fam == "goodman2":
-        if len(a) == 1:
-            a = [a[0], 1, 2]
-        c = construct.goodman_extremal_2coloring(*_want(a, 3, fam))
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    _emit(c.serialize(), args.output)
-    return 0
-
-
-def _want(a, arity, fam):
+    if fam == "goodman2" and len(a) == 1:
+        a += [1, 2]  # the shorthand `goodman2 n` colors with 1 and 2
     if len(a) != arity:
         raise ValueError(f"construct {fam} takes {arity} integer argument(s)")
-    return a
+    extra = {"seed": args.seed} if fam == "nim-star" else {}
+    _emit(build(*a, **extra).serialize(), args.output)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_formula)
 
     p = sub.add_parser("construct", help="generate a coloring family member")
-    p.add_argument(
-        "family",
-        choices=[
-            "pentagon",
-            "paley17",
-            "gr-k3",
-            "gr-k4e",
-            "multiplicity",
-            "f-lower",
-            "nim-star",
-            "goodman2",
-        ],
-    )
+    p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("args", nargs="*")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")

@@ -31,8 +31,11 @@ DFS to colorings satisfying them loses no orbit:
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
 limit.  An objective adds three hooks (test-and-apply an edge, undo
-it, and the cost of a leaf), and every objective minimizes a cost: the
-monochromatic-triangle count, minus the protected-edge count, or 0
+it, and the cost of a leaf).  The hooks read the coloring from the
+engine's per-color neighbor bitsets, in which column order leaves the
+monochromatic and rainbow triangles an edge closes a few bitset
+operations away (see `_search`).  Every objective minimizes a cost:
+the monochromatic-triangle count, minus the protected-edge count, or 0
 for an avoiding coloring.  A leaf is kept when its cost is below a
 cut, which starts one above a start value and then follows the best
 leaf; a leaf at the least possible cost ends the run, so the first
@@ -133,8 +136,7 @@ class SearchOutcome:
 
 class _Plan(NamedTuple):
     """The column-order traversal, one column per field: each edge's
-    endpoints u < v, its pair index, the index pairs of the triangles it
-    completes with earlier edges, and the two lookups of the
+    endpoints u < v, its pair index, and the two lookups of the
     transposition rule (module docstring): where _search keeps the mask
     of the tied swaps (i, u) that edge (u, v) goes on comparing, and
     the mask of the vertices below v at a column's first edge, where
@@ -144,29 +146,25 @@ class _Plan(NamedTuple):
     u: list
     v: list
     idx: list
-    tris: list
     back: list
     first: list
 
 
 def _edge_plan(n: int) -> _Plan:
-    us, vs, idxs, trises, backs, firsts = [], [], [], [], [], []
+    us, vs, idxs, backs, firsts = [], [], [], [], []
     for v in range(2, n + 1):
         for u in range(1, v):
             t = len(us)
             us.append(u)
             vs.append(v)
             idxs.append(pair_index(n, u, v))
-            trises.append(
-                tuple((pair_index(n, w, u), pair_index(n, w, v)) for w in range(1, u))
-            )
             # where _search's tie list holds the swaps (i, u) tied through
             # K_{v-1}: slot ~d for those edge (u, v-1), at depth d = t - v + 2,
             # left tied, or at u = v - 1 the depth of (1, v), where the
             # swaps column v - 1 ended tied on are kept
             backs.append(~(t - v + 2) if u < v - 1 else t - u + 1)
             firsts.append(((1 << v) - 2) if u == 1 else 0)
-    return _Plan(n, us, vs, idxs, trises, backs, firsts)
+    return _Plan(n, us, vs, idxs, backs, firsts)
 
 
 class _ColorBook:
@@ -214,10 +212,23 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     """Depth-first search over the canonical colorings of plan's edges
     for the first leaf, in DFS order, of least cost.
 
-    objective(plan, col) returns three hooks over col, the colors by
-    pair index, which the engine writes and never clears: the entries
-    of edges before the current depth are current, later ones stale,
-    and a triangle closed by edge t has its other two edges before t.
+    objective(plan, rows) returns three hooks over rows, the engine's
+    coloring state and the only one the hooks read: rows[x][y] has bit
+    w set when edge {y, w} has color x, for the edges before the
+    current depth.  The engine adds edge t to rows after apply accepts
+    it and removes it before undo.  When apply(t, c, cut) runs for
+    t = (u, v), column order has colored all of K_{v-1} and the edges
+    (w, v) with w < u, so rows[x][u] holds u's x-neighbors below v and
+    rows[x][v] only those below u.  The triangles edge t closes are
+    those with an apex w < u, so, with below[u] = (1 << u) - 2 the
+    vertices 1..u-1:
+
+      * rows[c][u] & rows[c][v] is exactly the set of apexes of the
+        monochromatic triangles it closes;
+      * the rainbow apexes are below[u] & ~(rows[c][u] | rows[c][v])
+        less rows[x][u] & rows[x][v] for every other color x.
+
+    The hooks:
 
       * apply(t, c, cut) tests coloring edge t with c against the
         earlier edges and on success records the objective's state for
@@ -250,7 +261,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     # rows[c][x]: bit y set when edge {x, y} has color c
     rows = [[0] * (plan.n + 1) for _ in range(k + 1)]
     top = range(k, 1, -1)
-    apply, undo, leaf = objective(plan, col)
+    apply, undo, leaf = objective(plan, rows)
     book = _ColorBook(k, class_of)
     opened, use, unuse = book.open, book.use, book.unuse
     prefix = () if task is None else task.prefix
@@ -398,13 +409,14 @@ class _SplitPairs(dict):
         return value
 
 
-def _min_mono_hooks(plan, col, gallai_only, split):
+def _min_mono_hooks(plan, rows, gallai_only, split):
     """Cost: the monochromatic-triangle count.  apply also prunes on
     Goodman's counting bound: with s the sum of the per-vertex
     split-pair maxima, every completion has at least C(n,3) - s/2
     monochromatic triangles."""
-    n, us, vs, trises = plan.n, plan.u, plan.v, plan.tris
+    n, us, vs = plan.n, plan.u, plan.v
     m = len(us)
+    others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     triples = comb(n, 3)
     weight = [n ** (c - 1) for c in range(split.k + 1)]
     code = [0] * (n + 1)  # each vertex's color degrees, base n
@@ -412,20 +424,21 @@ def _min_mono_hooks(plan, col, gallai_only, split):
     s = [n * split[0]] * (m + 1)  # the split-pair sum after each depth
 
     def apply(t, c, cut):
-        delta = 0
-        for ia, ib in trises[t]:
-            a = col[ia]
-            b = col[ib]
-            if a == b:
-                if a == c:
-                    delta += 1
-            elif gallai_only and a != c and b != c:
-                return False
-        nm = mono[t] + delta
-        if nm >= cut:
-            return False
         u = us[t]
         v = vs[t]
+        row = rows[c]
+        a = row[u]
+        b = row[v]
+        nm = mono[t] + (a & b).bit_count()
+        if nm >= cut:
+            return False
+        if gallai_only:
+            rain = ((1 << u) - 2) & ~(a | b)
+            if rain:
+                for r in others[c]:
+                    rain &= ~(r[u] & r[v])
+                if rain:
+                    return False
         w = weight[c]
         cu = code[u]
         cv = code[v]
@@ -478,83 +491,62 @@ def min_mono_triangles(
 # existence of a coloring avoiding per-color targets
 
 
-def _exists_hooks(plan, col, targets, gallai_only, saturation_cap):
+def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
     """Cost: 0 for every leaf; apply refuses an edge that completes its
     color's target, a rainbow triangle under gallai_only, or, with
     saturation_cap, a vertex that meets every color."""
-    n, us, vs, trises = plan.n, plan.u, plan.v, plan.tris
-    k = len(targets)
-    m = len(us)
+    us, vs = plan.u, plan.v
+    others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
-    adj = [[0] * (n + 1) for _ in range(k + 1)]  # c-neighbor bitsets
-    members = [0] * (k + 1)  # vertices inside recorded pendant-free K4s
-    members_before = [-1] * m  # members[c] before edge t recorded a K4
-    vertex_colors = [0] * (n + 1)  # incident-color bitmasks (saturation prune)
-    colors_before = [(0, 0)] * m  # vertex_colors of u and v before edge t
-    full_colors = (1 << k) - 1
+    members = [0] * len(rows)  # vertices inside recorded pendant-free K4s
+    members_before = [-1] * len(us)  # members[c] before edge t recorded a K4
 
     def apply(t, c, cut):
         u = us[t]
         v = vs[t]
-        for ia, ib in trises[t]:
-            a = col[ia]
-            b = col[ib]
-            if a == b:
-                if a == c and is_k3[c]:
+        row = rows[c]
+        common = row[u] & row[v]
+        if common and is_k3[c]:
+            return False
+        if gallai_only:
+            rain = ((1 << u) - 2) & ~(row[u] | row[v])
+            if rain:
+                for r in others[c]:
+                    rain &= ~(r[u] & r[v])
+                if rain:
                     return False
-            elif gallai_only and a != c and b != c:
-                return False
-        bit = 1 << (c - 1)
-        cu = vertex_colors[u]
-        cv = vertex_colors[v]
-        if saturation_cap and (cu | bit == full_colors or cv | bit == full_colors):
+        # u or v meets every color other than c already
+        if saturation_cap and any(all(r[y] for r in others[c]) for y in (u, v)):
             return False
         before = -1
         if not is_k3[c]:
-            if (members[c] >> (u - 1)) & 1 or (members[c] >> (v - 1)) & 1:
+            if (members[c] >> u) & 1 or (members[c] >> v) & 1:
                 return False  # pendant edge onto a recorded K4
-            adj_c = adj[c]
-            common = adj_c[u] & adj_c[v]
-            quads = []
+            # a new clique whose vertex has any c-neighbor outside it
+            # completes K4+e; pendant-free cliques are recorded so a
+            # later edge at their vertices is refused immediately
+            new_members = 0
             rest = common
             while rest:
                 low = rest & -rest
                 rest ^= low
-                w = low.bit_length()
-                higher = common & adj_c[w] & ~((1 << w) - 1)
+                w = low.bit_length() - 1
+                higher = common & row[w] >> (w + 1) << (w + 1)
                 while higher:
                     lowx = higher & -higher
                     higher ^= lowx
-                    quads.append((w, lowx.bit_length()))
-            if quads:
-                # a new clique whose vertex has any c-neighbor outside it
-                # completes K4+e; pendant-free cliques are recorded so a
-                # later edge at their vertices is refused immediately
-                new_members = 0
-                for w, x in quads:
-                    mask = (
-                        (1 << (u - 1)) | (1 << (v - 1)) | (1 << (w - 1)) | (1 << (x - 1))
-                    )
-                    for y in (u, v, w, x):
-                        if adj_c[y] & ~mask:
+                    mask = (1 << u) | (1 << v) | low | lowx
+                    for y in (u, v, w, lowx.bit_length() - 1):
+                        if row[y] & ~mask:
                             return False
                     new_members |= mask
+            if new_members:
                 before = members[c]
                 members[c] |= new_members
         members_before[t] = before
-        adj[c][u] |= 1 << (v - 1)
-        adj[c][v] |= 1 << (u - 1)
-        colors_before[t] = (cu, cv)
-        vertex_colors[u] = cu | bit
-        vertex_colors[v] = cv | bit
         return True
 
     def undo(t, c):
-        u = us[t]
-        v = vs[t]
-        vertex_colors[u], vertex_colors[v] = colors_before[t]
-        adj[c][u] ^= 1 << (v - 1)
-        adj[c][v] ^= 1 << (u - 1)
         if members_before[t] >= 0:
             members[c] = members_before[t]
 
@@ -608,36 +600,46 @@ def _exists(n, k, targets, gallai_only, budget, jobs, saturation_cap):
 # maximum protected edges
 
 
-def _max_protected_hooks(plan, col):
+def _max_protected_hooks(plan, rows):
     """Cost: minus the protected-edge count.  The edges of each
     monochromatic or rainbow triangle are unprotected, so the edges not
     yet unprotected bound every completion."""
-    idxs, trises = plan.idx, plan.tris
+    n, us, vs, idxs = plan.n, plan.u, plan.v, plan.idx
     m = len(idxs)
+    others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
+    pair = [[0] * (n + 1) for _ in range(n + 1)]  # pair[x][y]: the bit of {x, y}
+    for u, v, idx in zip(us, vs, idxs):
+        pair[u][v] = pair[v][u] = 1 << idx
     unprot = [0] * (m + 1)  # bitmask of the unprotected pair indices
-    count = [0] * (m + 1)  # its popcount
 
     def apply(t, c, cut):
+        u = us[t]
+        v = vs[t]
+        row = rows[c]
+        a = row[u]
+        b = row[v]
+        # the apexes of the rainbow and monochromatic triangles t closes
+        bad = ((1 << u) - 2) & ~(a | b)
+        for r in others[c]:
+            bad &= ~(r[u] & r[v])
+        bad |= a & b
         mask = unprot[t]
-        cnt = count[t]
-        idx = idxs[t]
-        for ia, ib in trises[t]:
-            a = col[ia]
-            b = col[ib]
-            if (a == b == c) or (a != b and a != c and b != c):
-                for j in (ia, ib, idx):
-                    bit = 1 << j
-                    if not mask & bit:
-                        mask |= bit
-                        cnt += 1
-        if cnt - m >= cut:
+        if bad:
+            pu = pair[u]
+            pv = pair[v]
+            mask |= pu[v]
+            while bad:
+                low = bad & -bad
+                bad ^= low
+                w = low.bit_length() - 1
+                mask |= pu[w] | pv[w]
+        if mask.bit_count() - m >= cut:
             return False
         unprot[t + 1] = mask
-        count[t + 1] = cnt
         return True
 
     def leaf():
-        return count[m] - m
+        return unprot[m].bit_count() - m
 
     return apply, None, leaf
 
@@ -689,16 +691,20 @@ def _check_args(n, k, jobs, budget):
         raise ValueError(f"need budget >= 0, got {budget}")
 
 
-def _prefix_hooks(plan, col, out):
+def _prefix_hooks(plan, rows, out):
     """Collects every canonical coloring of plan's edges, in column
     order, into out; its leaves cost inf, so none is kept."""
-    idxs = plan.idx
+    path = [0] * len(plan.idx)
+
+    def apply(t, c, cut):
+        path[t] = c
+        return True
 
     def leaf():
-        out.append(tuple(col[i] for i in idxs))
+        out.append(tuple(path))
         return inf
 
-    return (lambda t, c, cut: True), None, leaf
+    return apply, None, leaf
 
 
 def _split_prefixes(plan, k, jobs, class_of):

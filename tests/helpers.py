@@ -29,6 +29,16 @@ def brute_census(c):
     return dict(mono), bi, rain
 
 
+def brute_first_rainbow(c):
+    """First triple in `itertools.combinations` order whose three edges
+    carry three colors (the lexicographically smallest rainbow
+    triangle), or None."""
+    for u, v, w in combinations(range(1, c.n + 1), 3):
+        if len({c.color(u, v), c.color(u, w), c.color(v, w)}) == 3:
+            return (u, v, w)
+    return None
+
+
 def brute_protected(c):
     count = 0
     for u, v in lex_pairs(c.n):
@@ -149,15 +159,37 @@ def brute_first_k4e(c, color):
     return None
 
 
+def brute_exists_in(c, targets, gallai_only=False):
+    """Whether coloring c (with no rainbow triangle, under gallai_only)
+    has no monochromatic targets[q-1] in any color q."""
+    if any(
+        brute_has_mono_clique(c, q, 3) if target == "K3" else brute_has_mono_k4e(c, q)
+        for q, target in enumerate(targets, 1)
+    ):
+        return False
+    return not (gallai_only and brute_census(c)[2])
+
+
 def brute_exists_avoiding(n, k, targets, gallai_only=False):
     """1 if some k-coloring of K_n (with no rainbow triangle, under
     gallai_only) has no monochromatic targets[c-1] in any color c, else 0."""
+    return int(any(brute_exists_in(c, targets, gallai_only) for c in all_colorings(n, k)))
+
+
+def misses_a_color_everywhere(c):
+    """Whether every vertex's star leaves out at least one color."""
+    return all(
+        len({c.color(v, w) for w in range(1, c.n + 1) if w != v}) < c.k
+        for v in range(1, c.n + 1)
+    )
+
+
+def brute_gr_star_pair_exists(n, k):
+    """Whether some k-coloring of K_n has no monochromatic and no
+    rainbow triangle while every vertex misses a color."""
     for c in all_colorings(n, k):
-        if any(
-            brute_has_mono_clique(c, q, 3) if target == "K3" else brute_has_mono_k4e(c, q)
-            for q, target in enumerate(targets, 1)
-        ):
-            continue
-        if not (gallai_only and brute_census(c)[2]):
-            return 1
-    return 0
+        if misses_a_color_everywhere(c):
+            mono, _, rain = brute_census(c)
+            if not mono and not rain:
+                return True
+    return False

@@ -27,6 +27,7 @@ from gallai import (
     paley17_coloring,
     parse_coloring,
     pentagon_coloring,
+    random_gallai_coloring,
     triangle_census,
 )
 
@@ -84,6 +85,23 @@ def test_census_matches_brute_force(c):
     assert cen.mono_total + bi + rain == comb(c.n, 3)
     assert is_gallai(c) == (rain == 0)
     assert (find_rainbow_triangle(c) is None) == (rain == 0)
+    assert find_rainbow_triangle(c) == helpers.brute_first_rainbow(c)
+
+
+def test_rainbow_witness_on_perturbed_gallai_colorings():
+    # one recolored pair of a Gallai coloring: the rainbow triangles, if
+    # any, all pass through that pair, so they are few and often late
+    rng = random.Random(14)
+    found = 0
+    for _ in range(400):
+        c = random_gallai_coloring(rng.randint(3, 16), rng.randint(3, 5), rng)
+        colors = list(c.colors)
+        colors[rng.randrange(len(colors))] = rng.randint(1, c.k)
+        c = Coloring(c.n, c.k, colors)
+        witness = find_rainbow_triangle(c)
+        assert witness == helpers.brute_first_rainbow(c)
+        found += witness is not None
+    assert found > 100
 
 
 # --- monochromatic subgraph detection -------------------------------------

@@ -506,6 +506,16 @@ def test_nodes_counted():
     assert out.nodes_explored > 0
 
 
+@pytest.mark.parametrize("n, k", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)])
+def test_gr_star_pair_search_matches_brute_force(n, k):
+    witness = find_gr_star_pair_witness(n, k)
+    assert (witness is not None) == helpers.brute_gr_star_pair_exists(n, k)
+    if witness is not None:
+        cen = triangle_census(witness)
+        assert cen.mono_total == 0 and cen.rainbow == 0
+        assert helpers.misses_a_color_everywhere(witness)
+
+
 def test_gr_star_pair_witness_small():
     assert find_gr_star_pair_witness(2, 2) is not None
     assert find_gr_star_pair_witness(3, 2) is None

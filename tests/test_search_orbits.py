@@ -18,7 +18,7 @@ from math import comb, inf
 import pytest
 
 import helpers
-from gallai import exists_avoiding, max_protected_edges, min_mono_triangles
+from gallai import Coloring, exists_avoiding, lex_pairs, max_protected_edges, min_mono_triangles
 from gallai.search import _edge_plan, _prefix_hooks, _search
 
 SIZES = (
@@ -130,6 +130,42 @@ def test_values_match_unreduced_space(n, k):
     out = max_protected_edges(n, k)
     assert out.exhaustive
     assert out.value == helpers.brute_max_protected(n, k)
+
+
+def _first_leaf(n, k, class_of, holds):
+    """The first leaf in column order whose coloring satisfies holds,
+    as a Coloring, or None."""
+    pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    for leaf in _leaves(n, k, class_of):
+        colors = dict(zip(pairs, leaf))
+        coloring = Coloring(n, k, [colors[pair] for pair in lex_pairs(n)])
+        if holds(coloring):
+            return coloring
+    return None
+
+
+@pytest.mark.parametrize("n, k", SIZES)
+def test_witness_is_first_optimal_leaf(n, k):
+    # the module's witness rule: the reported coloring is the first leaf
+    # of the reduced space, in column order, that reaches the optimum;
+    # the exists targets put K4+e first and last, which splits the
+    # colors into classes both ways
+    for gallai_only in (False, True):
+        out = min_mono_triangles(n, k, gallai_only)
+
+        def optimal(c):
+            mono, _, rain = helpers.brute_census(c)
+            return sum(mono.values()) == out.value and not (gallai_only and rain)
+
+        assert out.witness == _first_leaf(n, k, None, optimal)
+        for targets in (["K3"] * k, ["K4+e"] + ["K3"] * (k - 1), ["K3"] * (k - 1) + ["K4+e"]):
+            out = exists_avoiding(n, k, targets, gallai_only)
+            ids = {}
+            class_of = [0] + [ids.setdefault(target, len(ids)) for target in targets]
+            avoiding = partial(helpers.brute_exists_in, targets=targets, gallai_only=gallai_only)
+            assert out.witness == _first_leaf(n, k, class_of, avoiding)
+    out = max_protected_edges(n, k)
+    assert out.witness == _first_leaf(n, k, None, lambda c: helpers.brute_protected(c) == out.value)
 
 
 class _Replay:
