@@ -41,14 +41,14 @@ def _read(path: str) -> str:
 # formula
 
 _FORMULAS = {
-    "goodman-m2": (1, lambda n: formulas.goodman_m2(n)),
-    "m3": (1, lambda n: formulas.m3_formula(n)),
-    "gr-k3": (1, lambda k: formulas.gr_k3(k)),
-    "gr-k4e": (2, lambda k, s: formulas.gr_mixed_k4e(k, s)),
-    "gr-star-k3": (1, lambda k: formulas.gr_star_k3(k)),
-    "turan": (2, lambda n, r: formulas.turan_count(n, r)),
-    "ex-star": (2, lambda n, h: formulas.ex_star(n, h)),
-    "g-bounds": (2, lambda k, n: formulas.g_multiplicity_bounds(k, n)),
+    "goodman-m2": (1, formulas.goodman_m2),
+    "m3": (1, formulas.m3_formula),
+    "gr-k3": (1, formulas.gr_k3),
+    "gr-k4e": (2, formulas.gr_mixed_k4e),
+    "gr-star-k3": (1, formulas.gr_star_k3),
+    "turan": (2, formulas.turan_count),
+    "ex-star": (2, formulas.ex_star),
+    "g-bounds": (2, formulas.g_multiplicity_bounds),
 }
 
 
@@ -159,6 +159,8 @@ def _cmd_grstar_search(args):
 
 def _cmd_search(args):
     kwargs = dict(budget=args.budget, jobs=args.jobs)
+    if args.targets is not None and args.objective != "exists-avoiding":
+        raise ValueError(f"{args.objective} takes no per-color targets; drop --targets")
     if args.objective == "min-mono":
         out = search.min_mono_triangles(args.n, args.k, args.gallai, **kwargs)
     elif args.objective == "max-protected":

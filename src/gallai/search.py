@@ -30,11 +30,14 @@ DFS to colorings satisfying them loses no orbit:
 
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
-limit.  An objective adds three hooks (test-and-apply an edge, undo
-it, and the cost of a leaf).  The hooks read the coloring from the
-engine's per-color neighbor bitsets, in which column order leaves the
+limit.  An objective adds two hooks: test-and-apply an edge, and the
+cost of a leaf.  The hooks read the coloring from the engine's
+per-color neighbor bitsets, in which column order leaves the
 monochromatic and rainbow triangles an edge closes a few bitset
-operations away (see `_search`).  Every objective minimizes a cost:
+operations away (see `_search`).  Every other piece of search state,
+the engine's and the objective's alike, is kept per depth and written
+forward, so backtracking reverts the bitsets alone.  Every objective
+minimizes a cost:
 the monochromatic-triangle count, minus the protected-edge count, or 0
 for an avoiding coloring.  A leaf is kept when its cost is below a
 cut, which starts one above a start value and then follows the best
@@ -99,7 +102,6 @@ to run.
 from __future__ import annotations
 
 import os
-from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from math import comb, inf
@@ -140,7 +142,10 @@ class _Plan(NamedTuple):
     transposition rule (module docstring): where _search keeps the mask
     of the tied swaps (i, u) that edge (u, v) goes on comparing, and
     the mask of the vertices below v at a column's first edge, where
-    every swap (i, v) starts tied (0 elsewhere)."""
+    every swap (i, v) starts tied (0 elsewhere).  For state kept per
+    endpoint of each colored edge, in slot 2t for u and 2t + 1 for v,
+    at_u and at_v give the slots that hold u's and v's before edge t,
+    or -1 for an endpoint with no colored edge yet."""
 
     n: int
     u: list
@@ -148,10 +153,12 @@ class _Plan(NamedTuple):
     idx: list
     back: list
     first: list
+    at_u: list
+    at_v: list
 
 
 def _edge_plan(n: int) -> _Plan:
-    us, vs, idxs, backs, firsts = [], [], [], [], []
+    us, vs, idxs, backs, firsts, at_us, at_vs = [], [], [], [], [], [], []
     for v in range(2, n + 1):
         for u in range(1, v):
             t = len(us)
@@ -164,44 +171,13 @@ def _edge_plan(n: int) -> _Plan:
             # swaps column v - 1 ended tied on are kept
             backs.append(~(t - v + 2) if u < v - 1 else t - u + 1)
             firsts.append(((1 << v) - 2) if u == 1 else 0)
-    return _Plan(n, us, vs, idxs, backs, firsts)
-
-
-class _ColorBook:
-    """Tracks which colors a canonical coloring may use next.
-
-    Colors are grouped into interchangeability classes; a color not yet
-    on any edge is allowed only if it is the smallest unused color of
-    its class.  open lists the allowed colors in increasing order, and
-    is kept in place: the first use of a color opens the next color of
-    its class, and releasing it closes that color again.  Colors are
-    released in LIFO order during backtracking, which keeps this
-    consistent.
-    """
-
-    def __init__(self, k: int, class_of: Optional[Sequence[int]] = None):
-        if class_of is None:
-            class_of = [0] * (k + 1)
-        self.after = [0] * (k + 1)  # the next color of each color's class, or 0
-        self.open = []
-        last: dict[int, int] = {}
-        for c in range(1, k + 1):
-            if class_of[c] in last:
-                self.after[last[class_of[c]]] = c
-            else:
-                self.open.append(c)
-            last[class_of[c]] = c
-        self.used = [0] * (k + 1)
-
-    def use(self, c: int):
-        self.used[c] += 1
-        if self.used[c] == 1 and self.after[c]:
-            insort(self.open, self.after[c])
-
-    def unuse(self, c: int):
-        self.used[c] -= 1
-        if self.used[c] == 0 and self.after[c]:
-            self.open.remove(self.after[c])
+            # u's last edge before t is (u, v - 1), v - 2 edges back, with
+            # u as its lower end, or at u = v - 1 the column before's last
+            # edge (u - 1, u), v - 1 back, with u as its higher end (none,
+            # and -1, at t = 0); v's is (u - 1, v), none at u = 1
+            at_us.append(2 * (t - v + 2) if u < v - 1 else 2 * (t - v) + 3)
+            at_vs.append(2 * t - 1 if u > 1 else -1)
+    return _Plan(n, us, vs, idxs, backs, firsts, at_us, at_vs)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +188,16 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     """Depth-first search over the canonical colorings of plan's edges
     for the first leaf, in DFS order, of least cost.
 
-    objective(plan, rows) returns three hooks over rows, the engine's
+    objective(plan, rows) returns two hooks over rows, the engine's
     coloring state and the only one the hooks read: rows[x][y] has bit
     w set when edge {y, w} has color x, for the edges before the
     current depth.  The engine adds edge t to rows after apply accepts
-    it and removes it before undo.  When apply(t, c, cut) runs for
-    t = (u, v), column order has colored all of K_{v-1} and the edges
-    (w, v) with w < u, so rows[x][u] holds u's x-neighbors below v and
-    rows[x][v] only those below u.  The triangles edge t closes are
-    those with an apex w < u, so, with below[u] = (1 << u) - 2 the
-    vertices 1..u-1:
+    it and removes it when it backtracks past t, the only state a
+    backtrack reverts.  When apply(t, c, cut) runs for t = (u, v),
+    column order has colored all of K_{v-1} and the edges (w, v) with
+    w < u, so rows[x][u] holds u's x-neighbors below v and rows[x][v]
+    only those below u.  The triangles edge t closes are those with an
+    apex w < u, so, with below[u] = (1 << u) - 2 the vertices 1..u-1:
 
       * rows[c][u] & rows[c][v] is exactly the set of apexes of the
         monochromatic triangles it closes;
@@ -231,11 +207,10 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     The hooks:
 
       * apply(t, c, cut) tests coloring edge t with c against the
-        earlier edges and on success records the objective's state for
-        depth t + 1; False rejects c, including when no completion can
+        earlier edges and on success writes the objective's state for
+        depth t + 1 from that of depth t, never changing an earlier
+        depth's; False rejects c, including when no completion can
         cost less than cut;
-      * undo(t, c) reverts what apply changed beyond its per-depth
-        state, or is None when nothing needs reverting;
       * leaf() returns the cost of the completed coloring.
 
     A leaf is kept when its cost is below cut, which starts at start + 1
@@ -246,9 +221,14 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     leases its nodes from the shared budget and trades incumbents
     through the task.
 
-    The colors an edge may take start at the largest color a tied
-    vertex swap (module docstring) puts below it, so every leaf is no
-    larger in column order than its image under any transposition.
+    Colors in one class of class_of (all colors when it is None) make
+    their first appearances in increasing order: opened[t] lists the
+    colors edge t may take, those in use and the least unused one of
+    each class, and after[c] is the next color of c's class (0 for the
+    last), which the first edge to take c opens.  The colors an edge
+    may take start at the largest color a tied vertex swap (module
+    docstring) puts below it, so every leaf is no larger in column
+    order than its image under any transposition.
 
     Returns (the kept leaf's cost or None, its colors, nodes,
     exhaustive)."""
@@ -261,9 +241,16 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     # rows[c][x]: bit y set when edge {x, y} has color c
     rows = [[0] * (plan.n + 1) for _ in range(k + 1)]
     top = range(k, 1, -1)
-    apply, undo, leaf = objective(plan, rows)
-    book = _ColorBook(k, class_of)
-    opened, use, unuse = book.open, book.use, book.unuse
+    apply, leaf = objective(plan, rows)
+    class_of = class_of or [0] * (k + 1)
+    after = [0] * (k + 1)
+    last = {}
+    for c in range(1, k + 1):
+        if class_of[c] in last:
+            after[last[class_of[c]]] = c
+        last[class_of[c]] = c
+    opened = [None] * (m + 1)
+    opened[0] = [c for c in range(1, k + 1) if c not in after]  # each class's first
     prefix = () if task is None else task.prefix
     base = len(prefix)
 
@@ -276,7 +263,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     exhaustive = True
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if m:
-        out = opened[:]  # edge (1, 2) is free of ties
+        out = opened[0]  # edge (1, 2) is free of ties
         if base:
             out = (prefix[0],) if prefix[0] in out else ()
         its[0] = iter(out)
@@ -304,7 +291,9 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     break
                 limit += grant
             col[idxs[t]] = c
-            use(c)
+            op = opened[t]
+            nxt = after[c]
+            opened[t + 1] = sorted([*op, nxt]) if nxt and nxt not in op else op
             u = us[t]
             v = vs[t]
             row = rows[c]
@@ -326,7 +315,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     if rows[x][u] & a or rows[x][v] & b:
                         lo = x
                         break
-                out = opened[opened.index(lo) :]
+                op = opened[t]
+                out = op[op.index(lo) :]
                 if t < base:
                     out = (prefix[t],) if prefix[t] in out else ()
                 its[t] = iter(out)
@@ -342,15 +332,11 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
             t -= 1
             if t < base:
                 break  # back at the prefix, or the prefix itself failed
-            c = col[idxs[t]]
-            unuse(c)
             u = us[t]
             v = vs[t]
-            row = rows[c]
+            row = rows[col[idxs[t]]]
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-            if undo is not None:
-                undo(t, c)
     nodes = max(nodes, 0)  # below 0 only when the prefix itself failed
     found = cut if best_col is not None else None
     if task is not None:
@@ -414,12 +400,15 @@ def _min_mono_hooks(plan, rows, gallai_only, split):
     Goodman's counting bound: with s the sum of the per-vertex
     split-pair maxima, every completion has at least C(n,3) - s/2
     monochromatic triangles."""
-    n, us, vs = plan.n, plan.u, plan.v
+    n, us, vs, at_u, at_v = plan.n, plan.u, plan.v, plan.at_u, plan.at_v
     m = len(us)
     others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     triples = comb(n, 3)
     weight = [n ** (c - 1) for c in range(split.k + 1)]
-    code = [0] * (n + 1)  # each vertex's color degrees, base n
+    # code[2t], code[2t + 1]: the color degrees, base n, of u and v once
+    # edge t = (u, v) is colored, found through plan.at_u and plan.at_v;
+    # the last slot, read for an endpoint with no colored edge, stays 0
+    code = [0] * (2 * m + 1)
     mono = [0] * (m + 1)  # the count after each depth
     s = [n * split[0]] * (m + 1)  # the split-pair sum after each depth
 
@@ -440,26 +429,21 @@ def _min_mono_hooks(plan, rows, gallai_only, split):
                 if rain:
                     return False
         w = weight[c]
-        cu = code[u]
-        cv = code[v]
+        cu = code[at_u[t]]
+        cv = code[at_v[t]]
         ns = s[t] - split[cu] - split[cv] + split[cu + w] + split[cv + w]
         if triples - (ns >> 1) >= cut:
             return False
         mono[t + 1] = nm
         s[t + 1] = ns
-        code[u] = cu + w
-        code[v] = cv + w
+        code[2 * t] = cu + w
+        code[2 * t + 1] = cv + w
         return True
-
-    def undo(t, c):
-        w = weight[c]
-        code[us[t]] -= w
-        code[vs[t]] -= w
 
     def leaf():
         return mono[m]
 
-    return apply, undo, leaf
+    return apply, leaf
 
 
 def min_mono_triangles(
@@ -498,8 +482,10 @@ def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
     us, vs = plan.u, plan.v
     others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
-    members = [0] * len(rows)  # vertices inside recorded pendant-free K4s
-    members_before = [-1] * len(us)  # members[c] before edge t recorded a K4
+    # mem[t]: bit c(n + 1) + y set when, before edge t, vertex y lies in a
+    # recorded pendant-free K4 of color c
+    mem = [0] * (len(us) + 1)
+    stride = plan.n + 1
 
     def apply(t, c, cut):
         u = us[t]
@@ -518,9 +504,10 @@ def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
         # u or v meets every color other than c already
         if saturation_cap and any(all(r[y] for r in others[c]) for y in (u, v)):
             return False
-        before = -1
+        members = mem[t]
         if not is_k3[c]:
-            if (members[c] >> u) & 1 or (members[c] >> v) & 1:
+            shift = c * stride
+            if members >> shift & (1 << u | 1 << v):
                 return False  # pendant edge onto a recorded K4
             # a new clique whose vertex has any c-neighbor outside it
             # completes K4+e; pendant-free cliques are recorded so a
@@ -541,19 +528,14 @@ def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
                             return False
                     new_members |= mask
             if new_members:
-                before = members[c]
-                members[c] |= new_members
-        members_before[t] = before
+                members |= new_members << shift
+        mem[t + 1] = members
         return True
-
-    def undo(t, c):
-        if members_before[t] >= 0:
-            members[c] = members_before[t]
 
     def leaf():
         return 0
 
-    return apply, undo, leaf
+    return apply, leaf
 
 
 def exists_avoiding(
@@ -641,7 +623,7 @@ def _max_protected_hooks(plan, rows):
     def leaf():
         return unprot[m].bit_count() - m
 
-    return apply, None, leaf
+    return apply, leaf
 
 
 def max_protected_edges(
@@ -704,7 +686,7 @@ def _prefix_hooks(plan, rows, out):
         out.append(tuple(path))
         return inf
 
-    return apply, None, leaf
+    return apply, leaf
 
 
 def _split_prefixes(plan, k, jobs, class_of):
@@ -750,8 +732,8 @@ class _Subtree:
     the earliest prefix that reached that cost, next unclaimed prefix],
     guarded by its lock.  Before any prefix reaches a cost, the index is
     the number of prefixes, so every subtree keeps leaves that tie the
-    starting cost.  In the parent, helpers is the run's _Helpers, told
-    of every node the subtree leases or gives back.
+    starting cost.  In the parent, helpers is the run's _Helpers, shown
+    the unleased budget at every trade.
     """
 
     def __init__(self, shared, index, prefix, helpers=None):
@@ -772,10 +754,10 @@ class _Subtree:
             self._publish(found)
             grant = min(_SLICE, cells[0])
             cells[0] -= grant
-            best, first = cells[1], cells[2]
+            unleased, best, first = cells[0], cells[1], cells[2]
         self.leased += grant
         if self.helpers is not None:
-            self.helpers.lease(grant)
+            self.helpers.lease(unleased)
         # ties with an earlier prefix's cost are pruned, with a later's kept
         if first > self.index:
             best += 1
@@ -787,8 +769,6 @@ class _Subtree:
         with self.lock:
             self._publish(found)
             self.cells[0] += self.leased - nodes
-        if self.helpers is not None:
-            self.helpers.lease(nodes - self.leased)
 
     def _publish(self, found):
         # caller holds the lock; ties go to the earlier prefix
@@ -818,18 +798,18 @@ class _Helpers:
     prefixes as the parent does.  A prefix is searched by whichever
     process claims it, so no work is repeated at the hand-off."""
 
-    def __init__(self, jobs, run):
+    def __init__(self, jobs, run, budget):
         self.jobs = jobs
         self.run = run  # (engine arguments, prefixes, shared state)
-        self.leased = 0
+        self.budget = budget  # the shared budget before any lease
         self.pool = None
         self.pending = None
 
-    def lease(self, nodes):
-        """Count nodes the parent leased (given back when negative) and
-        start the helpers once the count passes _PROBE."""
-        self.leased += nodes
-        if self.pool is None and self.leased > _PROBE:
+    def lease(self, unleased):
+        """Start the helpers once the parent has leased more than _PROBE
+        nodes net.  Until a helper starts the parent alone leases, so
+        that is the budget less the unleased rest."""
+        if self.pool is None and self.budget - unleased > _PROBE:
             import multiprocessing
 
             self.pool = multiprocessing.Pool(self.jobs - 1, _init_helper, self.run)
@@ -880,9 +860,10 @@ def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
         return _combine(floor, [_search(*args)])
     import multiprocessing
 
-    shared = multiprocessing.Array("q", [min(budget, 2**62), start, len(prefixes), 0])
+    pooled = min(budget, 2**62)
+    shared = multiprocessing.Array("q", [pooled, start, len(prefixes), 0])
     runs = [None] * len(prefixes)
-    with _Helpers(jobs, (args, prefixes, shared)) as helpers:
+    with _Helpers(jobs, (args, prefixes, shared), pooled) as helpers:
         claimed = list(_claims(args, prefixes, shared, helpers)) + helpers.join()
     for index, run in claimed:
         runs[index] = run

@@ -221,6 +221,9 @@ BAD_CALLS = [
     ("grstar-search", "0", "3"),
     ("search", "min-mono", "0", "2"),
     ("search", "exists-avoiding", "5", "2", "--targets", "K9,K3"),
+    ("search", "min-mono", "5", "2", "--targets", "K3,K3"),
+    ("search", "max-protected", "5", "2", "--targets", "K3,K3"),
+    ("search", "max-protected", "5", "2", "--gallai"),
     ("search", "min-mono", "5", "2", "--jobs", "0"),
     ("search", "min-mono", "5", "2", "--budget", "-5"),
     ("grstar-search", "5", "3", "--budget", "-1"),

@@ -22,10 +22,13 @@ from gallai import (
 from gallai import search
 from gallai.search import (
     DEFAULT_BUDGET,
+    TARGET_K3,
+    TARGET_K4E,
     _SplitPairs,
     _combine,
     _edge_plan,
     _exists,
+    _exists_hooks,
     _split_prefixes,
 )
 
@@ -524,3 +527,33 @@ def test_gr_star_pair_witness_small():
     cen = triangle_census(w)
     assert cen.mono_total == 0 and cen.rainbow == 0
     assert find_gr_star_pair_witness(6, 3) is None
+
+
+def test_saturation_cap_tests_the_higher_endpoint():
+    # edge (2, 4) in color 1 after (1, 2), (1, 3), (2, 3) in color 1 and
+    # (1, 4) in color 2: of its endpoints only v = 4 already meets every
+    # other color, so the cap refuses the edge through v alone
+    plan = _edge_plan(4)
+    rows = [[0] * 5 for _ in range(3)]
+    for (x, y), c in {(1, 2): 1, (1, 3): 1, (2, 3): 1, (1, 4): 2}.items():
+        rows[c][x] |= 1 << y
+        rows[c][y] |= 1 << x
+    t = list(zip(plan.u, plan.v)).index((2, 4))
+    for cap in (False, True):
+        apply, _ = _exists_hooks(plan, rows, [TARGET_K3] * 2, True, cap)
+        assert apply(t, 1, 1) is not cap
+
+
+def test_recorded_k4_blocks_only_its_own_color():
+    # K_4 on 1..4 in color 2 is recorded as pendant-free, so edge (1, 5)
+    # completes K4+e in color 2 but not in color 1
+    plan = _edge_plan(5)
+    rows = [[0] * 6 for _ in range(3)]
+    apply, _ = _exists_hooks(plan, rows, [TARGET_K4E] * 2, False, False)
+    for t in range(6):  # the edges of K_4, in column order
+        assert apply(t, 2, 1)
+        rows[2][plan.u[t]] |= 1 << plan.v[t]
+        rows[2][plan.v[t]] |= 1 << plan.u[t]
+    assert (plan.u[6], plan.v[6]) == (1, 5)
+    assert not apply(6, 2, 1)
+    assert apply(6, 1, 1)
