@@ -209,21 +209,40 @@ def find_mono_subgraph(coloring: Coloring, color: int, kind: str) -> MonoSubgrap
 def count_protected_edges(coloring: Coloring) -> int:
     """Edges contained in no rainbow and no monochromatic triangle.
 
-    For an edge uv of color a, a monochromatic triangle through it exists
-    iff u and v have a common a-neighbor.  A rainbow triangle through it
-    exists iff some w with c(uw) != a != c(vw) has c(uw) != c(vw), i.e.
-    iff the set of vertices avoiding color a toward both endpoints is not
-    covered by the same-color-toward-both sets.
+    Take an edge uv of color a.  A monochromatic triangle through it
+    exists iff u and v have a common a-neighbor, one AND of their
+    a-neighborhoods.  Without one, the triangle uvw on an apex w is not
+    rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.  The first
+    holds for deg_a(u) - 1 apexes (every a-neighbor of u but v), the
+    second for deg_a(v) - 1, and the third for the popcount of R_u & R_v,
+    where the row R_u = OR over colors x of adj[x][u] << (x-1)*n puts
+    each color's neighborhood of u in its own block of n bits, so a bit
+    common to R_u and R_v is a w with c(uw) = c(vw).  u and v never
+    count there: no vertex is its own neighbor, so v lies in R_u but in
+    no block of R_v, and likewise u.  With no common a-neighbor the
+    third case holds no a-colored apex, so the three are disjoint, and
+    uv is protected iff all n - 2 apexes fall in one of them:
+    deg_a(u) - 1 + deg_a(v) - 1 + popcount(R_u & R_v) = n - 2, that is
+    deg_a(u) + deg_a(v) + popcount(R_u & R_v) = n.
     """
     n = coloring.n
     adj = coloring.adjacency()
-    full = (1 << n) - 1
+    deg = coloring.degrees()
+    rows = [0] * (n + 1)
+    for x, adj_x in enumerate(adj[1:]):
+        shift = x * n
+        for u in range(1, n + 1):
+            rows[u] |= adj_x[u] << shift
     protected = 0
     colors = iter(coloring.colors)
     for u in range(1, n + 1):
+        row_u = rows[u]
         for v, a in zip(range(u + 1, n + 1), colors):
-            adj_a = adj[a]
-            if not adj_a[u] & adj_a[v] and not _rainbow_apexes(adj, u, v, a, full):
+            adj_a, deg_a = adj[a], deg[a]
+            if (
+                not adj_a[u] & adj_a[v]
+                and deg_a[u] + deg_a[v] + (row_u & rows[v]).bit_count() == n
+            ):
                 protected += 1
     return protected
 

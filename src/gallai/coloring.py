@@ -10,12 +10,25 @@ The `.gec` text format: first line "n k", then exactly C(n,2) lines
 "u v c" with 1 <= u < v <= n and 1 <= c <= k, each pair exactly once, in
 any order.  Lines starting with "#" are comments.  The serializer emits
 pairs in lexicographic order.
+
+Neither direction walks the pairs one at a time in Python.  The
+serializer writes one row u, the lines of the pairs (u, v) for v > u,
+with one join per row (`_gec_rows`).  The reader first tries the
+canonical reading: a text that is exactly what the serializer writes,
+checked by writing it again with the same row writer, is read off its
+color column without a per-line split.  Any other text, and every
+error, goes to the general reader `_parse_body`, which is the format's
+only definition.  The loops that still walk the pairs one at a time in
+Python are the general reader, the derived tables, `edges` (and
+`edges_by_color` on it), `permute_vertices` and the constructor's error
+path.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator, Sequence
 
@@ -27,11 +40,13 @@ class GecFormatError(ValueError):
 def lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (u,v) with 1 <= u < v <= n, in lexicographic order.
 
-    Not cached, so no table per n outlives its caller.  Hot loops over
-    a coloring's pairs walk the same order without a table: one iterator
+    Not cached, so no table per n outlives its caller.  Loops over a
+    coloring's pairs walk the same order without a table: one iterator
     over the colors, and per u, ``zip(range(u + 1, n + 1), colors)``.
     zip draws from the range first, so each u takes exactly its own
-    n - u colors."""
+    n - u colors.  The .gec writer and the canonical reading take whole
+    rows instead: row u is the next n - u colors, with no loop per
+    pair."""
     return tuple(combinations(range(1, n + 1), 2))
 
 
@@ -161,9 +176,10 @@ class Coloring:
         return Coloring(self.n, self.k, out)
 
     def serialize(self) -> str:
-        lines = [f"{self.n} {self.k}"]
-        lines.extend(f"{u} {v} {c}" for u, v, c in self.edges())
-        return "\n".join(lines) + "\n"
+        # the strings of the colors present: k may be far larger
+        strings = {c: str(c) for c in set(self.colors)}
+        rows = _gec_rows(self.n, map(strings.__getitem__, self.colors))
+        return f"{self.n} {self.k}\n" + "".join(rows)
 
     def __eq__(self, other):
         return (
@@ -178,6 +194,72 @@ class Coloring:
 
     def __repr__(self):
         return f"Coloring(n={self.n}, k={self.k})"
+
+
+def _gec_rows(n: int, colors):
+    """The .gec lines of the pairs in lexicographic order, one string
+    per row u < n: the line "u v c" of every v > u.  colors iterates
+    over the color strings in pair order.
+
+    Each row is one join over a list whose slots are filled four at a
+    time by slice assignment: the prefix "u ", the strings "v ", the
+    color strings and the newlines."""
+    heads = [f"{v} " for v in range(n + 1)]
+    for u in range(1, n):
+        m = n - u
+        parts = ["\n"] * (4 * m)
+        parts[0::4] = [heads[u]] * m
+        parts[1::4] = heads[u + 1 :]
+        parts[2::4] = islice(colors, m)
+        yield "".join(parts)
+
+
+# the color column of canonical .gec lines "u v c"
+_COLOR_COLUMN = re.compile(r" (\S+)\n")
+
+
+def _parse_canonical(text: str):
+    """The Coloring whose serialization is exactly text, or None.
+
+    Sizes nothing by the header until the body holds exactly C(n,2)
+    newlines.  Reads the color column in one pass and converts each
+    distinct token once; the text is accepted only if every color lies
+    in 1..k and _gec_rows writes the body back character for character.
+    So the result is serialize's inverse, which is what _parse_body
+    returns on the same text."""
+    end = text.find("\n") + 1
+    head = text[:end]
+    header = head.split()
+    if len(header) != 2:
+        return None
+    try:
+        n, k = int(header[0]), int(header[1])
+    except ValueError:
+        return None
+    if n < 1 or k < 1 or head != f"{n} {k}\n":
+        return None
+    m = comb(n, 2)
+    if text.count("\n", end) != m:
+        return None
+    tokens = _COLOR_COLUMN.findall(text, end)
+    if len(tokens) != m:
+        return None
+    value = {}
+    for token in set(tokens):
+        try:
+            c = int(token)
+        except ValueError:
+            return None
+        if not 1 <= c <= k or str(c) != token:
+            return None
+        value[token] = c
+    for row in _gec_rows(n, iter(tokens)):
+        if not text.startswith(row, end):
+            return None
+        end += len(row)
+    if end != len(text):
+        return None
+    return Coloring(n, k, map(value.__getitem__, tokens))
 
 
 def _parse_body(lines: list[tuple[int, str]]) -> Coloring:
@@ -246,8 +328,14 @@ def parse_coloring(text: str) -> Coloring:
     """Parse a .gec document into a Coloring.
 
     Raises GecFormatError, naming the line, on a malformed header,
-    missing or duplicated pair, or out-of-range color.
+    missing or duplicated pair, or out-of-range color.  A text written
+    by serialize takes the canonical reading; any other goes to the
+    general reader, which returns the same Coloring on every text the
+    canonical reading accepts.
     """
+    coloring = _parse_canonical(text)
+    if coloring is not None:
+        return coloring
     return _parse_body(_numbered_content_lines(text))
 
 

@@ -291,11 +291,15 @@ def turan_parts(n: int, r: int) -> list[list[int]]:
 
 
 def construct_f_lower(n: int, k: int) -> Coloring:
-    """k-coloring of K_n in which every edge between the Turan classes
-    avoids all rainbow and monochromatic triangles.
+    """k-coloring of K_n in which every edge between the N = gr_k3(k-1) - 1
+    Turan classes avoids all rainbow and monochromatic triangles.
 
     The classes blow up the (k-1)-color triangle-free base of maximum
-    order; edges inside a class take color k."""
+    order; edges inside a class take color k.  The one edge inside a
+    class of size 2 is protected too, while every edge inside a larger
+    class lies in a monochromatic triangle.  So the coloring protects
+    turan_count(n, N) edges plus one per class of size 2, which is more
+    than turan_count(n, N) exactly when N < n < 3N."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     t = gr_k3(k - 1) - 1

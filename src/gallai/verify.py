@@ -220,7 +220,10 @@ def check_f_lower_turan():
         want = formulas.turan_count(n, formulas.gr_k3(k - 1) - 1)
         _require(got == want, (k, n, got, want))
         _require(census.triangle_census(c).rainbow == 0)
-    return "protected-edge counts equal Turan numbers on 4 rainbow-free instances"
+    return (
+        "protected-edge counts equal Turan numbers on 4 rainbow-free instances,"
+        " none with a class of size 2"
+    )
 
 
 def _set_partitions(items):

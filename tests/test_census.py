@@ -263,6 +263,37 @@ def test_protected_matches_brute(c):
     assert count_protected_edges(c) == helpers.brute_protected(c)
 
 
+# counts recorded from the per-apex rainbow test that the row popcount
+# replaced
+PROTECTED_COUNTS = {
+    "gr_k3_extremal(6)": 7750,
+    "gr_k4e_extremal(4,4)": 0,
+    "multiplicity_extremal(5,250)": 30000,
+    "f_lower(250,4)": 28125,
+    "goodman_extremal_2coloring(250,1,2)": 125,
+    "nim_star(200,4,4,1)": 0,
+    "paley17_coloring(1,2)": 0,
+    "pentagon_coloring(1,2)": 10,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTECTED_COUNTS))
+def test_protected_counts_match_fixture(name):
+    assert count_protected_edges(HUNT_FIXTURE_COLORINGS[name]()) == PROTECTED_COUNTS[name]
+
+
+def test_protected_matches_brute_on_perturbed_constructions():
+    # constructions with a few edges recolored: protected, unprotected
+    # and rainbow edges side by side, at n above the hypothesis range
+    rng = random.Random(5)
+    for c in (construct_f_lower(22, 3), construct_multiplicity_extremal(3, 20), pentagon_coloring(4, 2)):
+        colors = list(c.colors)
+        for _ in range(6):
+            colors[rng.randrange(len(colors))] = rng.randint(1, c.k)
+        c = Coloring(c.n, c.k, colors)
+        assert count_protected_edges(c) == helpers.brute_protected(c)
+
+
 # --- nim star edges --------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from gallai import (
     Coloring,
     GecFormatError,
     construct_gr_k3_extremal,
+    construct_gr_k4e_extremal,
     count_protected_edges,
     find_gallai_partition,
     lex_pairs,
@@ -18,6 +19,7 @@ from gallai import (
     parse_coloring,
     triangle_census,
 )
+from gallai.coloring import _numbered_content_lines, _parse_body, _parse_canonical
 from gallai.grstar import parse_extended_coloring
 
 
@@ -122,9 +124,121 @@ def colorings(draw, max_n=9, max_k=4):
     return Coloring(n, k, colors)
 
 
-@given(colorings())
+@given(colorings(max_k=12))
 def test_serialize_parse_roundtrip(c):
     assert parse_coloring(c.serialize()) == c
+    # a serialized text never falls through to the general reader
+    assert _parse_canonical(c.serialize()) == c
+
+
+def _outcome(parse, text):
+    """parse's Coloring, or the message of its GecFormatError."""
+    try:
+        return parse(text)
+    except GecFormatError as err:
+        return f"GecFormatError: {err}"
+
+
+def _general_reader(text):
+    return _parse_body(_numbered_content_lines(text))
+
+
+_EDITS = ("swap", "crlf", "trailing space", "no final newline", "plus", "zero", "comment", "blank", "recolor")
+
+
+def _edit(lines, edit, i, arg):
+    """A copy of lines with one edit at line i; arg picks the other line
+    of a swap, the token prefixed by "+" or "0", or the new color."""
+    lines = list(lines)
+    tokens = lines[i].split(" ")
+    if edit == "swap":
+        h = arg % len(lines)
+        lines[i], lines[h] = lines[h], lines[i]
+    elif edit == "crlf":
+        lines[i] += "\r"
+    elif edit == "trailing space":
+        lines[i] += " "
+    elif edit == "no final newline":
+        if lines[-1] == "":
+            lines.pop()
+    elif edit in ("plus", "zero"):
+        j = arg % len(tokens)
+        tokens[j] = ("+" if edit == "plus" else "0") + tokens[j]
+        lines[i] = " ".join(tokens)
+    elif edit in ("comment", "blank"):
+        lines.insert(i, "# note" if edit == "comment" else "")
+    else:
+        tokens[-1] = str(arg)
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+@st.composite
+def _perturbed_gec(draw):
+    """A serialized coloring, k up to 12 so colors may take two digits,
+    with one to three edits that the general reader may or may not
+    accept."""
+    c = draw(colorings(max_n=7, max_k=12))
+    lines = c.serialize().split("\n")  # the last entry follows the final newline
+    for edit in draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=3)):
+        lines = _edit(lines, edit, draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 13)))
+    return "\n".join(lines)
+
+
+_one_vertex_gec = st.builds(
+    "1 {}{}".format,
+    st.integers(-1, 12),
+    st.sampled_from(["", "\n", "\n\n", " \n", "\r\n", "\n# note\n", "\n1 2 1\n"]),
+)
+
+
+def _assert_readers_agree(text):
+    # the canonical reading returns only what the general reader would,
+    # and only on a text that serialize writes; every other text, and
+    # every error, is the general reader's
+    assert _outcome(parse_coloring, text) == _outcome(_general_reader, text)
+    canonical = _parse_canonical(text)
+    assert canonical is None or canonical.serialize() == text
+
+
+@given(st.one_of(_gec_like, _perturbed_gec(), _one_vertex_gec))
+def test_parse_agrees_with_general_reader(text):
+    _assert_readers_agree(text)
+
+
+@pytest.mark.parametrize("c", [Coloring(2, 1, (1,)), Coloring(4, 12, (1, 12, 10, 3, 11, 2))])
+def test_parse_agrees_with_general_reader_on_every_single_edit(c):
+    lines = c.serialize().split("\n")
+    for i in range(len(lines)):
+        for edit in _EDITS:
+            for arg in range(14):
+                _assert_readers_agree("\n".join(_edit(lines, edit, i, arg)))
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_huge_k_is_never_enumerated():
+    # with_k admits k = 10**9: colour strings come from the colours present
+    c = Coloring(3, 10**9, (1, 2, 3))
+    text = c.serialize()
+    assert text == "3 1000000000\n1 2 1\n1 3 2\n2 3 3\n"
+    assert _peak_bytes(c.serialize) < 1 << 20
+    assert _peak_bytes(parse_coloring, text) < 1 << 20
+    assert parse_coloring(text) == c
+
+
+def test_parse_peak_memory_on_largest_construction():
+    # n = 289: the general per-line reader peaks at 7.1 MB on this text
+    text = construct_gr_k4e_extremal(4, 4).serialize()
+    assert _peak_bytes(parse_coloring, text) < 4 << 20
 
 
 @given(colorings(max_n=7))

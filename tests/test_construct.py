@@ -232,6 +232,19 @@ def test_f_lower_small():
     assert is_gallai(c)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_f_lower_protects_turan_plus_pair_classes(k):
+    # every edge between the N classes is protected, and so is the one
+    # edge inside each class of size 2; a larger class holds a
+    # monochromatic triangle on each of its inner edges
+    parts = gr_k3(k - 1) - 1
+    for n in range(parts, 4 * parts + 3):
+        q, p = divmod(n, parts)  # p classes of size q + 1, the rest of size q
+        pairs = p if q == 1 else parts - p if q == 2 else 0
+        got = count_protected_edges(construct_f_lower(n, k))
+        assert got == turan_count(n, parts) + pairs, (n, got)
+
+
 def test_f_lower_rejects_small_n():
     with pytest.raises(ValueError):
         construct_f_lower(3, 3)  # needs at least 5 parts

@@ -260,16 +260,23 @@ def _forbid_processes(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Process", refuse)
 
 
-def _count_pools(monkeypatch, most=None):
+def _count_pools(monkeypatch, most=None, leases=None):
     """Records the size of every pool started, through the real Pool; a
-    pool of more than `most` processes fails the test before it starts."""
+    pool of more than `most` processes fails the test before it starts.
+    When leases is a list, it also records the nodes the parent has
+    leased net when the pool starts: the run's budget less the unleased
+    rest in its shared state."""
     starts = []
     real = multiprocessing.Pool
 
-    def pool(processes, *args, **kwargs):
+    def pool(processes, initializer, initargs, **kwargs):
         assert most is None or processes <= most, processes
         starts.append(processes)
-        return real(processes, *args, **kwargs)
+        if leases is not None:
+            engine_args, _, shared = initargs
+            budget = min(engine_args[-1], 2**62)
+            leases.append(budget - shared.get_obj()[0])
+        return real(processes, initializer, initargs, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)
     return starts
@@ -301,7 +308,8 @@ def test_long_runs_start_helpers(monkeypatch):
     # both runs outgrow the allowance: the parent starts a helper partway
     # through, and neither repeats nor loses a prefix at the hand-off
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    starts = _count_pools(monkeypatch)
+    leases = []
+    starts = _count_pools(monkeypatch, leases=leases)
     for f, args in [(min_mono_triangles, (13, 3, True)), (max_protected_edges, (10, 2))]:
         serial = f(*args)
         assert serial.nodes_explored > search._PROBE
@@ -312,6 +320,10 @@ def test_long_runs_start_helpers(monkeypatch):
             serial.exhaustive,
         )
     assert starts == [1, 1]
+    # the helper starts at the first trade past the allowance: the parent
+    # has leased more than _PROBE nodes, and at most one slice more
+    for leased in leases:
+        assert search._PROBE < leased <= search._PROBE + search._SLICE
 
 
 def test_parent_witness_stops_helpers(monkeypatch):
