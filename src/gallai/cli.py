@@ -170,6 +170,7 @@ def _cmd_search(args):
     else:  # exists-avoiding
         targets = _parse_targets(args.targets, args.k)
         out = search.exists_avoiding(args.n, args.k, targets, args.gallai, **kwargs)
+    witness_gec = out.witness.serialize() if out.witness else None
     doc = {
         "objective": out.objective,
         "n": args.n,
@@ -177,10 +178,10 @@ def _cmd_search(args):
         "value": out.value,
         "nodes_explored": out.nodes_explored,
         "exhaustive": out.exhaustive,
-        "witness_gec": out.witness.serialize() if out.witness else None,
+        "witness_gec": witness_gec,
     }
-    if out.witness and args.output:
-        Path(args.output).write_text(out.witness.serialize())
+    if witness_gec and args.output:
+        Path(args.output).write_text(witness_gec)
     _emit_json(doc)
     return 0
 

@@ -210,24 +210,6 @@ def _near_antipodal_matching(n: int) -> set[tuple[int, int]]:
     return {(i, i + half) for i in range((n - 1) // 2)}
 
 
-def _goodman_graph(n: int) -> set[tuple[int, int]]:
-    """0-based graph whose degree sequence maximizes
-    sum_v d(v)(n-1-d(v)): all degrees floor/ceil of (n-1)/2, with the
-    single off-by-one vertex forced by parity when n = 3 mod 4."""
-    if n <= 2:
-        return set() if n < 2 else {(0, 1)}
-    if n % 2 == 0:
-        offsets = list(range(1, n // 4 + 1))
-        edges = _circulant_pairs(n, offsets)
-        if (n // 2) % 2 == 1:
-            edges |= _circulant_pairs(n, [n // 2])
-        return edges
-    if n % 4 == 1:
-        return _circulant_pairs(n, range(1, (n - 1) // 4 + 1))
-    edges = _circulant_pairs(n, range(1, (n - 3) // 4 + 1))
-    return edges | _near_antipodal_matching(n)
-
-
 def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
     """2-coloring of K_n with the minimum possible number of
     monochromatic triangles.
@@ -235,13 +217,15 @@ def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
     The monochromatic count of a 2-coloring is C(n,3) minus half the sum
     of d(v)(n-1-d(v)) over the color-a degrees d(v), so any coloring
     whose color-a degrees all sit at the feasible maximizers of
-    d(n-1-d) is extremal; a near-regular circulant realizes that."""
+    d(n-1-d) is extremal.  The star-free circulant of maximum degree
+    floor(n/2) realizes that: its degrees are floor or ceil of (n-1)/2,
+    but for the one vertex n = 3 mod 4 forces lower."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if color_a == color_b:
         raise ValueError("colors must differ")
     k = max(color_a, color_b)
-    graph = _goodman_graph(n)
+    graph = _star_free_graph(n, n // 2 + 1)
     colors = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):

@@ -8,6 +8,18 @@ check raises on the first failure and otherwise returns a one-line
 summary of what it examined.  The fast level is a sub-minute subset;
 the full level runs everything, and `tests/test_acceptance.py` runs it
 one check at a time.
+
+Every search value the battery relies on is a row of one table,
+`PROVED`, and `_prove(row)` is its only prover: it reruns the search,
+requires the row's value, `exhaustive` flag and (for a serial run) node
+count, re-checks the witness without the search, and compares the value
+with the library's own formula or construction.  The search checks are
+selections of rows.  A row's level says where it runs: "fast" and
+"full" rows in the suite levels of those names, "ci" rows (tens of
+seconds) in a CI step of their own, and "record" rows (minutes) only on
+request, e.g.
+
+    python -O -c "from gallai import verify; [print(verify._prove(row)) for row in verify.PROVED if row.level == 'record']"
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from . import census, construct, formulas, grstar, search
 from .coloring import Coloring, parse_coloring
@@ -57,16 +70,162 @@ def _require(ok, detail=None):
 
 
 # ---------------------------------------------------------------------------
+# proved search instances
+
+
+class Proved(NamedTuple):
+    """One search instance and the outcome a serial run proves for it.
+
+    objective is a `gallai search` objective: "min-mono", under gallai
+    over Gallai colorings only; "exists-avoiding", with one target per
+    color; or "max-protected".  value and exhaustive are the run's, and
+    nodes its nodes-to-proof, which a serial run repeats exactly.  level
+    is "fast", "full", "ci" or "record" (see the module docstring).
+    """
+
+    level: str
+    objective: str
+    n: int
+    k: int
+    value: int
+    nodes: int
+    exhaustive: bool = True
+    gallai: bool = False
+    targets: tuple = ()
+    budget: int = search.DEFAULT_BUDGET
+    jobs: int = 1
+
+
+_K3 = (search.TARGET_K3, search.TARGET_K3)
+_K4E_K3 = (search.TARGET_K4E, search.TARGET_K3)
+
+PROVED = (
+    # the least monochromatic count of a 2-coloring: goodman_m2
+    Proved("fast", "min-mono", 3, 2, 0, 3),
+    Proved("fast", "min-mono", 4, 2, 0, 6),
+    Proved("fast", "min-mono", 5, 2, 0, 13),
+    Proved("fast", "min-mono", 6, 2, 2, 19),
+    Proved("full", "min-mono", 7, 2, 4, 55),
+    # avoidance flips at the thresholds gr_k3(2) = 6 and gr_mixed_k4e(2, 1) = 9
+    Proved("full", "exists-avoiding", 5, 2, 1, 20, targets=_K3),
+    Proved("full", "exists-avoiding", 6, 2, 0, 33, targets=_K3),
+    Proved("full", "exists-avoiding", 8, 2, 1, 28, targets=_K4E_K3),
+    Proved("full", "exists-avoiding", 9, 2, 0, 1470, targets=_K4E_K3),
+    # g(3, n), the least monochromatic count of a Gallai 3-coloring: the
+    # upper end of g_multiplicity_bounds(3, n)
+    Proved("full", "min-mono", 11, 3, 1, 3493, gallai=True),
+    Proved("full", "min-mono", 12, 3, 2, 19403, gallai=True),
+    Proved("full", "min-mono", 13, 3, 3, 70862, gallai=True),
+    Proved("full", "min-mono", 13, 3, 3, 70862, gallai=True, jobs=2),
+    Proved("full", "min-mono", 14, 3, 4, 194478, gallai=True),
+    Proved("full", "min-mono", 15, 3, 5, 498709, gallai=True),
+    Proved("ci", "min-mono", 16, 3, 8, 4816046, gallai=True),
+    Proved("record", "min-mono", 17, 3, 11, 46758136, gallai=True),
+    # f(n, k), the most edges in no rainbow and no monochromatic triangle:
+    # the count of construct_f_lower(n, k); the budget-stopped run at
+    # n = 60 shows the engine has no depth limit
+    Proved("full", "max-protected", 60, 2, 71, 5001, exhaustive=False, budget=5000),
+    Proved("full", "max-protected", 9, 2, 20, 21668),
+    Proved("full", "max-protected", 10, 2, 25, 117267),
+    Proved("ci", "max-protected", 11, 2, 30, 1016879),
+    Proved("full", "max-protected", 10, 3, 45, 2871),
+    Proved("full", "max-protected", 11, 3, 52, 8030),
+    Proved("full", "max-protected", 12, 3, 60, 53803),
+    Proved("full", "max-protected", 13, 3, 69, 368551),
+    Proved("ci", "max-protected", 14, 3, 79, 2424216),
+    Proved("record", "max-protected", 15, 3, 90, 16801618),
+)
+
+
+def _label(row):
+    args = [str(row.n), str(row.k)]
+    args += ["/".join(row.targets)] if row.targets else []
+    args += ["gallai"] if row.gallai else []
+    args += [f"budget={row.budget}"] if row.budget != search.DEFAULT_BUDGET else []
+    args += [f"jobs={row.jobs}"] if row.jobs != 1 else []
+    return f"{row.objective}({','.join(args)})"
+
+
+def _run(row):
+    """The search row records, as `gallai search` runs it."""
+    kwargs = dict(budget=row.budget, jobs=row.jobs)
+    if row.objective == "min-mono":
+        return search.min_mono_triangles(row.n, row.k, row.gallai, **kwargs)
+    if row.objective == "exists-avoiding":
+        return search.exists_avoiding(row.n, row.k, row.targets, row.gallai, **kwargs)
+    return search.max_protected_edges(row.n, row.k, **kwargs)
+
+
+def _witness_value(row, witness):
+    """The value witness attains for row's objective, found without the
+    search: the triangle census (and no rainbow triangle under gallai),
+    the target hunts, or the protected-edge count."""
+    if row.objective == "max-protected":
+        return census.count_protected_edges(witness)
+    if row.objective == "exists-avoiding" and witness is None:
+        return 0
+    _require(not row.gallai or census.is_gallai(witness), f"{_label(row)}: rainbow witness")
+    if row.objective == "min-mono":
+        return census.triangle_census(witness).mono_total
+    for color, target in enumerate(row.targets, 1):
+        found = census.find_mono_subgraph(witness, color, target).present
+        _require(not found, f"{_label(row)}: witness has a {target} in color {color}")
+    return 1
+
+
+def _expected(row):
+    """The value the library's formulas or constructions give for row's
+    instance, or None for a run its budget stopped, whose value bounds
+    the optimum from one side only."""
+    if not row.exhaustive:
+        return None
+    n, k = row.n, row.k
+    if row.objective == "min-mono":
+        _require(k == 2 or row.gallai, f"{_label(row)}: no formula")
+        return formulas.goodman_m2(n) if k == 2 else formulas.g_multiplicity_bounds(k, n)[0]
+    if row.objective == "exists-avoiding":
+        # every 2-coloring is a Gallai coloring
+        _require(k <= 2 or row.gallai, f"{_label(row)}: no formula")
+        threshold = formulas.gr_mixed_k4e(k, row.targets.count(search.TARGET_K4E))
+        return int(n < threshold)
+    return census.count_protected_edges(construct.construct_f_lower(n, k))
+
+
+def _prove(row):
+    """Rerun row's search and require its recorded outcome, re-check the
+    witness and cross-check the value; returns what was proved.
+
+    The node count is required of a serial run only: a run with jobs > 1
+    replays its prefixes uncounted, and past search._PROBE nodes its
+    helpers make the count vary from run to run."""
+    label = _label(row)
+    out = _run(row)
+    got, want = (out.value, out.exhaustive), (row.value, row.exhaustive)
+    _require(got == want, f"{label}: got {got}, want {want}")
+    if row.jobs == 1:
+        nodes = out.nodes_explored
+        _require(nodes == row.nodes, f"{label}: {nodes} nodes, want {row.nodes}")
+    _require(_witness_value(row, out.witness) == row.value, f"{label}: witness misses {row.value}")
+    formula = _expected(row)
+    _require(formula in (None, row.value), f"{label}: {row.value}, the library gives {formula}")
+    stop = "" if row.exhaustive else f" (budget out after {row.nodes} nodes)"
+    return f"{label} = {row.value}{stop}"
+
+
+def _prove_rows(claim, select):
+    """Prove the rows of PROVED that select picks; the summary is claim
+    and what was proved."""
+    return f"{claim}: " + "; ".join(_prove(row) for row in PROVED if select(row))
+
+
+# ---------------------------------------------------------------------------
 # fast checks
 
 
 def check_goodman_oracle_small():
-    for n, want in [(3, 0), (4, 0), (5, 0), (6, 2)]:
-        out = search.min_mono_triangles(n, 2)
-        _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
-        _require(out.value == formulas.goodman_m2(n))
-        _require(census.triangle_census(out.witness).mono_total == out.value)
-    return "min mono over 2-colorings equals goodman_m2 for n=3..6: [0, 0, 0, 2]"
+    return _prove_rows(
+        "min mono over 2-colorings equals goodman_m2", lambda row: row.level == "fast"
+    )
 
 
 def check_pentagon_gadget():
@@ -135,37 +294,31 @@ def check_gec_roundtrip():
 
 
 def check_goodman_oracle_n7():
-    out = search.min_mono_triangles(7, 2)
-    _require(out.exhaustive and out.value == 4 == formulas.goodman_m2(7), out.value)
-    _require(census.triangle_census(out.witness).mono_total == 4)
-    return "min mono over 2-colorings of K7 is 4 = goodman_m2(7), exhaustively"
+    return _prove_rows(
+        "min mono over 2-colorings equals goodman_m2",
+        lambda row: row.level == "full" and row.objective == "min-mono" and row.k == 2,
+    )
 
 
 def check_ramsey_brackets():
-    out = search.exists_avoiding(5, 2, ["K3", "K3"])
-    _require(out.value == 1 and census.triangle_census(out.witness).mono_total == 0)
-    out = search.exists_avoiding(6, 2, ["K3", "K3"])
-    _require(out.value == 0 and out.exhaustive)
-    out = search.exists_avoiding(8, 2, ["K4+e", "K3"])
-    _require(out.value == 1)
-    w = out.witness
-    _require(not census.find_mono_subgraph(w, 1, "K4+e").present)
-    _require(not census.find_mono_subgraph(w, 2, "K3").present)
-    out = search.exists_avoiding(9, 2, ["K4+e", "K3"])
-    _require(out.value == 0 and out.exhaustive)
-    return "avoidance flips at n=6 for (K3,K3) and at n=9 for (K4+e,K3)"
+    return _prove_rows(
+        "avoidance flips at the Gallai-Ramsey thresholds",
+        lambda row: row.level == "full" and row.objective == "exists-avoiding",
+    )
 
 
 def check_gallai_min_mono_frontier():
-    # the exhaustive search settles g(3, n) at the upper end of the
-    # bracket, so the multiplicity construction is optimal there
-    for n, want in [(13, 3), (14, 4), (15, 5)]:
-        out = search.min_mono_triangles(n, 3, True)
-        _require(out.exhaustive and out.value == want, f"n={n}: got {out.value}, want {want}")
-        _require(formulas.g_multiplicity_bounds(3, n)[0] == want, n)
-        cen = census.triangle_census(out.witness)
-        _require(cen.mono_total == want and cen.rainbow == 0, (n, cen))
-    return "g(3,n) proved exactly by search for n=13, 14, 15: [3, 4, 5]"
+    return _prove_rows(
+        "g(3,n) equals the multiplicity upper bound",
+        lambda row: row.level == "full" and row.objective == "min-mono" and row.gallai,
+    )
+
+
+def check_max_protected_frontier():
+    return _prove_rows(
+        "f(n,k) equals the protected count of construct_f_lower",
+        lambda row: row.level == "full" and row.objective == "max-protected",
+    )
 
 
 def check_gr_k3_witnesses():
@@ -394,6 +547,7 @@ FULL_CHECKS = FAST_CHECKS + [
     ("gr-k4e-witnesses", check_gr_k4e_witnesses),
     ("multiplicity-exactness", check_multiplicity_exactness),
     ("f-lower-turan", check_f_lower_turan),
+    ("max-protected-frontier", check_max_protected_frontier),
     ("partition-refinement-small", check_partition_refinement_small),
     ("partition-soundness", check_partition_soundness),
     ("grstar-exactness", check_grstar_exactness),

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gallai import verify
 
 
@@ -47,3 +49,49 @@ def test_suite_still_fails_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "formula-values" in proc.stdout.strip().split(",")
+
+
+@pytest.mark.parametrize("row", verify.PROVED, ids=verify._label)
+def test_proved_row_meets_its_cross_check(row):
+    # no search: the recorded value against the library's formula or
+    # construction, for the rows no test runs as well
+    assert row.level in ("fast", "full", "ci", "record")
+    want = verify._expected(row)
+    assert want == row.value if row.exhaustive else want is None
+
+
+PROVING_CHECKS = {
+    "goodman-oracle-small",
+    "goodman-oracle-n7",
+    "ramsey-brackets",
+    "gallai-min-mono-frontier",
+    "max-protected-frontier",
+}
+
+
+def test_checks_prove_every_suite_row_once(monkeypatch):
+    proved = []
+
+    def record(row):
+        proved.append(row)
+        return verify._label(row)
+
+    monkeypatch.setattr(verify, "_prove", record)
+    for name, fn in verify.FULL_CHECKS:
+        if name in PROVING_CHECKS:
+            fn()
+    suite_rows = [row for row in verify.PROVED if row.level in ("fast", "full")]
+    assert sorted(proved) == sorted(suite_rows)
+    proved.clear()
+    for name, fn in verify.FAST_CHECKS:
+        if name in PROVING_CHECKS:
+            fn()
+    assert proved == [row for row in verify.PROVED if row.level == "fast"]
+
+
+def test_prove_rejects_an_edited_row():
+    row = next(row for row in verify.PROVED if row.level == "fast" and row.value)
+    verify._prove(row)
+    for edit in ({"value": row.value + 1}, {"nodes": row.nodes + 1}):
+        with pytest.raises(AssertionError):
+            verify._prove(row._replace(**edit))
