@@ -26,7 +26,24 @@ DFS to colorings satisfying them loses no orbit:
     swaps (i, v) still tied when column v ends join the second kind.
     This is orderly generation (Read 1978; McKay, J. Algorithms 26,
     1998) restricted to transpositions.  At a = 1 and i = v - 1 it is
-    the order of vertex 1's star, which the rule generalizes.
+    the order of vertex 1's star, which the rule generalizes;
+  * when every color is interchangeable, the image of a swap is
+    compared after renaming its colors into first-appearance order,
+    its least relabeling, so no transposition followed by a relabeling
+    gives a smaller coloring either.  The renaming fixes every color of
+    K_{i-1}, which the swap (i, j) leaves in place, and sends a color
+    new to the image to the least unused one, which ties the coloring
+    or exceeds it there.  So a swap departs from the identity map only
+    where the tie masks above hold it up to the first edge of a color
+    d below k and the image brings a larger color c there: it then
+    ties under the map c -> d, and the engine follows it position by
+    position (`_relabel_work`, and `relabeled` in `_search`) until the
+    image is larger or smaller.  Such a swap needs K_{i-1} and every
+    edge it leaves in place to keep colors the map fixes, so it lives
+    only near the first edges of a column.  With several classes
+    (exists with mixed targets) a color new to one class can rename
+    below another class's color, which the masks do not bound, and the
+    image is compared as it is.
 
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
@@ -36,8 +53,8 @@ per-color neighbor bitsets, in which column order leaves the
 monochromatic and rainbow triangles an edge closes a few bitset
 operations away (see `_search`).  Every other piece of search state,
 the engine's and the objective's alike, is kept per depth and written
-forward, so backtracking reverts the bitsets alone.  Every objective
-minimizes a cost:
+forward, so backtracking reverts the bitsets and the masks of the
+first edge of each color alone.  Every objective minimizes a cost:
 the monochromatic-triangle count, minus the protected-edge count, or 0
 for an avoiding coloring.  A leaf is kept when its cost is below a
 cut, which starts one above a start value and then follows the best
@@ -91,12 +108,18 @@ the least cost and the index, in DFS order, of the earliest prefix
 that reached it.  A subtree prunes ties with a cost an earlier prefix
 found and keeps ties with a later prefix's, and the results are
 combined in prefix order, so unless the budget runs out the value, the
-witness and `exhaustive` are those of the serial run.  A subtree stops
-once an earlier prefix holds a leaf of the least cost, so for
-exists_avoiding the first witness in prefix order decides the run.  A
-run that ends inside the allowance starts no process and repeats
-exactly, node count included; node counts of longer runs vary from run
-to run.
+witness and `exhaustive` are those of the serial run.  A subtree stops,
+or is not started, once an earlier prefix holds a leaf of the least
+cost, so for exists_avoiding the first witness in prefix order decides
+the run.  The split's head searches and the replay of a prefix
+rename no colors, which costs most on the first edges they are made
+of, so a parallel run searches the prefixes renaming would reject, and
+a subtree starts with no swap tied under a map: it keeps a few
+colorings the serial run drops.  Each of them has an image smaller in
+column order, so the least optimal coloring, the serial run's witness,
+still comes first.  A run that ends inside the allowance starts no
+process and repeats exactly, node count included; node counts of
+longer runs vary from run to run.
 """
 
 from __future__ import annotations
@@ -183,6 +206,67 @@ def _edge_plan(n: int) -> _Plan:
 # ---------------------------------------------------------------------------
 # the engine
 
+# no swap tied under a color map: a wake no edge reaches
+_IDLE = (inf, ())
+
+
+def _relabel_work(t, ma, mb, lv, us, vs, col):
+    """What _search's relabeled decides at edge t = (u, v), and live[t]
+    less it.
+
+    The swaps (i, v) of ma and (i, u) of mb are tied by the masks up to
+    edge {u, i}, respectively (i, v), the first of its color d: a color
+    c above d there ties each under a map other than the identity,
+    c -> d.  Each becomes (i, j, depth, None, -d, t), compared on from
+    that depth, at edge t if the edges up to t decide it and else once
+    the comparison's edge is colored.  The work is those compared at t
+    and the swaps of lv that edge t wakes, less those tied up to a
+    first edge that a color no larger than d met; the rest stays."""
+    work = []
+    wake, states = lv
+    if wake <= t:
+        rest = []
+        wake = inf
+        for st in states:
+            if st[0] > t:
+                rest.append(st)
+                wake = min(wake, st[0])
+            elif st[5] > 0 or col[st[6]] > -st[5]:
+                work.append(st[1:])
+        states = rest
+    u = us[t]
+    v = vs[t]
+    while ma or mb:
+        if ma:
+            low = ma & -ma
+            ma ^= low
+            i = low.bit_length() - 1
+            j = v
+            a, b = (i, u) if i < u else (u, i)
+        else:
+            low = mb & -mb
+            mb ^= low
+            i = low.bit_length() - 1
+            j = u
+            a, b = i, v
+        p = (b - 1) * (b - 2) // 2 + a - 1
+        d = col[p]
+        p += 1
+        a = us[p]
+        b = vs[p]
+        if p < t and col[p] == d and i != a != j and i != b != j:
+            continue  # an edge the swap leaves in place, colored d: larger
+        a = j if a == i else i if a == j else a
+        b = j if b == i else i if b == j else b
+        s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
+        if p <= t and s <= t:
+            work.append((i, j, p, None, -d, t))
+        else:
+            s = max(p, s)
+            states = [*states, (s, i, j, p, None, -d, t)]
+            wake = min(wake, s)
+    return work, ((wake, states) if states else _IDLE)
+
 
 def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     """Depth-first search over the canonical colorings of plan's edges
@@ -192,8 +276,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     coloring state and the only one the hooks read: rows[x][y] has bit
     w set when edge {y, w} has color x, for the edges before the
     current depth.  The engine adds edge t to rows after apply accepts
-    it and removes it when it backtracks past t, the only state a
-    backtrack reverts.  When apply(t, c, cut) runs for t = (u, v),
+    it and removes it when it backtracks past t, the only state of
+    theirs a backtrack reverts.  When apply(t, c, cut) runs for t = (u, v),
     column order has colored all of K_{v-1} and the edges (w, v) with
     w < u, so rows[x][u] holds u's x-neighbors below v and rows[x][v]
     only those below u.  The triangles edge t closes are those with an
@@ -228,16 +312,19 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     last), which the first edge to take c opens.  The colors an edge
     may take start at the largest color a tied vertex swap (module
     docstring) puts below it, so every leaf is no larger in column
-    order than its image under any transposition.
+    order than its image under any transposition.  With one class,
+    relabeled then refuses a color under which a swap tied under a
+    color map other than the identity gives a smaller image, so every
+    leaf is also no larger than that image with its colors renamed.
 
     Returns (the kept leaf's cost or None, its colors, nodes,
     exhaustive)."""
     us, vs, idxs, backs, firsts = plan.u, plan.v, plan.idx, plan.back, plan.first
     m = len(idxs)
-    col = [0] * comb(plan.n, 2)
+    col = [0] * m  # the colors by depth
     # the tied swaps, bit i for vertex i: tie[t] the swaps (i, v) before
     # edge t = (u, v), tie[~t] the swaps (i, u) once edge t is colored
-    tie = [0] * (2 * len(col) + 2)
+    tie = [0] * (2 * m + 2)
     # rows[c][x]: bit y set when edge {x, y} has color c
     rows = [[0] * (plan.n + 1) for _ in range(k + 1)]
     top = range(k, 1, -1)
@@ -251,11 +338,88 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
         last[class_of[c]] = c
     opened = [None] * (m + 1)
     opened[0] = [c for c in range(1, k + 1) if c not in after]  # each class's first
+    # relabeling, with one class, on a whole plan and past a replayed
+    # prefix: the head of a split and the replay of its prefixes keep the
+    # vertex rule only, since relabeling costs most on the first edges
+    # they are made of.  A swap the tie masks hold up to the first edge
+    # of a color d below k ties under a map other than the identity when
+    # a larger color meets that edge: fa[x] has bit y set for such an
+    # edge {x, y} (the edges the swaps (y, v) compare at (x, v)), fb[x]
+    # for such an edge (y, x) (the edges the swaps (y, u) compare at
+    # (u, x)); firsts_at lists those edges by depth.  Once the next edge
+    # is colored d and left in place by the swap, the map sends d above
+    # itself there, so that edge's bits leave fa; voided keeps them.
+    # live[t] is (the least wake, the swaps tied under a map other than
+    # the identity) before edge t
+    relabel = len(set(class_of[1:])) <= 1 and m == comb(plan.n, 2)
+    fa = [0] * (plan.n + 1)
+    fb = [0] * (plan.n + 1)
+    firsts_at = [-1]
+    ftop = -1  # the last of firsts_at
+    fnext = -1  # the depth after it, once there is one
+    voided = []
+    live = [_IDLE] * (m + 1)
+    # pend[t]: None, or where relabeled decides edge t, its work and the
+    # rest of live[t] (from _relabel_work)
+    pend = [None] * (m + 1)
     prefix = () if task is None else task.prefix
     base = len(prefix)
 
+    def relabeled(t, c):
+        # whether coloring edge t with c leaves every swap's image, its
+        # colors renamed, no smaller than the coloring; sets live[t + 1]
+        work, (wake, rest) = pend[t]
+        col[t] = c
+        kept = rest
+        for i, j, p, pi, mapped, at in work:
+            if mapped < 0:
+                # tied by the masks up to the first edge of color d = -mapped,
+                # which the color of edge at meets under a map other than
+                # the identity if it is larger
+                y = col[at]
+                if y <= -mapped:
+                    continue
+                mapped = -mapped
+                pi = [*range(mapped)] + [0] * (k + 1 - mapped)  # unset from d on
+                pi[y] = mapped
+            # compare the image under (i, j) and pi with the coloring from
+            # depth p on, as far as the edges up to t decide it
+            while p <= t:
+                a = us[p]
+                b = vs[p]
+                a = j if a == i else i if a == j else a
+                b = j if b == i else i if b == j else b
+                s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
+                if s > t:
+                    break
+                y = col[s]
+                z = pi[y]
+                if not z:
+                    mapped += 1
+                    z = mapped
+                    pi = pi[:]
+                    pi[y] = z
+                x = col[p]
+                if z != x:
+                    if z < x:
+                        return False
+                    break
+                p += 1
+            else:
+                s = p
+            if s <= t:
+                continue  # the image is larger
+            if kept is rest:
+                kept = [*rest]
+            kept.append((s, i, j, p, pi, mapped, t))
+            if s < wake:
+                wake = s
+        live[t + 1] = (wake, kept) if kept else _IDLE
+        return True
+
     cut = start + 1
     best_col = None
+    order = None
     # the replayed prefix edges count from -base, so a subtree counts its
     # own nodes from 1; a serial run stops at its first node over budget
     nodes = -base
@@ -271,6 +435,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     while t >= 0:
         for c in its[t]:
             if not apply(t, c, cut):
+                continue
+            if pend[t] is not None and not relabeled(t, c):
                 continue
             nodes += 1
             if nodes > limit:
@@ -290,12 +456,33 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     t = -1
                     break
                 limit += grant
-            col[idxs[t]] = c
+            col[t] = c
             op = opened[t]
             nxt = after[c]
-            opened[t + 1] = sorted([*op, nxt]) if nxt and nxt not in op else op
             u = us[t]
             v = vs[t]
+            if t == fnext:
+                a = us[t - 1]
+                b = vs[t - 1]
+                voided.append((a, fa[a], b, fa[b]))
+                # an edge that opens column v moves with the swaps (i, v) of
+                # that column, which compare at (a, v) only after it if a > 1
+                if c == col[t - 1] and (u > 1 or a == 1):
+                    if b != u and b != v:
+                        fa[a] &= ~(1 << b)
+                    if a != u and a != v:
+                        fa[b] &= ~(1 << a)
+            if nxt and nxt not in op:
+                opened[t + 1] = sorted([*op, nxt])
+                if relabel:  # c is new
+                    fa[u] |= 1 << v
+                    fa[v] |= 1 << u
+                    fb[v] |= 1 << u
+                    firsts_at.append(t)
+                    ftop = t
+                    fnext = t + 1
+            else:
+                opened[t + 1] = op
             row = rows[c]
             tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
             tie[~t] = tie[backs[t]] & row[v]
@@ -319,6 +506,16 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 out = op[op.index(lo) :]
                 if t < base:
                     out = (prefix[t],) if prefix[t] in out else ()
+                if relabel and t >= base:
+                    lv = live[t]
+                    ma = a & fa[u]
+                    mb = b & fb[v]
+                    pend[t] = None
+                    if ma or mb or lv[0] <= t:
+                        work, lv = _relabel_work(t, ma, mb, lv, us, vs, col)
+                        if work:
+                            pend[t] = (work, lv)
+                    live[t + 1] = lv
                 its[t] = iter(out)
             break
         else:
@@ -326,7 +523,9 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 cost = leaf()
                 if cost < cut:
                     cut = cost
-                    best_col = tuple(col)
+                    if order is None:
+                        order = sorted(range(m), key=idxs.__getitem__)  # pair order
+                    best_col = tuple(map(col.__getitem__, order))
                     if cut <= floor:
                         break
             t -= 1
@@ -334,9 +533,18 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 break  # back at the prefix, or the prefix itself failed
             u = us[t]
             v = vs[t]
-            row = rows[col[idxs[t]]]
+            row = rows[col[t]]
             row[u] ^= 1 << v
             row[v] ^= 1 << u
+            if t == ftop:
+                firsts_at.pop()
+                ftop = firsts_at[-1]
+                fnext = ftop + 1 if ftop >= 0 else -1
+                fa[u] ^= 1 << v
+                fa[v] ^= 1 << u
+                fb[v] ^= 1 << u
+            if t == fnext:
+                a, fa[a], b, fa[b] = voided.pop()
     nodes = max(nodes, 0)  # below 0 only when the prefix itself failed
     found = cut if best_col is not None else None
     if task is not None:
@@ -386,11 +594,20 @@ class _SplitPairs(dict):
         for _ in range(self.k):
             rest, d = divmod(rest, n)
             degrees.append(d)
-        # water-fill: each free edge raises the smallest degree, which
-        # minimizes the sum of squares and so maximizes the split pairs
-        for _ in range(n - 1 - sum(degrees)):
-            degrees[degrees.index(min(degrees))] += 1
-        value = ((n - 1) ** 2 - sum(d * d for d in degrees)) // 2
+        # water-fill: the free edges raise the smallest degrees to a common
+        # level, which minimizes the sum of squares and so maximizes the
+        # split pairs.  The j smallest take the water when lifting them all
+        # to the j-th smallest costs no more than the free edges; the
+        # largest such j holds it, j - r of them at the level q and r at
+        # q + 1
+        degrees.sort()
+        pool = n - 1
+        j = self.k
+        while j * degrees[j - 1] > pool - sum(degrees[j:]):
+            j -= 1
+        q, r = divmod(pool - sum(degrees[j:]), j)
+        squares = sum(d * d for d in degrees[j:]) + (j - r) * q * q + r * (q + 1) ** 2
+        value = ((n - 1) ** 2 - squares) // 2
         self[code] = value
         return value
 
@@ -693,7 +910,9 @@ def _split_prefixes(plan, k, jobs, class_of):
     """The canonical prefixes of the first depth short of a complete
     coloring that has at least 4 x jobs of them, in DFS order, or [()],
     the whole space, if none has.  Such a space is small, and a complete
-    coloring as a prefix would leave its subtree no node to count."""
+    coloring as a prefix would leave its subtree no node to count.  The
+    head searches keep colors in order and no vertex swap smaller but
+    rename no colors (see the module docstring)."""
     prefixes = [()]
     depth = 0
     while len(prefixes) < 4 * jobs:
@@ -781,15 +1000,23 @@ class _Subtree:
 def _claims(args, prefixes, shared, helpers=None):
     """Claim prefixes from the shared counter, in DFS order, and search
     each one's subtree until none is left unclaimed; yields (index,
-    engine result).  The parent and every helper run this loop."""
+    engine result).  The parent and every helper run this loop.  Once
+    an earlier prefix holds a leaf at the floor, a subtree would stop at
+    its first node after replaying its prefix, so it is not searched and
+    yields what that search returns."""
     lock, cells = shared.get_lock(), shared.get_obj()
+    floor = args[5]
     while True:
         with lock:
             index = cells[3]
             cells[3] = index + 1
+            settled = cells[1] <= floor and cells[2] < index
         if index >= len(prefixes):
             return
-        yield index, _search(*args, task=_Subtree(shared, index, prefixes[index], helpers))
+        if settled:
+            yield index, (None, None, 0, True)
+        else:
+            yield index, _search(*args, task=_Subtree(shared, index, prefixes[index], helpers))
 
 
 class _Helpers:

@@ -108,32 +108,33 @@ PROVED = (
     Proved("full", "min-mono", 7, 2, 4, 55),
     # avoidance flips at the thresholds gr_k3(2) = 6 and gr_mixed_k4e(2, 1) = 9
     Proved("full", "exists-avoiding", 5, 2, 1, 20, targets=_K3),
-    Proved("full", "exists-avoiding", 6, 2, 0, 33, targets=_K3),
+    Proved("full", "exists-avoiding", 6, 2, 0, 26, targets=_K3),
     Proved("full", "exists-avoiding", 8, 2, 1, 28, targets=_K4E_K3),
     Proved("full", "exists-avoiding", 9, 2, 0, 1470, targets=_K4E_K3),
     # g(3, n), the least monochromatic count of a Gallai 3-coloring: the
     # upper end of g_multiplicity_bounds(3, n)
-    Proved("full", "min-mono", 11, 3, 1, 3493, gallai=True),
-    Proved("full", "min-mono", 12, 3, 2, 19403, gallai=True),
-    Proved("full", "min-mono", 13, 3, 3, 70862, gallai=True),
-    Proved("full", "min-mono", 13, 3, 3, 70862, gallai=True, jobs=2),
-    Proved("full", "min-mono", 14, 3, 4, 194478, gallai=True),
-    Proved("full", "min-mono", 15, 3, 5, 498709, gallai=True),
-    Proved("ci", "min-mono", 16, 3, 8, 4816046, gallai=True),
-    Proved("record", "min-mono", 17, 3, 11, 46758136, gallai=True),
+    Proved("full", "min-mono", 11, 3, 1, 1878, gallai=True),
+    Proved("full", "min-mono", 12, 3, 2, 9380, gallai=True),
+    Proved("full", "min-mono", 13, 3, 3, 32525, gallai=True),
+    Proved("full", "min-mono", 13, 3, 3, 32525, gallai=True, jobs=2),
+    Proved("full", "min-mono", 14, 3, 4, 90109, gallai=True),
+    Proved("full", "min-mono", 15, 3, 5, 236160, gallai=True),
+    Proved("ci", "min-mono", 16, 3, 8, 1646597, gallai=True),
+    Proved("record", "min-mono", 17, 3, 11, 16657748, gallai=True),
+    Proved("record", "min-mono", 18, 3, 14, 139035634, gallai=True),
     # f(n, k), the most edges in no rainbow and no monochromatic triangle:
     # the count of construct_f_lower(n, k); the budget-stopped run at
     # n = 60 shows the engine has no depth limit
     Proved("full", "max-protected", 60, 2, 71, 5001, exhaustive=False, budget=5000),
-    Proved("full", "max-protected", 9, 2, 20, 21668),
-    Proved("full", "max-protected", 10, 2, 25, 117267),
-    Proved("ci", "max-protected", 11, 2, 30, 1016879),
-    Proved("full", "max-protected", 10, 3, 45, 2871),
-    Proved("full", "max-protected", 11, 3, 52, 8030),
-    Proved("full", "max-protected", 12, 3, 60, 53803),
-    Proved("full", "max-protected", 13, 3, 69, 368551),
-    Proved("ci", "max-protected", 14, 3, 79, 2424216),
-    Proved("record", "max-protected", 15, 3, 90, 16801618),
+    Proved("full", "max-protected", 9, 2, 20, 16772),
+    Proved("full", "max-protected", 10, 2, 25, 94521),
+    Proved("ci", "max-protected", 11, 2, 30, 863495),
+    Proved("full", "max-protected", 10, 3, 45, 2674),
+    Proved("full", "max-protected", 11, 3, 52, 6171),
+    Proved("full", "max-protected", 12, 3, 60, 26270),
+    Proved("full", "max-protected", 13, 3, 69, 159554),
+    Proved("ci", "max-protected", 14, 3, 79, 1020678),
+    Proved("ci", "max-protected", 15, 3, 90, 7266276),
 )
 
 

@@ -19,7 +19,7 @@ from gallai import (
     min_mono_triangles,
     triangle_census,
 )
-from gallai import search
+from gallai import search, verify
 from gallai.search import (
     DEFAULT_BUDGET,
     TARGET_K3,
@@ -41,9 +41,11 @@ MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
 # the pair search behind find_gr_star_pair_witness
 SEARCH_GRID = Path(__file__).parent / "data" / "search_grid.json"
 # the engine's exact serial node counts on the same calls, in the same
-# order, recorded once every vertex transposition was decided edge by
-# edge; a call the budget cuts short also has its best-so-far value and
-# witness there, which a stronger reduction may change
+# order, recorded once every vertex transposition and its color renaming
+# was decided edge by edge; a call the budget cuts short also has its
+# best-so-far value and witness there, which a stronger reduction may
+# change.  A call that is a row of verify.PROVED has no count here: the
+# row holds it
 SEARCH_NODES = Path(__file__).parent / "data" / "search_nodes.json"
 
 
@@ -310,7 +312,7 @@ def test_long_runs_start_helpers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     leases = []
     starts = _count_pools(monkeypatch, leases=leases)
-    for f, args in [(min_mono_triangles, (13, 3, True)), (max_protected_edges, (10, 2))]:
+    for f, args in [(min_mono_triangles, (14, 3, True)), (max_protected_edges, (10, 2))]:
         serial = f(*args)
         assert serial.nodes_explored > search._PROBE
         out = f(*args, jobs=2)
@@ -327,12 +329,13 @@ def test_long_runs_start_helpers(monkeypatch):
 
 
 def test_parent_witness_stops_helpers(monkeypatch):
-    # the first witness lies in prefix 1, 19,539 nodes into the serial
-    # run; prefix 0 holds 1,986 nodes and no witness.  The parent claims
-    # both, and with the allowance lowered to 8,192 nodes a helper starts
-    # while the parent is in prefix 1.  It searches later prefixes, whose
-    # subtrees hold more than the budget (prefix 4 alone 1.34 M nodes),
-    # until the parent publishes its witness
+    # the first witness lies in prefix 2, 19,539 nodes into the serial
+    # run; prefix 0 fails at replay and prefix 1 holds 1,985 nodes and no
+    # witness.  The parent claims all three, and with the allowance
+    # lowered to 8,192 nodes a helper starts while the parent is in
+    # prefix 2.  It searches later prefixes, whose subtrees hold more than
+    # the budget (prefix 5 alone 5.68 M nodes), until the parent
+    # publishes its witness
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_PROBE", 2**13)
     starts = _count_pools(monkeypatch)
@@ -420,11 +423,11 @@ def _assert_jobs_share_one_budget():
     # more workers than this test is likely to have cores, so a lost
     # update to the shared counter would overspend it
     for jobs in (2, 3, 4):
-        out = max_protected_edges(10, 2, budget=100_000, jobs=jobs)
-        assert out.nodes_explored <= 100_001
+        out = max_protected_edges(10, 2, budget=50_000, jobs=jobs)
+        assert out.nodes_explored <= 50_001
         assert not out.exhaustive
-        out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=2_000, jobs=jobs)
-        assert out.nodes_explored <= 2_001
+        out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=500, jobs=jobs)
+        assert out.nodes_explored <= 501
         assert not out.exhaustive and out.value is None
 
 
@@ -465,6 +468,8 @@ def test_search_matches_previous_kernels():
     cases = json.loads(SEARCH_GRID.read_text())
     pinned = json.loads(SEARCH_NODES.read_text())
     assert len(cases) == len(pinned) == 127
+    proved = {_proved_key(row): row.nodes for row in verify.PROVED if _serial(row)}
+    assert sum("nodes" not in pin for pin in pinned) == 10
     for case, pin in zip(cases, pinned):
         assert [pin[key] for key in ("search", "args", "budget")] == [
             case[key] for key in ("search", "args", "budget")
@@ -485,9 +490,27 @@ def test_search_matches_previous_kernels():
             # best so far: pinned, and no worse than the previous kernels'
             assert got == (pin["value"], False, pin["witness"]), pin
             assert _no_worse(case["search"], out.value, case["value"]), case
-        # a symmetry reduction only removes nodes
+        # a symmetry reduction only removes nodes; each count has one home
         assert out.nodes_explored <= case["nodes"], case
-        assert out.nodes_explored == pin["nodes"], pin
+        key = _call_key(case["search"], args) if case["budget"] is None else None
+        assert ("nodes" in pin) == (key not in proved), pin
+        assert out.nodes_explored == pin.get("nodes", proved.get(key)), pin
+
+
+def _serial(row):
+    return row.jobs == 1 and row.budget == DEFAULT_BUDGET
+
+
+def _proved_key(row):
+    name = {"min-mono": "min_mono_triangles", "exists-avoiding": "exists_avoiding"}
+    return (name.get(row.objective, "max_protected_edges"), row.n, row.k, row.gallai, row.targets)
+
+
+def _call_key(name, args):
+    # the key of _proved_key for a call of search_grid.json
+    n, k, *rest = args
+    targets = tuple(rest.pop(0)) if name == "exists_avoiding" else ()
+    return (name, n, k, bool(rest and rest[0]), targets)
 
 
 def _no_worse(name, value, recorded):
