@@ -71,7 +71,7 @@ share only their first two edges, so comparing colors tuples does not
 find that witness.
 
 The minimum-monochromatic search adds two things, in serial runs and
-in every parallel subtree alike:
+in every parallel walk alike:
 
   * a seeded incumbent: the Goodman 2-coloring for k = 2, the
     multiplicity construction for k >= 3 at n >= gr_k3(k), its count
@@ -94,32 +94,28 @@ in every parallel subtree alike:
 A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.
 
-With jobs > 1 (at most the CPU count) the space is split at the first
-depth that has at least 4 x jobs canonical prefixes, found by the same
-engine run on the first edges only; a space where only the complete
-colorings are that many is searched serially.  The parent process
-claims the prefixes from a shared counter, one at a time in DFS order,
-and searches them itself; once it has leased more than _PROBE nodes it
-starts jobs - 1 helper processes, which claim from the same counter
-until every prefix is taken.  All subtrees share one budget, leased in
-small slices (a node the budget refuses is not counted, so a run
+With jobs > 1 (at most the CPU count) and n > 6 the parent process
+runs the engine over the whole space, as a serial run does, but each
+coloring of K_6 it reaches, the first _SPLIT edges, is the key of the
+subtree below it, and it searches that subtree only if it can claim the
+key: a key is claimed only if it comes after the last key claimed, in
+DFS order, and a refused key is skipped like a refused color.  Once the
+parent has leased more than _PROBE nodes it starts jobs - 1 helper
+processes, each of which walks the whole space the same way, so every
+walk repeats the head above the subtrees, a few percent of the nodes,
+and no subtree is searched twice.  All walks share one budget, leased
+in small slices (a node the budget refuses is not counted, so a run
 explores at most budget + 1 nodes for every jobs), and one incumbent:
-the least cost and the index, in DFS order, of the earliest prefix
-that reached it.  A subtree prunes ties with a cost an earlier prefix
-found and keeps ties with a later prefix's, and the results are
-combined in prefix order, so unless the budget runs out the value, the
-witness and `exhaustive` are those of the serial run.  A subtree stops,
-or is not started, once an earlier prefix holds a leaf of the least
-cost, so for exists_avoiding the first witness in prefix order decides
-the run.  The split's head searches and the replay of a prefix
-rename no colors, which costs most on the first edges they are made
-of, so a parallel run searches the prefixes renaming would reject, and
-a subtree starts with no swap tied under a map: it keeps a few
-colorings the serial run drops.  Each of them has an image smaller in
-column order, so the least optimal coloring, the serial run's witness,
-still comes first.  A run that ends inside the allowance starts no
-process and repeats exactly, node count included; node counts of
-longer runs vary from run to run.
+the least cost and the key of the earliest subtree that reached it.  A
+walk prunes ties with a cost an earlier key found and keeps ties with a
+later key's, and the least (cost, key) of the walks is the result, so
+unless the budget runs out the value, the witness and `exhaustive` are
+those of the serial run.  A walk stops once an earlier key holds a leaf
+of the least cost, so for exists_avoiding the first witness in DFS
+order decides the run.  A run that ends inside the allowance starts no
+process and is the serial walk, node count included; node counts of
+longer runs vary from run to run.  Runs with n <= 6, where K_6 leaves
+no subtree, are serial.
 """
 
 from __future__ import annotations
@@ -301,9 +297,11 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     (so leaves that tie start are kept) and then drops to each kept
     leaf's cost.  No cost is below floor, so a kept leaf at floor ends
     the run.  A serial run (task None) stops at its first node over
-    budget, which it counts; a parallel subtree replays task.prefix,
-    leases its nodes from the shared budget and trades incumbents
-    through the task.
+    budget, which it counts.  A worker of a parallel run goes through
+    its task: it claims the subtree below each coloring of the first
+    _SPLIT edges it reaches, and skips that coloring if the claim is
+    refused; it publishes each kept leaf, and it leases its nodes from
+    the shared budget in trades that bring the shared incumbent.
 
     Colors in one class of class_of (all colors when it is None) make
     their first appearances in increasing order: opened[t] lists the
@@ -338,20 +336,17 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
         last[class_of[c]] = c
     opened = [None] * (m + 1)
     opened[0] = [c for c in range(1, k + 1) if c not in after]  # each class's first
-    # relabeling, with one class, on a whole plan and past a replayed
-    # prefix: the head of a split and the replay of its prefixes keep the
-    # vertex rule only, since relabeling costs most on the first edges
-    # they are made of.  A swap the tie masks hold up to the first edge
-    # of a color d below k ties under a map other than the identity when
-    # a larger color meets that edge: fa[x] has bit y set for such an
-    # edge {x, y} (the edges the swaps (y, v) compare at (x, v)), fb[x]
-    # for such an edge (y, x) (the edges the swaps (y, u) compare at
-    # (u, x)); firsts_at lists those edges by depth.  Once the next edge
-    # is colored d and left in place by the swap, the map sends d above
-    # itself there, so that edge's bits leave fa; voided keeps them.
-    # live[t] is (the least wake, the swaps tied under a map other than
-    # the identity) before edge t
-    relabel = len(set(class_of[1:])) <= 1 and m == comb(plan.n, 2)
+    # relabeling, with one class.  A swap the tie masks hold up to the
+    # first edge of a color d below k ties under a map other than the
+    # identity when a larger color meets that edge: fa[x] has bit y set
+    # for such an edge {x, y} (the edges the swaps (y, v) compare at
+    # (x, v)), fb[x] for such an edge (y, x) (the edges the swaps (y, u)
+    # compare at (u, x)); firsts_at lists those edges by depth.  Once the
+    # next edge is colored d and left in place by the swap, the map sends
+    # d above itself there, so that edge's bits leave fa; voided keeps
+    # them.  live[t] is (the least wake, the swaps tied under a map other
+    # than the identity) before edge t
+    relabel = len(set(class_of[1:])) <= 1
     fa = [0] * (plan.n + 1)
     fb = [0] * (plan.n + 1)
     firsts_at = [-1]
@@ -362,8 +357,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     # pend[t]: None, or where relabeled decides edge t, its work and the
     # rest of live[t] (from _relabel_work)
     pend = [None] * (m + 1)
-    prefix = () if task is None else task.prefix
-    base = len(prefix)
+    # the depth at whose colorings a parallel worker claims subtrees
+    split = -1 if task is None else _SPLIT - 1
 
     def relabeled(t, c):
         # whether coloring edge t with c leaves every swap's image, its
@@ -420,17 +415,12 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     cut = start + 1
     best_col = None
     order = None
-    # the replayed prefix edges count from -base, so a subtree counts its
-    # own nodes from 1; a serial run stops at its first node over budget
-    nodes = -base
+    nodes = 0
     limit = budget if task is None else 0
     exhaustive = True
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if m:
-        out = opened[0]  # edge (1, 2) is free of ties
-        if base:
-            out = (prefix[0],) if prefix[0] in out else ()
-        its[0] = iter(out)
+        its[0] = iter(opened[0])  # edge (1, 2) is free of ties
     t = 0
     while t >= 0:
         for c in its[t]:
@@ -438,19 +428,21 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 continue
             if pend[t] is not None and not relabeled(t, c):
                 continue
+            if t == split and not task.claim((*col[:t], c)):
+                continue  # another worker's subtree, or one behind the claims
             nodes += 1
             if nodes > limit:
-                # a serial run is over budget; a parallel subtree trades
-                # incumbents and leases the next slice
+                # a serial run is over budget; a parallel worker leases the
+                # next slice and takes the shared incumbent
                 if task is None:
                     exhaustive = False
                     t = -1
                     break
-                grant, cut, own_best = task.trade(cut if best_col is not None else None, cut)
+                grant, cut, own_best = task.trade(cut)
                 if not own_best:
-                    best_col = None  # another prefix holds the best leaf
+                    best_col = None  # another subtree holds the best leaf
                 if not grant or cut <= floor:
-                    # refused, or no leaf here can beat an earlier prefix's
+                    # refused, or no leaf ahead can beat an earlier subtree's
                     nodes -= 1  # the node is not explored
                     exhaustive = cut <= floor
                     t = -1
@@ -490,9 +482,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
             row[v] |= 1 << u
             t += 1
             if t < m:
-                # the colors edge t may take, only prefix[t] among them while
-                # the prefix is replayed; the least is 1 or a color in use,
-                # so it is open
+                # the colors edge t may take; the least is 1 or a color in
+                # use, so it is open
                 a = tie[t] | firsts[t]
                 b = tie[backs[t]]
                 u = us[t]
@@ -503,10 +494,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                         lo = x
                         break
                 op = opened[t]
-                out = op[op.index(lo) :]
-                if t < base:
-                    out = (prefix[t],) if prefix[t] in out else ()
-                if relabel and t >= base:
+                if relabel:
                     lv = live[t]
                     ma = a & fa[u]
                     mb = b & fb[v]
@@ -516,7 +504,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                         if work:
                             pend[t] = (work, lv)
                     live[t + 1] = lv
-                its[t] = iter(out)
+                its[t] = iter(op[op.index(lo) :])
             break
         else:
             if t == m:
@@ -526,11 +514,13 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     if order is None:
                         order = sorted(range(m), key=idxs.__getitem__)  # pair order
                     best_col = tuple(map(col.__getitem__, order))
+                    if task is not None:
+                        task.publish(cut)
                     if cut <= floor:
                         break
             t -= 1
-            if t < base:
-                break  # back at the prefix, or the prefix itself failed
+            if t < 0:
+                break
             u = us[t]
             v = vs[t]
             row = rows[col[t]]
@@ -545,11 +535,9 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 fb[v] ^= 1 << u
             if t == fnext:
                 a, fa[a], b, fa[b] = voided.pop()
-    nodes = max(nodes, 0)  # below 0 only when the prefix itself failed
-    found = cut if best_col is not None else None
     if task is not None:
-        task.settle(nodes, found)
-    return found, best_col, nodes, exhaustive
+        task.settle(nodes)
+    return cut if best_col is not None else None, best_col, nodes, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -890,144 +878,118 @@ def _check_args(n, k, jobs, budget):
         raise ValueError(f"need budget >= 0, got {budget}")
 
 
-def _prefix_hooks(plan, rows, out):
-    """Collects every canonical coloring of plan's edges, in column
-    order, into out; its leaves cost inf, so none is kept."""
-    path = [0] * len(plan.idx)
+# the edges of K_6: a worker of a parallel run claims the subtree below
+# each coloring of them it reaches, its key.  On the runs that start
+# helpers that leaves hundreds of subtrees, and the head above them,
+# which every worker walks, holds a few percent of the nodes
+_SPLIT = 15
 
-    def apply(t, c, cut):
-        path[t] = c
-        return True
-
-    def leaf():
-        out.append(tuple(path))
-        return inf
-
-    return apply, leaf
-
-
-def _split_prefixes(plan, k, jobs, class_of):
-    """The canonical prefixes of the first depth short of a complete
-    coloring that has at least 4 x jobs of them, in DFS order, or [()],
-    the whole space, if none has.  Such a space is small, and a complete
-    coloring as a prefix would leave its subtree no node to count.  The
-    head searches keep colors in order and no vertex swap smaller but
-    rename no colors (see the module docstring)."""
-    prefixes = [()]
-    depth = 0
-    while len(prefixes) < 4 * jobs:
-        # an edge at most multiplies the count by k, so no depth before
-        # this one can have enough prefixes
-        reach = len(prefixes)
-        while reach < 4 * jobs and depth < len(plan.idx):
-            reach *= k
-            depth += 1
-        if depth == len(plan.idx):
-            return [()]
-        prefixes = []
-        head = _Plan(plan.n, *(column[:depth] for column in plan[1:]))
-        _search(head, k, class_of, partial(_prefix_hooks, out=prefixes), 0, 0, inf)
-    return prefixes
-
-
-# nodes a parallel subtree leases from the shared budget at a time: small
-# enough that subtrees trade incumbents every millisecond or so, large
+# nodes a parallel worker leases from the shared budget at a time: small
+# enough that workers trade incumbents every millisecond or so, large
 # enough that the lock is rarely taken
 _SLICE = 256
 
 # nodes the parent of a parallel run searches alone before it starts its
 # helpers.  Measured on 2 vCPUs with the helper started at once, two jobs
-# lose to one on runs of up to about 24 k nodes (process start-up and the
-# uneven split) and win from about 47 k on, so a run this short forks
-# nothing
+# lose to one on every run up to min-mono(13, 3, gallai), 32,525 nodes
+# (146-164 against 118-133 ms), and draw at max-protected(10, 2), 94,521
+# nodes, so a run this short forks nothing
 _PROBE = 2**15
 
+# where the shared array of a parallel run keeps the key of the subtree
+# that reached the best cost, and the last key claimed
+_BEST_KEY = slice(2, 2 + _SPLIT)
+_LAST_KEY = slice(2 + _SPLIT, 2 + 2 * _SPLIT)
 
-class _Subtree:
-    """One task of a parallel run: its prefix, the prefix's position in
-    DFS order, and the state all tasks of the run share.
 
-    The shared state is an array [unleased budget, best cost, index of
-    the earliest prefix that reached that cost, next unclaimed prefix],
-    guarded by its lock.  Before any prefix reaches a cost, the index is
-    the number of prefixes, so every subtree keeps leaves that tie the
-    starting cost.  In the parent, helpers is the run's _Helpers, shown
-    the unleased budget at every trade.
+class _Worker:
+    """One process's walk in a parallel run, the task _search goes
+    through.
+
+    The shared state is an array [unleased budget, best cost, the key of
+    the earliest subtree that reached that cost, the last key claimed],
+    each key in _SPLIT cells, guarded by its lock; keys compare as
+    tuples, in DFS order.  Before any subtree reaches a cost, its key
+    comes after every key, so every worker keeps leaves that tie the
+    starting cost.  key is the last key this walk reached and best the
+    (cost, key) of its last kept leaf.  In the parent, helpers is the
+    run's _Helpers, shown the unleased budget at every trade.
     """
 
-    def __init__(self, shared, index, prefix, helpers=None):
+    def __init__(self, shared, helpers=None):
         self.lock = shared.get_lock()
         self.cells = shared.get_obj()
-        self.index = index
-        self.prefix = prefix
         self.helpers = helpers
+        self.key = (0,) * _SPLIT
+        self.best = None
         self.leased = 0
 
-    def trade(self, found, cut):
-        """Publish this subtree's best cost (None when it has no leaf)
-        and lease the next slice of the budget.  Returns (slice, the
-        cut lowered to the shared incumbent, whether this subtree holds
-        it); a slice of 0 is a refusal."""
+    def claim(self, key):
+        """Whether the subtree below key is this walk's: it comes after
+        the last key claimed, which it becomes."""
+        self.key = key
         cells = self.cells
         with self.lock:
-            self._publish(found)
+            if key <= tuple(cells[_LAST_KEY]):
+                return False
+            cells[_LAST_KEY] = key
+        return True
+
+    def publish(self, cost):
+        """Offer a leaf kept in the current subtree as the shared
+        incumbent; ties go to the earlier key."""
+        self.best = (cost, self.key)
+        cells = self.cells
+        with self.lock:
+            if self.best < (cells[1], tuple(cells[_BEST_KEY])):
+                cells[1] = cost
+                cells[_BEST_KEY] = self.key
+
+    def trade(self, cut):
+        """Lease the next slice of the budget.  Returns (slice, the cut
+        lowered to the shared incumbent, whether this walk holds it); a
+        slice of 0 is a refusal."""
+        cells = self.cells
+        with self.lock:
             grant = min(_SLICE, cells[0])
             cells[0] -= grant
-            unleased, best, first = cells[0], cells[1], cells[2]
+            unleased, best, key = cells[0], cells[1], tuple(cells[_BEST_KEY])
         self.leased += grant
         if self.helpers is not None:
             self.helpers.lease(unleased)
-        # ties with an earlier prefix's cost are pruned, with a later's kept
-        if first > self.index:
+        held = (best, key) == self.best
+        # ties with an earlier key's cost are pruned, with a later's kept;
+        # every key the walk reaches from here on comes after self.key
+        if key > self.key:
             best += 1
-        return grant, min(cut, best), first == self.index
+        return grant, min(cut, best), held
 
-    def settle(self, nodes, found):
-        """Publish the final best cost and return the unexplored rest of
-        the leased slices to the budget."""
+    def settle(self, nodes):
+        """Return the unexplored rest of the leased slices to the budget."""
         with self.lock:
-            self._publish(found)
             self.cells[0] += self.leased - nodes
 
-    def _publish(self, found):
-        # caller holds the lock; ties go to the earlier prefix
-        cells = self.cells
-        if found is not None and (found, self.index) < (cells[1], cells[2]):
-            cells[1] = found
-            cells[2] = self.index
 
-
-def _claims(args, prefixes, shared, helpers=None):
-    """Claim prefixes from the shared counter, in DFS order, and search
-    each one's subtree until none is left unclaimed; yields (index,
-    engine result).  The parent and every helper run this loop.  Once
-    an earlier prefix holds a leaf at the floor, a subtree would stop at
-    its first node after replaying its prefix, so it is not searched and
-    yields what that search returns."""
-    lock, cells = shared.get_lock(), shared.get_obj()
-    floor = args[5]
-    while True:
-        with lock:
-            index = cells[3]
-            cells[3] = index + 1
-            settled = cells[1] <= floor and cells[2] < index
-        if index >= len(prefixes):
-            return
-        if settled:
-            yield index, (None, None, 0, True)
-        else:
-            yield index, _search(*args, task=_Subtree(shared, index, prefixes[index], helpers))
+def _walk(args, shared, helpers=None):
+    """One worker's engine run over the whole plan: (least cost or None,
+    the key of the subtree holding it, its colors, nodes, exhaustive).
+    The parent and every helper run it once."""
+    worker = _Worker(shared, helpers)
+    found, colors, nodes, exhaustive = _search(*args, task=worker)
+    key = worker.best[1] if found is not None else None
+    return found, key, colors, nodes, exhaustive
 
 
 class _Helpers:
     """The parent's helper processes: none until the parent has leased
-    more than _PROBE nodes, then jobs - 1 of them at once, each claiming
-    prefixes as the parent does.  A prefix is searched by whichever
-    process claims it, so no work is repeated at the hand-off."""
+    more than _PROBE nodes, then jobs - 1 of them at once, each walking
+    the plan as the parent does.  A subtree is searched by whichever
+    walk claims it, so no work below the head is repeated at the
+    hand-off."""
 
     def __init__(self, jobs, run, budget):
         self.jobs = jobs
-        self.run = run  # (engine arguments, prefixes, shared state)
+        self.run = run  # (engine arguments, shared state)
         self.budget = budget  # the shared budget before any lease
         self.pool = None
         self.pending = None
@@ -1043,11 +1005,10 @@ class _Helpers:
             self.pending = self.pool.map_async(_helper, range(self.jobs - 1))
 
     def join(self):
-        """The helpers' (index, engine result) pairs, once the parent has
-        nothing left to claim."""
+        """The helpers' _walk results, once the parent's walk is done."""
         if self.pool is None:
             return []
-        return [run for runs in self.pending.get() for run in runs]
+        return self.pending.get()
 
     def __enter__(self):
         return self
@@ -1057,7 +1018,7 @@ class _Helpers:
             self.pool.terminate()
 
 
-# (engine arguments, prefixes, shared state) of the run a helper serves
+# (engine arguments, shared state) of the run a helper serves
 _POOL_RUN = None
 
 
@@ -1067,45 +1028,39 @@ def _init_helper(*run):
 
 
 def _helper(_):
-    return list(_claims(*_POOL_RUN))
+    return _walk(*_POOL_RUN)
 
 
 def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
     """Run the engine over the whole reduced space of K_n and combine its
     runs: (least cost or None, its colors, nodes, exhaustive).
 
-    With jobs > 1 the space is split into prefixes that the parent, and
-    once it has leased more than _PROBE nodes jobs - 1 helper processes,
-    claim in DFS order; the subtrees share one budget and one incumbent,
-    which starts at cost `start`."""
+    With jobs > 1 and n > 6 the parent walks the space, and once it has
+    leased more than _PROBE nodes jobs - 1 helper processes walk it too;
+    the walks claim the subtrees below the colorings of K_6 and share
+    one budget and one incumbent, which starts at cost `start`."""
     plan = _edge_plan(n)
     args = (plan, k, class_of, objective, start, floor, budget)
     # no more processes than CPUs: the verdict does not depend on jobs
     jobs = min(jobs, os.cpu_count() or 1)
-    prefixes = _split_prefixes(plan, k, jobs, class_of) if jobs > 1 else []
-    if len(prefixes) <= 1:
-        return _combine(floor, [_search(*args)])
+    if jobs == 1 or len(plan.idx) <= _SPLIT:
+        return _search(*args)
     import multiprocessing
 
     pooled = min(budget, 2**62)
-    shared = multiprocessing.Array("q", [pooled, start, len(prefixes), 0])
-    runs = [None] * len(prefixes)
-    with _Helpers(jobs, (args, prefixes, shared), pooled) as helpers:
-        claimed = list(_claims(args, prefixes, shared, helpers)) + helpers.join()
-    for index, run in claimed:
-        runs[index] = run
+    # the best key starts after every key, the last claimed before them
+    cells = [pooled, start] + [k + 1] * _SPLIT + [0] * _SPLIT
+    shared = multiprocessing.Array("q", cells)
+    with _Helpers(jobs, (args, shared), pooled) as helpers:
+        runs = [_walk(args, shared, helpers), *helpers.join()]
     return _combine(floor, runs)
 
 
 def _combine(floor, runs):
-    # runs come in DFS order, so the first run holding the least cost
-    # holds the lexicographically first optimal leaf; a leaf at floor
-    # settles the run whatever budget the other subtrees ran out of
-    runs = list(runs)
-    nodes = sum(r[2] for r in runs)
-    best, best_col = None, None
-    for cost, colors, _, _ in runs:
-        if cost is not None and (best is None or cost < best):
-            best, best_col = cost, colors
-    exhaustive = all(r[3] for r in runs) or (best is not None and best <= floor)
+    # the least (cost, key) holds the lexicographically first optimal
+    # leaf; a leaf at floor settles the run whatever budget the other
+    # walks ran out of
+    nodes = sum(r[3] for r in runs)
+    best, _, best_col = min((r[:3] for r in runs if r[0] is not None), default=(None,) * 3)
+    exhaustive = all(r[4] for r in runs) or (best is not None and best <= floor)
     return best, best_col, nodes, exhaustive

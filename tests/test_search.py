@@ -29,7 +29,6 @@ from gallai.search import (
     _edge_plan,
     _exists,
     _exists_hooks,
-    _split_prefixes,
 )
 
 # min_mono_triangles outcomes recorded from the kernel without the seed
@@ -275,7 +274,7 @@ def _count_pools(monkeypatch, most=None, leases=None):
         assert most is None or processes <= most, processes
         starts.append(processes)
         if leases is not None:
-            engine_args, _, shared = initargs
+            engine_args, shared = initargs
             budget = min(engine_args[-1], 2**62)
             leases.append(budget - shared.get_obj()[0])
         return real(processes, initializer, initargs, **kwargs)
@@ -285,19 +284,21 @@ def _count_pools(monkeypatch, most=None, leases=None):
 
 
 def test_jobs_within_allowance_start_no_process(monkeypatch):
-    # a run that ends inside the allowance is the parent's alone, so it
-    # repeats exactly, node count included
+    # a run that ends inside the allowance is the parent's walk alone,
+    # which claims every subtree: the serial walk, node count included
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _forbid_processes(monkeypatch)
     calls = [
         (min_mono_triangles, (11, 3, True)),
         (exists_avoiding, (11, 3, ["K3"] * 3, True)),
+        (exists_avoiding, (9, 2, ["K4+e", "K3"])),
         (max_protected_edges, (8, 2)),
     ]
     for f, args in calls:
         serial = f(*args)
         first, second = f(*args, jobs=2), f(*args, jobs=2)
-        assert first.nodes_explored == second.nodes_explored <= search._PROBE
+        assert first.nodes_explored == second.nodes_explored == serial.nodes_explored
+        assert serial.nodes_explored <= search._PROBE
         for out in (first, second):
             assert (out.value, out.witness, out.exhaustive) == (
                 serial.value,
@@ -308,7 +309,7 @@ def test_jobs_within_allowance_start_no_process(monkeypatch):
 
 def test_long_runs_start_helpers(monkeypatch):
     # both runs outgrow the allowance: the parent starts a helper partway
-    # through, and neither repeats nor loses a prefix at the hand-off
+    # through, and neither repeats nor loses a subtree at the hand-off
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     leases = []
     starts = _count_pools(monkeypatch, leases=leases)
@@ -321,6 +322,9 @@ def test_long_runs_start_helpers(monkeypatch):
             serial.witness,
             serial.exhaustive,
         )
+        # the helper repeats the parent's head, a few percent of the
+        # nodes, and no subtree, which would nearly double the count
+        assert out.nodes_explored < 1.1 * serial.nodes_explored
     assert starts == [1, 1]
     # the helper starts at the first trade past the allowance: the parent
     # has leased more than _PROBE nodes, and at most one slice more
@@ -329,20 +333,21 @@ def test_long_runs_start_helpers(monkeypatch):
 
 
 def test_parent_witness_stops_helpers(monkeypatch):
-    # the first witness lies in prefix 2, 19,539 nodes into the serial
-    # run; prefix 0 fails at replay and prefix 1 holds 1,985 nodes and no
-    # witness.  The parent claims all three, and with the allowance
-    # lowered to 8,192 nodes a helper starts while the parent is in
-    # prefix 2.  It searches later prefixes, whose subtrees hold more than
-    # the budget (prefix 5 alone 5.68 M nodes), until the parent
-    # publishes its witness
+    # the first witness lies in the subtree below the fourth coloring of
+    # K_6 the walk reaches: the serial run reaches that coloring after
+    # 3,603 nodes and the witness 15,936 nodes later.  With the allowance
+    # lowered to 8,192 nodes a helper starts while the parent is in the
+    # fourth subtree.  The helper's walk finds those four
+    # claimed and claims the later ones, in which its first witness
+    # comes 120,165 nodes into its walk, more than the budget; the
+    # parent's witness must stop it long before
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_PROBE", 2**13)
     starts = _count_pools(monkeypatch)
     args = (13, 2, ["K4+e", "K4+e"])
     serial = exists_avoiding(*args)
     assert serial.value == 1 and serial.nodes_explored > search._PROBE
-    budget = 1_000_000
+    budget = 120_000
     out = exists_avoiding(*args, budget=budget, jobs=2)
     assert starts == [1]
     assert (out.value, out.witness, out.exhaustive) == (1, serial.witness, True)
@@ -351,18 +356,10 @@ def test_parent_witness_stops_helpers(monkeypatch):
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
-    # --jobs 10000 on two CPUs splits for two jobs and starts one helper
+    # --jobs 10000 on two CPUs starts one helper
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_PROBE", 0)
     starts = _count_pools(monkeypatch, most=1)
-    split_jobs = []
-    real_split = search._split_prefixes
-
-    def split(plan, k, jobs, class_of):
-        split_jobs.append(jobs)
-        return real_split(plan, k, jobs, class_of)
-
-    monkeypatch.setattr(search, "_split_prefixes", split)
     serial = min_mono_triangles(8, 2)
     out = min_mono_triangles(8, 2, jobs=10_000)
     assert (out.value, out.witness, out.exhaustive) == (
@@ -370,50 +367,55 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         serial.witness,
         serial.exhaustive,
     )
-    assert split_jobs == [2] and starts == [1]
-
-
-def test_split_prefixes_follow_dfs_order():
-    for n, k, jobs, class_of in [(8, 2, 2, None), (11, 3, 2, None), (9, 2, 3, [0, 0, 1])]:
-        prefixes = _split_prefixes(_edge_plan(n), k, jobs, class_of)
-        assert len(prefixes) >= 4 * jobs
-        assert len({len(p) for p in prefixes}) == 1
-        # column-order tuples in DFS order are sorted
-        assert prefixes == sorted(prefixes)
+    assert starts == [1]
 
 
 def test_tiny_space_runs_serially(monkeypatch):
-    # fewer than 4 x jobs prefixes short of a complete coloring: a split
-    # into complete colorings would leave every subtree a replay with no
-    # node to count, so the space is searched whole, as with one job
+    # K_n with n <= 6 has no edge below those of K_6, where the walks of a
+    # parallel run claim their subtrees, so it is searched as with one
+    # job: no process starts, even with no allowance, and the outcome is
+    # the serial one, node count included
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_PROBE", 0)
     _forbid_processes(monkeypatch)
-    for n in (1, 2, 3, 4):
-        assert _split_prefixes(_edge_plan(n), 2, 2, None) == [()]
-        for f, args in [
-            (min_mono_triangles, (n, 2)),
-            (exists_avoiding, (n, 2, ["K3", "K3"])),
-            (max_protected_edges, (n, 2)),
-        ]:
-            serial, out = f(*args), f(*args, jobs=2)
-            assert out == serial, (f.__name__, args)
+    for n in range(1, 7):
+        for k in (2, 3):
+            for f, args in [
+                (min_mono_triangles, (n, k)),
+                (exists_avoiding, (n, k, ["K3"] * k)),
+                (max_protected_edges, (n, k)),
+            ]:
+                serial, out = f(*args), f(*args, jobs=2)
+                assert out == serial, (f.__name__, args)
 
 
 def test_parallel_runs_combine_in_dfs_order():
-    # Coloring.colors is in pair order (1,2),(1,3),(1,4),(2,3),... while
-    # the DFS runs in column order (1,2),(1,3),(2,3),(1,4),...: of two
-    # runs tied at the optimum the earlier prefix wins, although the
-    # later one's colors compare smaller.  On K4, `earlier` colors (1,4)
-    # and `later` colors (2,3) with 2, the other edges with 1.
-    earlier = (1, 1, 2, 1, 1, 1)
-    later = (1, 1, 1, 2, 1, 1)
-    runs = [(None, None, 4, True), (3, earlier, 5, True), (3, later, 6, True)]
+    # a run is (cost, key, colors, nodes, exhaustive), its key the column-
+    # order colors of K_6 above its best leaf.  Coloring.colors is in pair
+    # order (1,2),(1,3),(1,4),(2,3),... while the DFS runs in column order
+    # (1,2),(1,3),(2,3),(1,4),...: of two runs tied at the optimum the
+    # earlier key wins, although its colors compare larger.  On K_6, the
+    # earlier key colors (1,4) with 2, the later one (2,3), the other
+    # edges with 1
+    early_key = (1, 1, 1, 2) + (1,) * 11
+    late_key = (1, 1, 2, 1) + (1,) * 11
+    earlier = (1, 1, 2) + (1,) * 12
+    later = (1,) * 5 + (2,) + (1,) * 9
+    assert later < earlier and early_key < late_key
+    runs = [
+        (None, None, None, 4, True),
+        (3, late_key, later, 6, True),
+        (3, early_key, earlier, 5, True),
+    ]
     assert _combine(0, runs) == (3, earlier, 15, True)
-    runs = [(None, None, 4, True), (-3, earlier, 5, True), (-3, later, 6, True)]
-    assert _combine(-6, runs) == (-3, earlier, 15, True)
+    runs = [(-3, late_key, later, 6, True), (-3, early_key, earlier, 5, True)]
+    assert _combine(-6, runs) == (-3, earlier, 11, True)
+    # a lower cost wins whatever its key
+    runs = [(3, early_key, earlier, 5, True), (2, late_key, later, 6, True)]
+    assert _combine(0, runs) == (2, later, 11, True)
     # a leaf at the least possible cost settles the run even where another
-    # subtree ran out of budget, as the first exists witness does
-    runs = [(None, None, 4, False), (0, earlier, 5, True)]
+    # walk ran out of budget, as the first exists witness does
+    runs = [(None, None, None, 4, False), (0, early_key, earlier, 5, True)]
     assert _combine(0, runs) == (0, earlier, 9, True)
     assert _combine(-1, runs) == (0, earlier, 9, False)
 

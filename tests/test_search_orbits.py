@@ -23,17 +23,35 @@ import pytest
 
 import helpers
 from gallai import Coloring, exists_avoiding, lex_pairs, max_protected_edges, min_mono_triangles
-from gallai.search import _edge_plan, _prefix_hooks, _search
+from gallai.search import _SPLIT, _edge_plan, _search
 
 SIZES = (
     [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)]
 )
 
 
-def _leaves(n, k, class_of):
-    """The reduced space: every coloring the engine reaches, in column order."""
+def _collect_hooks(plan, rows, out):
+    """Collects every coloring the engine completes, in column order,
+    into out; its leaves cost inf, so none is kept."""
+    path = [0] * len(plan.idx)
+
+    def apply(t, c, cut):
+        path[t] = c
+        return True
+
+    def leaf():
+        out.append(tuple(path))
+        return inf
+
+    return apply, leaf
+
+
+def _leaves(n, k, class_of, task=None):
+    """The reduced space: every coloring the engine reaches, in column
+    order; with a task, those of the subtrees it claims."""
     out = []
-    _search(_edge_plan(n), k, class_of, partial(_prefix_hooks, out=out), 0, 0, inf)
+    hooks = partial(_collect_hooks, out=out)
+    _search(_edge_plan(n), k, class_of, hooks, 0, 0, inf, task=task)
     return out
 
 
@@ -180,29 +198,47 @@ def test_witness_is_first_optimal_leaf(n, k):
     assert out.witness == _first_leaf(n, k, None, lambda c: helpers.brute_protected(c) == out.value)
 
 
-class _Replay:
-    """A parallel task's stand-in: a prefix to replay, an unlimited
-    budget and no other subtree to trade incumbents with."""
+class _Claims:
+    """A parallel worker's stand-in: it claims the keys whose position
+    among those offered passes pick, with an unlimited budget and no
+    other worker to trade incumbents with."""
 
-    def __init__(self, prefix):
-        self.prefix = prefix
+    def __init__(self, pick):
+        self.pick = pick
+        self.offered = []
 
-    def trade(self, found, cut):
-        return 1 << 40, cut, True
+    def claim(self, key):
+        self.offered.append(key)
+        return self.pick(len(self.offered) - 1)
 
-    def settle(self, nodes, found):
+    def publish(self, cost):
+        raise AssertionError("a leaf of cost inf was kept")
+
+    def trade(self, cut):
+        return 1 << 40, cut, False
+
+    def settle(self, nodes):
         pass
 
 
-def test_prefix_replay_keeps_to_the_reduced_space():
-    # every coloring of K5's first eight edges, canonical or not, replays
-    # to exactly the serial leaves that extend it; colors 1 and 2 are not
-    # interchangeable, so the transposition rule alone decides
-    n, k, class_of = 5, 2, [0, 0, 1]
-    plan = _edge_plan(n)
+@pytest.mark.parametrize("class_of", [[0, 0, 1], None], ids=["mixed-targets", "one-class"])
+def test_claimed_subtrees_hold_the_serial_leaves(class_of):
+    # the engine offers each coloring of K_6 it reaches once, in DFS
+    # order, and descends only below those claimed: all, every other
+    # one, or none.  It then reaches exactly the serial leaves that
+    # extend a claimed key, with the serial run's symmetry reductions
+    n, k = 7, 2
     leaves = _leaves(n, k, class_of)
-    for prefix in product((1, 2), repeat=8):
-        out = []
-        hooks = partial(_prefix_hooks, out=out)
-        _search(plan, k, class_of, hooks, 0, 0, inf, task=_Replay(prefix))
-        assert out == [leaf for leaf in leaves if leaf[:8] == prefix], prefix
+    every = _Claims(lambda i: True)
+    assert _leaves(n, k, class_of, every) == leaves
+    offered = every.offered
+    # column-order tuples in DFS order are sorted
+    assert offered == sorted(set(offered))
+    assert {leaf[:_SPLIT] for leaf in leaves} <= set(offered)
+    for pick in (lambda i: i % 2 == 0, lambda i: False):
+        task = _Claims(pick)
+        got = _leaves(n, k, class_of, task)
+        assert task.offered == offered
+        claimed = {key for i, key in enumerate(offered) if pick(i)}
+        assert got == [leaf for leaf in leaves if leaf[:_SPLIT] in claimed]
+        assert (len(got) > 0) == (len(claimed) > 0) and len(got) < len(leaves)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gallai import verify
+from gallai import search, verify
 
 
 def test_run_suite_records_a_crash_as_failure(monkeypatch):
@@ -95,3 +95,9 @@ def test_prove_rejects_an_edited_row():
     for edit in ({"value": row.value + 1}, {"nodes": row.nodes + 1}):
         with pytest.raises(AssertionError):
             verify._prove(row._replace(**edit))
+    # a parallel run inside the allowance is the serial walk, so its node
+    # count is pinned as well
+    row = next(row for row in verify.PROVED if row.jobs > 1 and row.level == "full")
+    assert row.nodes <= search._PROBE
+    with pytest.raises(AssertionError, match="nodes"):
+        verify._prove(row._replace(nodes=row.nodes + 1))
