@@ -53,18 +53,17 @@ per-color neighbor bitsets, in which column order leaves the
 monochromatic and rainbow triangles an edge closes a few bitset
 operations away (see `_search`).  Every other piece of search state,
 the engine's and the objective's alike, is kept per depth and written
-forward, so backtracking reverts the bitsets and the masks of the
-first edge of each color alone.  Every objective minimizes a cost:
-the monochromatic-triangle count, minus the protected-edge count, or 0
-for an avoiding coloring.  A leaf is kept when its cost is below a
-cut, which starts one above a start value and then follows the best
-leaf; a leaf at the least possible cost ends the run, so the first
-avoiding coloring does.  A child dies when its partial cost, or a
-bound on every completion, reaches the cut, or when a forbidden
-monochromatic target or (under gallai_only) a rainbow triangle
-completes.  The DFS visits colorings in lexicographic order of the
-column order above and prunes ties, so the reported witness is the
-smallest optimal coloring of the reduced space in that order,
+forward, so backtracking reverts the bitsets alone.  Every objective
+minimizes a cost: the monochromatic-triangle count, minus the
+protected-edge count, or 0 for an avoiding coloring.  A leaf is kept
+when its cost is below a cut, which starts one above a start value
+and then follows the best leaf; a leaf at the least possible cost ends
+the run, so the first avoiding coloring does.  A child dies when its
+partial cost, or a bound on every completion, reaches the cut, or when
+a forbidden monochromatic target or (under gallai_only) a rainbow
+triangle completes.  The DFS visits colorings in lexicographic order
+of the column order above and prunes ties, so the reported witness is
+the smallest optimal coloring of the reduced space in that order,
 deterministically.  That is not the pair order
 (1,2),(1,3),(1,4),...,(2,3),... of Coloring.colors: the two orders
 share only their first two edges, so comparing colors tuples does not
@@ -113,14 +112,15 @@ unless the budget runs out the value, the witness and `exhaustive` are
 those of the serial run.  A walk stops once an earlier key holds a leaf
 of the least cost, so for exists_avoiding the first witness in DFS
 order decides the run.  A run that ends inside the allowance starts no
-process and is the serial walk, node count included; node counts of
-longer runs vary from run to run.  Runs with n <= 6, where K_6 leaves
-no subtree, are serial.
+process, builds no shared state and is the serial walk, node count
+included; node counts of longer runs vary from run to run.  Runs with
+n <= 6, where K_6 leaves no subtree, are serial.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from math import comb, inf
@@ -304,10 +304,10 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     the shared budget in trades that bring the shared incumbent.
 
     Colors in one class of class_of (all colors when it is None) make
-    their first appearances in increasing order: opened[t] lists the
-    colors edge t may take, those in use and the least unused one of
-    each class, and after[c] is the next color of c's class (0 for the
-    last), which the first edge to take c opens.  The colors an edge
+    their first appearances in increasing order: opened[t][0] lists
+    the colors edge t may take, those in use and the least unused one
+    of each class, and after[c] is the next color of c's class (0 for
+    the last), which the first edge to take c opens.  The colors an edge
     may take start at the largest color a tied vertex swap (module
     docstring) puts below it, so every leaf is no larger in column
     order than its image under any transposition.  With one class,
@@ -329,30 +329,28 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     apply, leaf = objective(plan, rows)
     class_of = class_of or [0] * (k + 1)
     after = [0] * (k + 1)
-    last = {}
+    latest = {}  # the last color of each class so far
     for c in range(1, k + 1):
-        if class_of[c] in last:
-            after[last[class_of[c]]] = c
-        last[class_of[c]] = c
-    opened = [None] * (m + 1)
-    opened[0] = [c for c in range(1, k + 1) if c not in after]  # each class's first
+        if class_of[c] in latest:
+            after[latest[class_of[c]]] = c
+        latest[class_of[c]] = c
     # relabeling, with one class.  A swap the tie masks hold up to the
     # first edge of a color d below k ties under a map other than the
     # identity when a larger color meets that edge: fa[x] has bit y set
     # for such an edge {x, y} (the edges the swaps (y, v) compare at
     # (x, v)), fb[x] for such an edge (y, x) (the edges the swaps (y, u)
-    # compare at (u, x)); firsts_at lists those edges by depth.  Once the
-    # next edge is colored d and left in place by the swap, the map sends
-    # d above itself there, so that edge's bits leave fa; voided keeps
-    # them.  live[t] is (the least wake, the swaps tied under a map other
-    # than the identity) before edge t
+    # compare at (u, x)).  Once the next edge is colored d and left in
+    # place by the swap, the map sends d above itself there, so that
+    # edge's bits leave fa.  opened[t] is the color order before edge t:
+    # (the colors open to it, fa, fb, the depth of the last first edge or
+    # -2), written forward like every other per-depth state.  An edge that
+    # changes fa or fb writes new lists, so no list changes once written
+    # and a backtrack leaves them be.  live[t] is (the least wake, the
+    # swaps tied under a map other than the identity) before edge t
     relabel = len(set(class_of[1:])) <= 1
-    fa = [0] * (plan.n + 1)
-    fb = [0] * (plan.n + 1)
-    firsts_at = [-1]
-    ftop = -1  # the last of firsts_at
-    fnext = -1  # the depth after it, once there is one
-    voided = []
+    opened = [None] * (m + 1)
+    empty = [0] * (plan.n + 1)
+    opened[0] = ([c for c in range(1, k + 1) if c not in after], empty, empty, -2)
     live = [_IDLE] * (m + 1)
     # pend[t]: None, or where relabeled decides edge t, its work and the
     # rest of live[t] (from _relabel_work)
@@ -420,7 +418,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     exhaustive = True
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if m:
-        its[0] = iter(opened[0])  # edge (1, 2) is free of ties
+        its[0] = iter(opened[0][0])  # edge (1, 2) is free of ties
     t = 0
     while t >= 0:
         for c in its[t]:
@@ -449,32 +447,33 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     break
                 limit += grant
             col[t] = c
-            op = opened[t]
+            op, fa, fb, last = state = opened[t]
             nxt = after[c]
             u = us[t]
             v = vs[t]
-            if t == fnext:
-                a = us[t - 1]
-                b = vs[t - 1]
-                voided.append((a, fa[a], b, fa[b]))
-                # an edge that opens column v moves with the swaps (i, v) of
-                # that column, which compare at (a, v) only after it if a > 1
-                if c == col[t - 1] and (u > 1 or a == 1):
-                    if b != u and b != v:
-                        fa[a] &= ~(1 << b)
-                    if a != u and a != v:
-                        fa[b] &= ~(1 << a)
             if nxt and nxt not in op:
-                opened[t + 1] = sorted([*op, nxt])
+                op = sorted([*op, nxt])
                 if relabel:  # c is new
+                    fa = fa[:]
+                    fb = fb[:]
                     fa[u] |= 1 << v
                     fa[v] |= 1 << u
                     fb[v] |= 1 << u
-                    firsts_at.append(t)
-                    ftop = t
-                    fnext = t + 1
-            else:
-                opened[t + 1] = op
+                    last = t
+                state = (op, fa, fb, last)
+            elif last == t - 1 and c == col[last] and (u > 1 or us[last] == 1):
+                # the edge after a first edge (a, b), in its color.  An edge
+                # that opens column v moves with the swaps (i, v) of that
+                # column, which compare at (a, v) only after it if a > 1
+                a = us[last]
+                b = vs[last]
+                fa = fa[:]
+                if b != u and b != v:
+                    fa[a] &= ~(1 << b)
+                if a != u and a != v:
+                    fa[b] &= ~(1 << a)
+                state = (op, fa, fb, last)
+            opened[t + 1] = state
             row = rows[c]
             tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
             tie[~t] = tie[backs[t]] & row[v]
@@ -493,7 +492,6 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                     if rows[x][u] & a or rows[x][v] & b:
                         lo = x
                         break
-                op = opened[t]
                 if relabel:
                     lv = live[t]
                     ma = a & fa[u]
@@ -526,15 +524,6 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
             row = rows[col[t]]
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-            if t == ftop:
-                firsts_at.pop()
-                ftop = firsts_at[-1]
-                fnext = ftop + 1 if ftop >= 0 else -1
-                fa[u] ^= 1 << v
-                fa[v] ^= 1 << u
-                fb[v] ^= 1 << u
-            if t == fnext:
-                a, fa[a], b, fa[b] = voided.pop()
     if task is not None:
         task.settle(nodes)
     return cut if best_col is not None else None, best_col, nodes, exhaustive
@@ -906,23 +895,45 @@ class _Worker:
     """One process's walk in a parallel run, the task _search goes
     through.
 
-    The shared state is an array [unleased budget, best cost, the key of
+    The run's state is the cells [unleased budget, best cost, the key of
     the earliest subtree that reached that cost, the last key claimed],
-    each key in _SPLIT cells, guarded by its lock; keys compare as
-    tuples, in DFS order.  Before any subtree reaches a cost, its key
-    comes after every key, so every worker keeps leaves that tie the
-    starting cost.  key is the last key this walk reached and best the
-    (cost, key) of its last kept leaf.  In the parent, helpers is the
-    run's _Helpers, shown the unleased budget at every trade.
+    each key in _SPLIT cells, guarded by lock; keys compare as tuples, in
+    DFS order.  Before any subtree reaches a cost, its key comes after
+    every key, so every worker keeps leaves that tie the starting cost.
+    key is the last key this walk reached and best the (cost, key) of
+    its last kept leaf.
+
+    The parent's worker (no shared array) keeps the cells in a plain list
+    with a lock that does nothing.  Once it has leased more than _PROBE
+    nodes it moves them into a shared array, takes that array's lock and
+    starts jobs - 1 helpers, each a worker on the array that walks the
+    plan as the parent does.  A subtree is searched by whichever walk
+    claims it, so no work below the head is repeated at the hand-off,
+    and a run that ends inside the allowance builds no shared state.
     """
 
-    def __init__(self, shared, helpers=None):
-        self.lock = shared.get_lock()
-        self.cells = shared.get_obj()
-        self.helpers = helpers
+    def __init__(self, args, shared=None, jobs=1):
+        self.args = args  # the engine arguments
+        self.jobs = jobs
+        self.pool = None
+        if shared is None:
+            _, k, _, _, start, _, budget = args
+            # the best key starts after every key, the last claimed before them
+            self.cells = [min(budget, 2**62), start] + [k + 1] * _SPLIT + [0] * _SPLIT
+            self.lock = nullcontext()
+        else:
+            self.cells = shared.get_obj()
+            self.lock = shared.get_lock()
         self.key = (0,) * _SPLIT
         self.best = None
         self.leased = 0
+
+    def walk(self):
+        """The engine run over the whole plan: (least cost or None, the
+        key of the subtree holding it, its colors, nodes, exhaustive)."""
+        found, colors, nodes, exhaustive = _search(*self.args, task=self)
+        key = self.best[1] if found is not None else None
+        return found, key, colors, nodes, exhaustive
 
     def claim(self, key):
         """Whether the subtree below key is this walk's: it comes after
@@ -953,10 +964,10 @@ class _Worker:
         with self.lock:
             grant = min(_SLICE, cells[0])
             cells[0] -= grant
-            unleased, best, key = cells[0], cells[1], tuple(cells[_BEST_KEY])
+            best, key = cells[1], tuple(cells[_BEST_KEY])
         self.leased += grant
-        if self.helpers is not None:
-            self.helpers.lease(unleased)
+        if self.pool is None and self.jobs > 1 and self.leased > _PROBE:
+            self.start_helpers()
         held = (best, key) == self.best
         # ties with an earlier key's cost are pruned, with a later's kept;
         # every key the walk reaches from here on comes after self.key
@@ -964,61 +975,23 @@ class _Worker:
             best += 1
         return grant, min(cut, best), held
 
+    def start_helpers(self):
+        """Move the cells into a shared array and start the helpers on it."""
+        import multiprocessing
+
+        shared = multiprocessing.Array("q", self.cells)
+        self.cells = shared.get_obj()
+        self.lock = shared.get_lock()
+        self.pool = multiprocessing.Pool(self.jobs - 1, _init_helper, (self.args, shared))
+        self.pending = self.pool.map_async(_helper, range(self.jobs - 1))
+
     def settle(self, nodes):
         """Return the unexplored rest of the leased slices to the budget."""
         with self.lock:
             self.cells[0] += self.leased - nodes
 
 
-def _walk(args, shared, helpers=None):
-    """One worker's engine run over the whole plan: (least cost or None,
-    the key of the subtree holding it, its colors, nodes, exhaustive).
-    The parent and every helper run it once."""
-    worker = _Worker(shared, helpers)
-    found, colors, nodes, exhaustive = _search(*args, task=worker)
-    key = worker.best[1] if found is not None else None
-    return found, key, colors, nodes, exhaustive
-
-
-class _Helpers:
-    """The parent's helper processes: none until the parent has leased
-    more than _PROBE nodes, then jobs - 1 of them at once, each walking
-    the plan as the parent does.  A subtree is searched by whichever
-    walk claims it, so no work below the head is repeated at the
-    hand-off."""
-
-    def __init__(self, jobs, run, budget):
-        self.jobs = jobs
-        self.run = run  # (engine arguments, shared state)
-        self.budget = budget  # the shared budget before any lease
-        self.pool = None
-        self.pending = None
-
-    def lease(self, unleased):
-        """Start the helpers once the parent has leased more than _PROBE
-        nodes net.  Until a helper starts the parent alone leases, so
-        that is the budget less the unleased rest."""
-        if self.pool is None and self.budget - unleased > _PROBE:
-            import multiprocessing
-
-            self.pool = multiprocessing.Pool(self.jobs - 1, _init_helper, self.run)
-            self.pending = self.pool.map_async(_helper, range(self.jobs - 1))
-
-    def join(self):
-        """The helpers' _walk results, once the parent's walk is done."""
-        if self.pool is None:
-            return []
-        return self.pending.get()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.terminate()
-
-
-# (engine arguments, shared state) of the run a helper serves
+# (engine arguments, shared array) of the run a helper serves
 _POOL_RUN = None
 
 
@@ -1028,7 +1001,7 @@ def _init_helper(*run):
 
 
 def _helper(_):
-    return _walk(*_POOL_RUN)
+    return _Worker(*_POOL_RUN).walk()
 
 
 def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
@@ -1045,14 +1018,14 @@ def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(plan.idx) <= _SPLIT:
         return _search(*args)
-    import multiprocessing
-
-    pooled = min(budget, 2**62)
-    # the best key starts after every key, the last claimed before them
-    cells = [pooled, start] + [k + 1] * _SPLIT + [0] * _SPLIT
-    shared = multiprocessing.Array("q", cells)
-    with _Helpers(jobs, (args, shared), pooled) as helpers:
-        runs = [_walk(args, shared, helpers), *helpers.join()]
+    parent = _Worker(args, jobs=jobs)
+    try:
+        runs = [parent.walk()]
+        if parent.pool is not None:
+            runs += parent.pending.get()
+    finally:
+        if parent.pool is not None:
+            parent.pool.terminate()
     return _combine(floor, runs)
 
 

@@ -255,10 +255,12 @@ def test_jobs_deterministic_with_helpers(monkeypatch):
 
 def _forbid_processes(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a process was started")
+        raise AssertionError("a process or shared state was made")
 
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(multiprocessing, "Process", refuse)
+    # the state helpers would share: a run that starts none builds none
+    monkeypatch.setattr(multiprocessing, "Array", refuse)
 
 
 def _count_pools(monkeypatch, most=None, leases=None):
@@ -285,7 +287,8 @@ def _count_pools(monkeypatch, most=None, leases=None):
 
 def test_jobs_within_allowance_start_no_process(monkeypatch):
     # a run that ends inside the allowance is the parent's walk alone,
-    # which claims every subtree: the serial walk, node count included
+    # which claims every subtree: the serial walk, node count included,
+    # with no process started and no shared state built
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _forbid_processes(monkeypatch)
     calls = [
@@ -330,6 +333,28 @@ def test_long_runs_start_helpers(monkeypatch):
     # has leased more than _PROBE nodes, and at most one slice more
     for leased in leases:
         assert search._PROBE < leased <= search._PROBE + search._SLICE
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_helpers_under_every_start_method(monkeypatch, method):
+    # spawn (the macOS default) and forkserver (the Linux default from
+    # Python 3.14) start a helper with nothing of the parent but the
+    # pool's initargs, which must rebuild the run
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_PROBE", 0)
+    monkeypatch.setattr(multiprocessing, "Pool", context.Pool)
+    monkeypatch.setattr(multiprocessing, "Array", context.Array)
+    starts = _count_pools(monkeypatch)
+    for f, args in [(min_mono_triangles, (11, 3, True)), (max_protected_edges, (8, 2))]:
+        serial = f(*args)
+        out = f(*args, jobs=2)
+        assert (out.value, out.witness, out.exhaustive) == (
+            serial.value,
+            serial.witness,
+            serial.exhaustive,
+        )
+    assert starts == [1, 1]
 
 
 def test_parent_witness_stops_helpers(monkeypatch):

@@ -126,7 +126,7 @@ def _renamed(x):
 
 
 @pytest.mark.parametrize(
-    "n, k", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 6)]
+    "n, k", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 6)] + [(3, 4), (4, 4)]
 )
 @pytest.mark.parametrize("mixed", [False, True], ids=["one-class", "mixed-targets"])
 def test_leaves_are_no_larger_than_any_transposition(n, k, mixed):
@@ -145,6 +145,33 @@ def test_leaves_are_no_larger_than_any_transposition(n, k, mixed):
         and all(x <= rename(tuple(map(x.__getitem__, src))) for src in swaps)
     ]
     assert leaves == passing
+
+
+def _count_hooks(plan, rows, out):
+    """Counts the colorings the engine completes in out[0]; its leaves
+    cost inf, so none is kept."""
+
+    def apply(t, c, cut):
+        return True
+
+    def leaf():
+        out[0] += 1
+        return inf
+
+    return apply, leaf
+
+
+@pytest.mark.parametrize(
+    "n, k, size",
+    [(8, 2, 59_247), (6, 3, 21_223), (5, 4, 1_472), (6, 4, 402_680), (5, 5, 2_786)],
+)
+def test_reduced_space_size(n, k, size):
+    # the size of the one-class reduced space past the reach of brute
+    # force, pinned; at k = 4 and 5 the relabeling follows swaps tied up
+    # to three and four first edges, which no exact search test reaches
+    out = [0]
+    _search(_edge_plan(n), k, None, partial(_count_hooks, out=out), 0, 0, inf)
+    assert out[0] == size
 
 
 @pytest.mark.parametrize("n, k", SIZES)
