@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import ceil, log10
 from pathlib import Path
 
 from . import census, construct, formulas, grstar, search, verify
@@ -52,17 +53,34 @@ _FORMULAS = {
 }
 
 
+# `gallai formula` prints values of at most this many digits, the most a
+# Python int converts to text by default, and refuses the others by name
+FORMULA_DIGITS = 4300
+
+# the formulas exponential in their first argument k: gr-k3, gr-k4e and
+# gr-star-k3 are at least 5^((k - 2) // 2), and g-bounds needs n at least
+# that, so from _FORMULA_MAX_K on each is past FORMULA_DIGITS digits and
+# is refused before it is computed
+_EXPONENTIAL = {"gr-k3", "gr-k4e", "gr-star-k3", "g-bounds"}
+_FORMULA_MAX_K = 2 * ceil(FORMULA_DIGITS / log10(5)) + 2
+
+
 def _cmd_formula(args):
-    arity, fn = _FORMULAS[args.name]
+    name = args.name
+    arity, fn = _FORMULAS[name]
     if len(args.args) != arity:
-        raise ValueError(f"formula {args.name} takes {arity} argument(s)")
-    result = fn(*[int(a) for a in args.args])
+        raise ValueError(f"formula {name} takes {arity} argument(s)")
+    a = [int(x) for x in args.args]
+    if name in _EXPONENTIAL and a[0] >= _FORMULA_MAX_K:
+        raise ValueError(f"formula {name}: k={a[0]} puts it past {FORMULA_DIGITS} digits")
+    result = fn(*a)
+    suffix = ""
     if isinstance(result, formulas.GuardedValue):
-        print(f"{result.value} {result.validity}")
-    elif isinstance(result, tuple):
-        print(" ".join(str(x) for x in result))
-    else:
-        print(result)
+        result, suffix = result.value, f" {result.validity}"
+    values = result if isinstance(result, tuple) else (result,)
+    if any(abs(v) >= 10**FORMULA_DIGITS for v in values):
+        raise ValueError(f"formula {name}: value past {FORMULA_DIGITS} digits")
+    print(" ".join(map(str, values)) + suffix)
     return 0
 
 
@@ -158,6 +176,8 @@ def _cmd_grstar_search(args):
 # search
 
 def _cmd_search(args):
+    # the size caps come before the k-long default target list
+    search._check_args(args.n, args.k, args.jobs, args.budget)
     kwargs = dict(budget=args.budget, jobs=args.jobs)
     if args.targets is not None and args.objective != "exists-avoiding":
         raise ValueError(f"{args.objective} takes no per-color targets; drop --targets")

@@ -69,8 +69,7 @@ deterministically.  That is not the pair order
 share only their first two edges, so comparing colors tuples does not
 find that witness.
 
-The minimum-monochromatic search adds two things, in serial runs and
-in every parallel walk alike:
+The minimum-monochromatic search adds two things, in every walk alike:
 
   * a seeded incumbent: the Goodman 2-coloring for k = 2, the
     multiplicity construction for k >= 3 at n >= gr_k3(k), its count
@@ -91,30 +90,34 @@ in every parallel walk alike:
     million at n = 8.
 
 A node budget (default 10^9 assignments) bounds every run; exceeding it
-degrades the outcome to exhaustive=False, never silently.
+degrades the outcome to exhaustive=False, never silently.  Every run is
+the walk of a worker (`_Worker`) that runs the engine over the whole
+space and leases its nodes from the budget in small slices.  A node the
+budget refuses is neither explored nor counted, and the walk stops
+there, so a run explores at most budget nodes, whatever jobs.
 
-With jobs > 1 (at most the CPU count) and n > 6 the parent process
-runs the engine over the whole space, as a serial run does, but each
-coloring of K_6 it reaches, the first _SPLIT edges, is the key of the
-subtree below it, and it searches that subtree only if it can claim the
+With jobs > 1 (at most the CPU count) and n > 6, each coloring of K_6
+the walk reaches, the first _SPLIT edges, is the key of the subtree
+below it, and the walk searches that subtree only if it can claim the
 key: a key is claimed only if it comes after the last key claimed, in
 DFS order, and a refused key is skipped like a refused color.  Once the
 parent has leased more than _PROBE nodes it starts jobs - 1 helper
 processes, each of which walks the whole space the same way, so every
 walk repeats the head above the subtrees, a few percent of the nodes,
-and no subtree is searched twice.  All walks share one budget, leased
-in small slices (a node the budget refuses is not counted, so a run
-explores at most budget + 1 nodes for every jobs), and one incumbent:
-the least cost and the key of the earliest subtree that reached it.  A
-walk prunes ties with a cost an earlier key found and keeps ties with a
-later key's, and the least (cost, key) of the walks is the result, so
-unless the budget runs out the value, the witness and `exhaustive` are
-those of the serial run.  A walk stops once an earlier key holds a leaf
-of the least cost, so for exists_avoiding the first witness in DFS
-order decides the run.  A run that ends inside the allowance starts no
-process, builds no shared state and is the serial walk, node count
-included; node counts of longer runs vary from run to run.  Runs with
-n <= 6, where K_6 leaves no subtree, are serial.
+and no subtree is searched twice.  All walks share the one budget and
+one incumbent: the least cost and the key of the earliest subtree that
+reached it.  A walk prunes ties with a cost an earlier key found and
+keeps ties with a later key's, and the least (cost, key) of the walks
+is the result, so unless the budget runs out the value, the witness and
+`exhaustive` are those of one job.  A walk stops once an earlier key
+holds a leaf of the least cost, so for exists_avoiding the first
+witness in DFS order decides the run.  A run that ends inside the
+allowance starts no process, builds no shared state and is the walk of
+one job, node count included; node counts of longer runs vary from run
+to run.  A run with n <= 6, where K_6 leaves no subtree, has one job,
+and the walk of one job claims nothing.
+
+Every search refuses n above MAX_N and k above MAX_K with a ValueError.
 """
 
 from __future__ import annotations
@@ -133,6 +136,16 @@ from .formulas import gr_k3
 
 DEFAULT_BUDGET = 10**9
 
+# the largest n and k a search takes.  No search proves anything past
+# n = 18 (see verify.PROVED), and the setup before the first node grows
+# with both: the edge plan is quadratic in n, the seed's census cubic,
+# the per-color tables linear in k.  With a budget of 10 nodes,
+# min-mono(2000, 2) took 5.4 s and 648 MB and min-mono(5, 10^5) did not
+# end in 20 s; at the caps every objective spends under 0.3 s and 25 MB
+# on 10^4 nodes
+MAX_N = 100
+MAX_K = 32
+
 TARGET_K3 = "K3"
 TARGET_K4E = "K4+e"
 
@@ -146,6 +159,7 @@ class SearchOutcome:
     It is False only when the node budget ran out first, in which case
     value/witness are best-so-far: None if no leaf was reached, or for
     min_mono_triangles the seed construction, where it has one.
+    nodes_explored is at most the budget, whatever jobs.
     """
 
     objective: str
@@ -264,7 +278,7 @@ def _relabel_work(t, ma, mb, lv, us, vs, col):
     return work, ((wake, states) if states else _IDLE)
 
 
-def _search(plan, k, class_of, objective, start, floor, budget, task=None):
+def _search(plan, k, class_of, objective, start, floor, task):
     """Depth-first search over the canonical colorings of plan's edges
     for the first leaf, in DFS order, of least cost.
 
@@ -296,12 +310,13 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     A leaf is kept when its cost is below cut, which starts at start + 1
     (so leaves that tie start are kept) and then drops to each kept
     leaf's cost.  No cost is below floor, so a kept leaf at floor ends
-    the run.  A serial run (task None) stops at its first node over
-    budget, which it counts.  A worker of a parallel run goes through
-    its task: it claims the subtree below each coloring of the first
-    _SPLIT edges it reaches, and skips that coloring if the claim is
-    refused; it publishes each kept leaf, and it leases its nodes from
-    the shared budget in trades that bring the shared incumbent.
+    the run.  The walk goes through its task, a _Worker: it leases its
+    nodes from the run's budget in trades that bring the run's
+    incumbent, and stops at the first node a trade refuses, which it
+    does not count; it publishes each kept leaf, which the task keeps;
+    and at depth task.split (-1 with one job) it claims the subtree
+    below each coloring of the first _SPLIT edges it reaches, and skips
+    that coloring if the claim is refused.
 
     Colors in one class of class_of (all colors when it is None) make
     their first appearances in increasing order: opened[t][0] lists
@@ -315,10 +330,9 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     color map other than the identity gives a smaller image, so every
     leaf is also no larger than that image with its colors renamed.
 
-    Returns (the kept leaf's cost or None, its colors, nodes,
-    exhaustive)."""
-    us, vs, idxs, backs, firsts = plan.u, plan.v, plan.idx, plan.back, plan.first
-    m = len(idxs)
+    Returns (nodes, exhaustive)."""
+    us, vs, backs, firsts = plan.u, plan.v, plan.back, plan.first
+    m = len(us)
     col = [0] * m  # the colors by depth
     # the tied swaps, bit i for vertex i: tie[t] the swaps (i, v) before
     # edge t = (u, v), tie[~t] the swaps (i, u) once edge t is colored
@@ -355,8 +369,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
     # pend[t]: None, or where relabeled decides edge t, its work and the
     # rest of live[t] (from _relabel_work)
     pend = [None] * (m + 1)
-    # the depth at whose colorings a parallel worker claims subtrees
-    split = -1 if task is None else _SPLIT - 1
+    split = task.split
 
     def relabeled(t, c):
         # whether coloring edge t with c leaves every swap's image, its
@@ -411,10 +424,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
         return True
 
     cut = start + 1
-    best_col = None
-    order = None
-    nodes = 0
-    limit = budget if task is None else 0
+    nodes = limit = 0
     exhaustive = True
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if m:
@@ -430,15 +440,9 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 continue  # another worker's subtree, or one behind the claims
             nodes += 1
             if nodes > limit:
-                # a serial run is over budget; a parallel worker leases the
-                # next slice and takes the shared incumbent
-                if task is None:
-                    exhaustive = False
-                    t = -1
-                    break
-                grant, cut, own_best = task.trade(cut)
-                if not own_best:
-                    best_col = None  # another subtree holds the best leaf
+                # lease the next slice of the budget and take the run's
+                # incumbent
+                grant, cut = task.trade(cut)
                 if not grant or cut <= floor:
                     # refused, or no leaf ahead can beat an earlier subtree's
                     nodes -= 1  # the node is not explored
@@ -509,11 +513,7 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
                 cost = leaf()
                 if cost < cut:
                     cut = cost
-                    if order is None:
-                        order = sorted(range(m), key=idxs.__getitem__)  # pair order
-                    best_col = tuple(map(col.__getitem__, order))
-                    if task is not None:
-                        task.publish(cut)
+                    task.publish(cost, col)
                     if cut <= floor:
                         break
             t -= 1
@@ -524,9 +524,8 @@ def _search(plan, k, class_of, objective, start, floor, budget, task=None):
             row = rows[col[t]]
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-    if task is not None:
-        task.settle(nodes)
-    return cut if best_col is not None else None, best_col, nodes, exhaustive
+    task.settle(nodes)
+    return nodes, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +858,8 @@ def find_gr_star_pair_witness(
 
 
 def _check_args(n, k, jobs, budget):
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n} k={k}")
+    if not (1 <= n <= MAX_N and 1 <= k <= MAX_K):
+        raise ValueError(f"need 1 <= n <= {MAX_N} and 1 <= k <= {MAX_K}, got n={n} k={k}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     if budget < 0:
@@ -873,9 +872,9 @@ def _check_args(n, k, jobs, budget):
 # which every worker walks, holds a few percent of the nodes
 _SPLIT = 15
 
-# nodes a parallel worker leases from the shared budget at a time: small
-# enough that workers trade incumbents every millisecond or so, large
-# enough that the lock is rarely taken
+# nodes a worker leases from the budget at a time: small enough that the
+# workers of a parallel run trade incumbents every millisecond or so,
+# large enough that the lock is rarely taken
 _SLICE = 256
 
 # nodes the parent of a parallel run searches alone before it starts its
@@ -885,39 +884,42 @@ _SLICE = 256
 # nodes, so a run this short forks nothing
 _PROBE = 2**15
 
-# where the shared array of a parallel run keeps the key of the subtree
-# that reached the best cost, and the last key claimed
+# where a run's cells keep the key of the subtree that reached the best
+# cost, and the last key claimed
 _BEST_KEY = slice(2, 2 + _SPLIT)
 _LAST_KEY = slice(2 + _SPLIT, 2 + 2 * _SPLIT)
 
 
 class _Worker:
-    """One process's walk in a parallel run, the task _search goes
-    through.
+    """One process's walk of a run, the task _search goes through.
 
     The run's state is the cells [unleased budget, best cost, the key of
     the earliest subtree that reached that cost, the last key claimed],
     each key in _SPLIT cells, guarded by lock; keys compare as tuples, in
     DFS order.  Before any subtree reaches a cost, its key comes after
     every key, so every worker keeps leaves that tie the starting cost.
-    key is the last key this walk reached and best the (cost, key) of
-    its last kept leaf.
+    key is the last key this walk reached and best the (cost, key,
+    column-order colors) of its last kept leaf.  split is the depth at
+    whose colorings the walk claims subtrees, or -1 for a run of one job,
+    which claims none.
 
     The parent's worker (no shared array) keeps the cells in a plain list
-    with a lock that does nothing.  Once it has leased more than _PROBE
-    nodes it moves them into a shared array, takes that array's lock and
-    starts jobs - 1 helpers, each a worker on the array that walks the
-    plan as the parent does.  A subtree is searched by whichever walk
-    claims it, so no work below the head is repeated at the hand-off,
-    and a run that ends inside the allowance builds no shared state.
+    with a lock that does nothing.  With jobs > 1, once it has leased
+    more than _PROBE nodes it moves them into a shared array, takes that
+    array's lock and starts jobs - 1 helpers, each a worker on the array
+    that walks the plan as the parent does.  A subtree is searched by
+    whichever walk claims it, so no work below the head is repeated at
+    the hand-off, and a run that ends inside the allowance builds no
+    shared state.
     """
 
-    def __init__(self, args, shared=None, jobs=1):
-        self.args = args  # the engine arguments
+    def __init__(self, args, budget=0, jobs=1, shared=None):
+        self.args = args  # the engine arguments before the task
         self.jobs = jobs
         self.pool = None
+        self.split = _SPLIT - 1 if jobs > 1 or shared is not None else -1
         if shared is None:
-            _, k, _, _, start, _, budget = args
+            _, k, _, _, start, _ = args
             # the best key starts after every key, the last claimed before them
             self.cells = [min(budget, 2**62), start] + [k + 1] * _SPLIT + [0] * _SPLIT
             self.lock = nullcontext()
@@ -930,10 +932,13 @@ class _Worker:
 
     def walk(self):
         """The engine run over the whole plan: (least cost or None, the
-        key of the subtree holding it, its colors, nodes, exhaustive)."""
-        found, colors, nodes, exhaustive = _search(*self.args, task=self)
-        key = self.best[1] if found is not None else None
-        return found, key, colors, nodes, exhaustive
+        key of the subtree holding it, its colors in pair order, nodes,
+        exhaustive)."""
+        nodes, exhaustive = _search(*self.args, self)
+        cost, key, col = self.best or (None,) * 3
+        if col is not None:  # into pair order
+            col = tuple(c for _, c in sorted(zip(self.args[0].idx, col)))
+        return cost, key, col, nodes, exhaustive
 
     def claim(self, key):
         """Whether the subtree below key is this walk's: it comes after
@@ -946,20 +951,20 @@ class _Worker:
             cells[_LAST_KEY] = key
         return True
 
-    def publish(self, cost):
-        """Offer a leaf kept in the current subtree as the shared
-        incumbent; ties go to the earlier key."""
-        self.best = (cost, self.key)
+    def publish(self, cost, col):
+        """Keep a leaf of the current subtree, with its column-order
+        colors col, and offer it as the run's incumbent; ties go to the
+        earlier key."""
+        self.best = (cost, self.key, tuple(col))
         cells = self.cells
         with self.lock:
-            if self.best < (cells[1], tuple(cells[_BEST_KEY])):
+            if (cost, self.key) < (cells[1], tuple(cells[_BEST_KEY])):
                 cells[1] = cost
                 cells[_BEST_KEY] = self.key
 
     def trade(self, cut):
         """Lease the next slice of the budget.  Returns (slice, the cut
-        lowered to the shared incumbent, whether this walk holds it); a
-        slice of 0 is a refusal."""
+        lowered to the run's incumbent); a slice of 0 is a refusal."""
         cells = self.cells
         with self.lock:
             grant = min(_SLICE, cells[0])
@@ -968,12 +973,11 @@ class _Worker:
         self.leased += grant
         if self.pool is None and self.jobs > 1 and self.leased > _PROBE:
             self.start_helpers()
-        held = (best, key) == self.best
         # ties with an earlier key's cost are pruned, with a later's kept;
         # every key the walk reaches from here on comes after self.key
         if key > self.key:
             best += 1
-        return grant, min(cut, best), held
+        return grant, min(cut, best)
 
     def start_helpers(self):
         """Move the cells into a shared array and start the helpers on it."""
@@ -1001,24 +1005,24 @@ def _init_helper(*run):
 
 
 def _helper(_):
-    return _Worker(*_POOL_RUN).walk()
+    return _Worker(_POOL_RUN[0], shared=_POOL_RUN[1]).walk()
 
 
 def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
-    """Run the engine over the whole reduced space of K_n and combine its
-    runs: (least cost or None, its colors, nodes, exhaustive).
+    """Run the engine over the whole reduced space of K_n as one worker's
+    walk and combine the walks: (least cost or None, its colors, nodes,
+    exhaustive).  Every run explores at most budget nodes.
 
-    With jobs > 1 and n > 6 the parent walks the space, and once it has
-    leased more than _PROBE nodes jobs - 1 helper processes walk it too;
-    the walks claim the subtrees below the colorings of K_6 and share
-    one budget and one incumbent, which starts at cost `start`."""
+    The walk is that of one job when jobs is 1, when the CPU count lowers
+    it to 1, or when n <= 6, where K_6 leaves no subtree.  Otherwise, once
+    the parent has leased more than _PROBE nodes, jobs - 1 helper
+    processes walk the space too; the walks claim the subtrees below the
+    colorings of K_6 and share one budget and one incumbent, which starts
+    at cost `start`."""
     plan = _edge_plan(n)
-    args = (plan, k, class_of, objective, start, floor, budget)
     # no more processes than CPUs: the verdict does not depend on jobs
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1 or len(plan.idx) <= _SPLIT:
-        return _search(*args)
-    parent = _Worker(args, jobs=jobs)
+    jobs = min(jobs, os.cpu_count() or 1) if jobs > 1 and len(plan.idx) > _SPLIT else 1
+    parent = _Worker((plan, k, class_of, objective, start, floor), budget, jobs)
     try:
         runs = [parent.walk()]
         if parent.pool is not None:

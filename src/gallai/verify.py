@@ -127,7 +127,7 @@ PROVED = (
     # f(n, k), the most edges in no rainbow and no monochromatic triangle:
     # the count of construct_f_lower(n, k); the budget-stopped run at
     # n = 60 shows the engine has no depth limit
-    Proved("full", "max-protected", 60, 2, 71, 5001, exhaustive=False, budget=5000),
+    Proved("full", "max-protected", 60, 2, 71, 5000, exhaustive=False, budget=5000),
     Proved("full", "max-protected", 9, 2, 20, 16772),
     Proved("full", "max-protected", 10, 2, 25, 94521),
     Proved("ci", "max-protected", 11, 2, 30, 863495),

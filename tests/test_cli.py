@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from gallai import parse_coloring, pentagon_coloring
@@ -33,6 +34,31 @@ def test_formula_pair_output(capsys):
 def test_formula_arity_error(capsys):
     code, _, err = run(capsys, "formula", "gr-k3")
     assert code == 1 and "argument" in err
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    return (*result, time.perf_counter() - start)
+
+
+def test_formula_refuses_values_past_the_digit_cap(capsys):
+    # gr-k3 20000 has about 7,000 digits and gr-k4e 20000 3 more; at
+    # k = 10^9 the power alone would run for minutes
+    for argv in (("gr-k3", "20000"), ("gr-k4e", "20000", "3"), ("gr-k3", "1000000000")):
+        code, out, err, seconds = _timed(capsys, "formula", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: formula {argv[0]}:") and "4300 digits" in err
+        assert seconds < 1, argv
+
+
+def test_formula_prints_values_up_to_the_digit_cap(capsys):
+    # gr_k3(12303) = 2 * 5^6151 + 1 has 4,300 digits and prints;
+    # gr_k3(12304) = 5^6152 + 1 has 4,301 and is refused once computed
+    code, out, _ = run(capsys, "formula", "gr-k3", "12303")
+    assert code == 0 and len(out.strip()) == 4300
+    code, out, err = run(capsys, "formula", "gr-k3", "12304")
+    assert code == 1 and out == "" and err.startswith("error: formula gr-k3:")
 
 
 def test_construct_stdout_roundtrip(capsys):
@@ -147,6 +173,27 @@ def test_search_rejects_nonpositive_jobs(capsys):
             code, out, err = run(capsys, "search", objective, "5", "2", "--jobs", jobs)
             assert code == 1 and out == ""
             assert err.startswith("error:") and "jobs" in err
+
+
+def test_search_refuses_n_past_the_cap(capsys):
+    for objective in ("min-mono", "exists-avoiding", "max-protected"):
+        code, out, err, seconds = _timed(
+            capsys, "search", objective, "1000000000", "2", "--budget", "10"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "n <= 100" in err
+        assert seconds < 1, objective
+
+
+def test_search_refuses_k_past_the_cap(capsys):
+    # exists-avoiding would build a k-long default target list first
+    for objective in ("min-mono", "exists-avoiding", "max-protected"):
+        code, out, err, seconds = _timed(
+            capsys, "search", objective, "5", "1000000000", "--budget", "10"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "k <= 32" in err
+        assert seconds < 1, objective
 
 
 def test_search_json_and_witness_file(capsys, tmp_path):

@@ -202,7 +202,7 @@ def test_max_protected_witness_revalidates():
 def test_budget_degradation_is_explicit():
     out = min_mono_triangles(7, 2, budget=50)
     assert not out.exhaustive
-    assert out.nodes_explored <= 51
+    assert out.nodes_explored <= 50
 
 
 def _jobs_grid():
@@ -266,9 +266,9 @@ def _forbid_processes(monkeypatch):
 def _count_pools(monkeypatch, most=None, leases=None):
     """Records the size of every pool started, through the real Pool; a
     pool of more than `most` processes fails the test before it starts.
-    When leases is a list, it also records the nodes the parent has
-    leased net when the pool starts: the run's budget less the unleased
-    rest in its shared state."""
+    When leases is a list, it also records the nodes the parent of a run
+    at the default budget has leased net when the pool starts: the
+    budget less the unleased rest in its shared state."""
     starts = []
     real = multiprocessing.Pool
 
@@ -276,9 +276,8 @@ def _count_pools(monkeypatch, most=None, leases=None):
         assert most is None or processes <= most, processes
         starts.append(processes)
         if leases is not None:
-            engine_args, shared = initargs
-            budget = min(engine_args[-1], 2**62)
-            leases.append(budget - shared.get_obj()[0])
+            _, shared = initargs
+            leases.append(DEFAULT_BUDGET - shared.get_obj()[0])
         return real(processes, initializer, initargs, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", pool)
@@ -446,15 +445,15 @@ def test_parallel_runs_combine_in_dfs_order():
 
 
 def _assert_jobs_share_one_budget():
-    # one budget bounds the whole run, not each subtree; four jobs run
-    # more workers than this test is likely to have cores, so a lost
-    # update to the shared counter would overspend it
-    for jobs in (2, 3, 4):
+    # one budget bounds the whole run, not each subtree, whatever jobs;
+    # four jobs run more workers than this test is likely to have cores,
+    # so a lost update to the shared counter would overspend it
+    for jobs in (1, 2, 3, 4):
         out = max_protected_edges(10, 2, budget=50_000, jobs=jobs)
-        assert out.nodes_explored <= 50_001
+        assert out.nodes_explored <= 50_000
         assert not out.exhaustive
         out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=500, jobs=jobs)
-        assert out.nodes_explored <= 501
+        assert out.nodes_explored <= 500
         assert not out.exhaustive and out.value is None
 
 
@@ -467,6 +466,111 @@ def test_jobs_share_one_budget_with_helpers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(search, "_PROBE", 0)
     _assert_jobs_share_one_budget()
+
+
+def test_jobs_one_and_two_agree_at_every_budget(monkeypatch):
+    # one budget rule: a run stops at the first node its lease refuses,
+    # whatever jobs, so a budget-stopped run reports the same best so far
+    # and the same node count with one job as with two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = [
+        (min_mono_triangles, (11, 3, True)),
+        (exists_avoiding, (9, 2, ["K4+e", "K3"])),
+        (max_protected_edges, (9, 2)),
+    ]
+    for f, args in calls:
+        for budget in (0, 1, 5, 50):
+            one, two = (f(*args, budget=budget, jobs=jobs) for jobs in (1, 2))
+            assert one == two, (f.__name__, args, budget)
+            assert one.nodes_explored == budget and not one.exhaustive
+
+
+class _CountingLock:
+    """A lock that counts how often this process takes it."""
+
+    def __init__(self):
+        self.lock = multiprocessing.RLock()
+        self.taken = 0
+
+    def acquire(self, *args, **kwargs):
+        self.taken += 1
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class _IdlePool:
+    """A pool that starts no helper: the parent walks every subtree."""
+
+    def __init__(self, processes, initializer, initargs):
+        self.initargs = initargs
+
+    def map_async(self, fn, items):
+        return self
+
+    def get(self):
+        return []
+
+    def terminate(self):
+        pass
+
+
+def test_parent_switches_to_the_shared_lock(monkeypatch):
+    # once the helpers start, the parent must trade and claim in the
+    # shared array under its lock; with its own list and no-op lock it
+    # would neither see the helpers' claims nor be seen by them
+    arrays = []
+    real_array = multiprocessing.Array
+
+    def array(typecode, init):
+        arrays.append(real_array(typecode, init, lock=_CountingLock()))
+        return arrays[-1]
+
+    monkeypatch.setattr(multiprocessing, "Array", array)
+    monkeypatch.setattr(multiprocessing, "Pool", _IdlePool)
+    plan = _edge_plan(8)
+    worker = search._Worker((plan, 2, None, search._max_protected_hooks, 0, -28), 100, 2)
+    worker.start_helpers()
+    [shared] = arrays
+    assert worker.lock is shared.get_lock()
+    assert worker.cells is shared.get_obj()
+    assert worker.pool.initargs == (worker.args, shared)
+    # a whole run: the helpers start at the parent's first trade, and every
+    # later claim and trade of the parent takes the shared lock
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_PROBE", 0)
+    serial = max_protected_edges(8, 2)
+    out = max_protected_edges(8, 2, jobs=2)
+    assert out == serial
+    shared = arrays[-1]
+    assert len(arrays) == 2 and shared.get_lock().taken > serial.nodes_explored // search._SLICE
+
+
+def test_sizes_past_the_caps_are_refused():
+    # the setup of a search grows with n and k before its first node, so
+    # sizes past the caps are refused up front, however small the budget
+    for n, k in [(search.MAX_N + 1, 2), (5, search.MAX_K + 1), (10**9, 2), (5, 10**9)]:
+        with pytest.raises(ValueError, match="n <= "):
+            min_mono_triangles(n, k, budget=10)
+        with pytest.raises(ValueError, match="n <= "):
+            exists_avoiding(n, k, ["K3"] * min(k, search.MAX_K + 1), budget=10)
+        with pytest.raises(ValueError, match="n <= "):
+            max_protected_edges(n, k, budget=10)
+        with pytest.raises(ValueError, match="n <= "):
+            find_gr_star_pair_witness(n, k, budget=10)
+    for f, args in [
+        (min_mono_triangles, (search.MAX_N, search.MAX_K, True)),
+        (exists_avoiding, (search.MAX_N, search.MAX_K, ["K4+e"] * search.MAX_K)),
+        (max_protected_edges, (search.MAX_N, search.MAX_K)),
+    ]:
+        out = f(*args, budget=10)
+        assert out.nodes_explored == 10 and not out.exhaustive
 
 
 def test_jobs_must_be_positive():
@@ -563,7 +667,7 @@ def test_large_n_has_no_depth_limit():
         exists_avoiding(60, 2, ["K4+e", "K4+e"], budget=5000),
     ):
         assert not out.exhaustive
-        assert out.nodes_explored == 5001
+        assert out.nodes_explored == 5000
 
 
 def test_nodes_counted():

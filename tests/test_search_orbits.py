@@ -23,7 +23,7 @@ import pytest
 
 import helpers
 from gallai import Coloring, exists_avoiding, lex_pairs, max_protected_edges, min_mono_triangles
-from gallai.search import _SPLIT, _edge_plan, _search
+from gallai.search import _SPLIT, DEFAULT_BUDGET, _Worker, _edge_plan, _search
 
 SIZES = (
     [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)]
@@ -50,8 +50,8 @@ def _leaves(n, k, class_of, task=None):
     """The reduced space: every coloring the engine reaches, in column
     order; with a task, those of the subtrees it claims."""
     out = []
-    hooks = partial(_collect_hooks, out=out)
-    _search(_edge_plan(n), k, class_of, hooks, 0, 0, inf, task=task)
+    args = (_edge_plan(n), k, class_of, partial(_collect_hooks, out=out), 0, 0)
+    _search(*args, task or _Worker(args, DEFAULT_BUDGET))
     return out
 
 
@@ -170,7 +170,8 @@ def test_reduced_space_size(n, k, size):
     # force, pinned; at k = 4 and 5 the relabeling follows swaps tied up
     # to three and four first edges, which no exact search test reaches
     out = [0]
-    _search(_edge_plan(n), k, None, partial(_count_hooks, out=out), 0, 0, inf)
+    args = (_edge_plan(n), k, None, partial(_count_hooks, out=out), 0, 0)
+    _search(*args, _Worker(args, DEFAULT_BUDGET))
     assert out[0] == size
 
 
@@ -230,6 +231,8 @@ class _Claims:
     among those offered passes pick, with an unlimited budget and no
     other worker to trade incumbents with."""
 
+    split = _SPLIT - 1
+
     def __init__(self, pick):
         self.pick = pick
         self.offered = []
@@ -238,11 +241,11 @@ class _Claims:
         self.offered.append(key)
         return self.pick(len(self.offered) - 1)
 
-    def publish(self, cost):
+    def publish(self, cost, col):
         raise AssertionError("a leaf of cost inf was kept")
 
     def trade(self, cut):
-        return 1 << 40, cut, False
+        return 1 << 40, cut
 
     def settle(self, nodes):
         pass
