@@ -54,7 +54,8 @@ _FORMULAS = {
 
 
 # `gallai formula` prints values of at most this many digits, the most a
-# Python int converts to text by default, and refuses the others by name
+# Python int converts to text by default, and refuses the others by name;
+# `formula` and `construct` refuse longer integer arguments the same way
 FORMULA_DIGITS = 4300
 
 # the formulas exponential in their first argument k: gr-k3, gr-k4e and
@@ -65,12 +66,29 @@ _EXPONENTIAL = {"gr-k3", "gr-k4e", "gr-star-k3", "g-bounds"}
 _FORMULA_MAX_K = 2 * ceil(FORMULA_DIGITS / log10(5)) + 2
 
 
+def _integers(call, args):
+    """args as ints, or a refusal that names the call (the verb and its
+    formula or family) and the argument that is not an integer of at
+    most FORMULA_DIGITS digits."""
+    values = []
+    for x in args:
+        try:
+            value = int(x)
+        except ValueError:  # not an integer, or past Python's own digit limit
+            value = None
+        if value is None or abs(value) >= 10**FORMULA_DIGITS:
+            shown = repr(x) if len(x) <= 20 else f"{x[:10]!r}... ({len(x)} characters)"
+            raise ValueError(f"{call}: {shown} is not an integer of at most {FORMULA_DIGITS} digits")
+        values.append(value)
+    return values
+
+
 def _cmd_formula(args):
     name = args.name
     arity, fn = _FORMULAS[name]
     if len(args.args) != arity:
         raise ValueError(f"formula {name} takes {arity} argument(s)")
-    a = [int(x) for x in args.args]
+    a = _integers(f"formula {name}", args.args)
     if name in _EXPONENTIAL and a[0] >= _FORMULA_MAX_K:
         raise ValueError(f"formula {name}: k={a[0]} puts it past {FORMULA_DIGITS} digits")
     result = fn(*a)
@@ -87,26 +105,39 @@ def _cmd_formula(args):
 # ---------------------------------------------------------------------------
 # construct
 
+# family: (arity, the function that builds a member, its vertex count)
 _FAMILIES = {
-    "pentagon": (2, construct.pentagon_coloring),
-    "paley17": (2, construct.paley17_coloring),
-    "gr-k3": (1, construct.construct_gr_k3_extremal),
-    "gr-k4e": (2, construct.construct_gr_k4e_extremal),
-    "multiplicity": (2, construct.construct_multiplicity_extremal),
-    "f-lower": (2, construct.construct_f_lower),
-    "nim-star": (3, construct.construct_nim_star),
-    "goodman2": (3, construct.goodman_extremal_2coloring),
+    "pentagon": (2, construct.pentagon_coloring, lambda a, b: 5),
+    "paley17": (2, construct.paley17_coloring, lambda a, b: 17),
+    "gr-k3": (1, construct.construct_gr_k3_extremal, lambda k: formulas.gr_k3(k) - 1),
+    "gr-k4e": (2, construct.construct_gr_k4e_extremal, formulas.mixed_k4e_extremal_order),
+    "multiplicity": (2, construct.construct_multiplicity_extremal, lambda k, n: n),
+    "f-lower": (2, construct.construct_f_lower, lambda n, k: n),
+    "nim-star": (3, construct.construct_nim_star, lambda n, h, k: n),
+    "goodman2": (3, construct.goodman_extremal_2coloring, lambda n, a, b: n),
 }
+
+# `gallai construct` builds colorings of at most this many vertices and
+# takes no argument above it, so no power of 5 or 17 in a vertex count
+# gets large.  Measured at the cap on 2 vCPUs, every family built in at
+# most 2.6 s (nim-star 1000 2 32) and 63 MB (multiplicity 2 1000); at 2,000
+# vertices nim-star 2000 2 45 took 16 s
+CONSTRUCT_MAX_N = 1000
 
 
 def _cmd_construct(args):
     fam = args.family
-    arity, build = _FAMILIES[fam]
-    a = [int(x) for x in args.args]
+    arity, build, order = _FAMILIES[fam]
+    a = _integers(f"construct {fam}", args.args)
     if fam == "goodman2" and len(a) == 1:
         a += [1, 2]  # the shorthand `goodman2 n` colors with 1 and 2
     if len(a) != arity:
         raise ValueError(f"construct {fam} takes {arity} integer argument(s)")
+    if max(a) > CONSTRUCT_MAX_N:
+        raise ValueError(f"construct {fam}: argument {max(a)} is past the cap of {CONSTRUCT_MAX_N}")
+    n = order(*a)
+    if n > CONSTRUCT_MAX_N:
+        raise ValueError(f"construct {fam}: {n} vertices, past the cap of {CONSTRUCT_MAX_N}")
     extra = {"seed": args.seed} if fam == "nim-star" else {}
     _emit(build(*a, **extra).serialize(), args.output)
     return 0

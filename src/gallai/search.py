@@ -38,7 +38,9 @@ DFS to colorings satisfying them loses no orbit:
     d below k and the image brings a larger color c there: it then
     ties under the map c -> d, and the engine follows it position by
     position (`_relabel_work`, and `relabeled` in `_search`) until the
-    image is larger or smaller.  Such a swap needs K_{i-1} and every
+    image is larger or smaller; one mask of first edges, the edges where
+    a color appears for the first time, finds such swaps, less those the
+    next edge already makes larger.  Such a swap needs K_{i-1} and every
     edge it leaves in place to keep colors the map fixes, so it lives
     only near the first edges of a column.  With several classes
     (exists with mixed targets) a color new to one class can rename
@@ -224,14 +226,15 @@ def _relabel_work(t, ma, mb, lv, us, vs, col):
     """What _search's relabeled decides at edge t = (u, v), and live[t]
     less it.
 
-    The swaps (i, v) of ma and (i, u) of mb are tied by the masks up to
-    edge {u, i}, respectively (i, v), the first of its color d: a color
-    c above d there ties each under a map other than the identity,
-    c -> d.  Each becomes (i, j, depth, None, -d, t), compared on from
-    that depth, at edge t if the edges up to t decide it and else once
-    the comparison's edge is colored.  The work is those compared at t
-    and the swaps of lv that edge t wakes, less those tied up to a
-    first edge that a color no larger than d met; the rest stays."""
+    ma and mb are the swaps (i, v) and (i, u) that the tie masks hold up
+    to a first edge of fa, {u, i} respectively (i, v), of color d: a
+    color c above d there ties each under a map other than the identity,
+    c -> d.  Each becomes the live state (wake, i, j, depth, None, -d, t),
+    compared on from that depth once edge wake, the later of that depth
+    and its image, is colored; one the edges up to t decide gets wake t.
+    The work is those of wake t and the swaps of lv that edge t wakes,
+    less those tied up to a first edge that a color no larger than d
+    met, all in that one shape; the rest stays."""
     work = []
     wake, states = lv
     if wake <= t:
@@ -242,7 +245,7 @@ def _relabel_work(t, ma, mb, lv, us, vs, col):
                 rest.append(st)
                 wake = min(wake, st[0])
             elif st[5] > 0 or col[st[6]] > -st[5]:
-                work.append(st[1:])
+                work.append(st)
         states = rest
     u = us[t]
     v = vs[t]
@@ -264,13 +267,11 @@ def _relabel_work(t, ma, mb, lv, us, vs, col):
         p += 1
         a = us[p]
         b = vs[p]
-        if p < t and col[p] == d and i != a != j and i != b != j:
-            continue  # an edge the swap leaves in place, colored d: larger
         a = j if a == i else i if a == j else a
         b = j if b == i else i if b == j else b
         s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
         if p <= t and s <= t:
-            work.append((i, j, p, None, -d, t))
+            work.append((t, i, j, p, None, -d, t))
         else:
             s = max(p, s)
             states = [*states, (s, i, j, p, None, -d, t)]
@@ -350,21 +351,25 @@ def _search(plan, k, class_of, objective, start, floor, task):
         latest[class_of[c]] = c
     # relabeling, with one class.  A swap the tie masks hold up to the
     # first edge of a color d below k ties under a map other than the
-    # identity when a larger color meets that edge: fa[x] has bit y set
-    # for such an edge {x, y} (the edges the swaps (y, v) compare at
-    # (x, v)), fb[x] for such an edge (y, x) (the edges the swaps (y, u)
-    # compare at (u, x)).  Once the next edge is colored d and left in
-    # place by the swap, the map sends d above itself there, so that
-    # edge's bits leave fa.  opened[t] is the color order before edge t:
-    # (the colors open to it, fa, fb, the depth of the last first edge or
-    # -2), written forward like every other per-depth state.  An edge that
-    # changes fa or fb writes new lists, so no list changes once written
-    # and a backtrack leaves them be.  live[t] is (the least wake, the
-    # swaps tied under a map other than the identity) before edge t
+    # identity when a larger color meets that edge.  fa[x] has bit y set
+    # for such a first edge {x, y}: the swaps (y, v) compare it at (x, v),
+    # and for y < x the swaps (y, u) at (u, x).  When the next edge takes
+    # d too, a swap that leaves it in place sends d above itself there and
+    # gives a larger image, so bit y leaves fa[x] unless y is on that edge
+    # (a swap (y, j) with j on it is never both tied and read from bit y
+    # later).  That branch decides nothing the comparison would not, but
+    # it spares _relabel_work calls: without it f(13, 3) makes 55,269 of
+    # them instead of 44,753.  opened[t] is (the colors open to edge t,
+    # fa), written forward like every other per-depth state.  With one
+    # class the open colors change exactly at a first edge, so the branch
+    # finds one by the list's identity.  An edge that changes the colors
+    # or fa writes new lists, so no list changes once written and a
+    # backtrack leaves them be.  live[t] is (the least wake, the swaps
+    # tied under a map other than the identity) before edge t
     relabel = len(set(class_of[1:])) <= 1
     opened = [None] * (m + 1)
     empty = [0] * (plan.n + 1)
-    opened[0] = ([c for c in range(1, k + 1) if c not in after], empty, empty, -2)
+    opened[0] = ([c for c in range(1, k + 1) if c not in after], empty)
     live = [_IDLE] * (m + 1)
     # pend[t]: None, or where relabeled decides edge t, its work and the
     # rest of live[t] (from _relabel_work)
@@ -377,7 +382,7 @@ def _search(plan, k, class_of, objective, start, floor, task):
         work, (wake, rest) = pend[t]
         col[t] = c
         kept = rest
-        for i, j, p, pi, mapped, at in work:
+        for _, i, j, p, pi, mapped, at in work:
             if mapped < 0:
                 # tied by the masks up to the first edge of color d = -mapped,
                 # which the color of edge at meets under a map other than
@@ -451,7 +456,7 @@ def _search(plan, k, class_of, objective, start, floor, task):
                     break
                 limit += grant
             col[t] = c
-            op, fa, fb, last = state = opened[t]
+            op, fa = state = opened[t]
             nxt = after[c]
             u = us[t]
             v = vs[t]
@@ -459,24 +464,19 @@ def _search(plan, k, class_of, objective, start, floor, task):
                 op = sorted([*op, nxt])
                 if relabel:  # c is new
                     fa = fa[:]
-                    fb = fb[:]
                     fa[u] |= 1 << v
                     fa[v] |= 1 << u
-                    fb[v] |= 1 << u
-                    last = t
-                state = (op, fa, fb, last)
-            elif last == t - 1 and c == col[last] and (u > 1 or us[last] == 1):
-                # the edge after a first edge (a, b), in its color.  An edge
-                # that opens column v moves with the swaps (i, v) of that
-                # column, which compare at (a, v) only after it if a > 1
-                a = us[last]
-                b = vs[last]
+                state = (op, fa)
+            elif relabel and t and op is not opened[t - 1][0] and c == col[t - 1]:
+                # the edge after a first edge (a, b), in its color
+                a = us[t - 1]
+                b = vs[t - 1]
                 fa = fa[:]
                 if b != u and b != v:
                     fa[a] &= ~(1 << b)
                 if a != u and a != v:
                     fa[b] &= ~(1 << a)
-                state = (op, fa, fb, last)
+                state = (op, fa)
             opened[t + 1] = state
             row = rows[c]
             tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
@@ -499,7 +499,7 @@ def _search(plan, k, class_of, objective, start, floor, task):
                 if relabel:
                     lv = live[t]
                     ma = a & fa[u]
-                    mb = b & fb[v]
+                    mb = b & fa[v]
                     pend[t] = None
                     if ma or mb or lv[0] <= t:
                         work, lv = _relabel_work(t, ma, mb, lv, us, vs, col)

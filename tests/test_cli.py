@@ -5,8 +5,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from gallai import parse_coloring, pentagon_coloring
-from gallai.cli import main
+from gallai.cli import CONSTRUCT_MAX_N, main
 from gallai.grstar import parse_extended_coloring, serialize_extended_coloring, figure1_fixture
 
 
@@ -59,6 +61,53 @@ def test_formula_prints_values_up_to_the_digit_cap(capsys):
     assert code == 0 and len(out.strip()) == 4300
     code, out, err = run(capsys, "formula", "gr-k3", "12304")
     assert code == 1 and out == "" and err.startswith("error: formula gr-k3:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("formula", "goodman-m2", "7" * 4301),
+        ("formula", "goodman-m2", "abc"),
+        ("construct", "gr-k3", "7" * 4301),
+        ("construct", "goodman2", "abc"),
+    ],
+)
+def test_integer_arguments_are_refused_by_name(capsys, argv):
+    # neither Python's digit-limit message nor int()'s own reaches the user
+    verb, name, arg = argv
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {verb} {name}: ") and "4300 digits" in line
+    assert arg[:10] in line and "sys.set_int_max_str_digits" not in line
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # each asks for far more than CONSTRUCT_MAX_N vertices: the first
+        # three ran out of memory under a 2 GB address-space limit, the
+        # rest ran on past 10 s
+        ("gr-k3", "40"),
+        ("gr-k4e", "40", "2"),
+        ("multiplicity", "5", "1000000000"),
+        ("multiplicity", "1000000000", "3"),
+        ("f-lower", "100", "1000000000"),
+        ("goodman2", "1000000000"),
+        ("nim-star", "1000000000", "2", "2"),
+        ("f-lower", str(CONSTRUCT_MAX_N + 1), "4"),
+    ],
+)
+def test_construct_refuses_sizes_past_the_cap(capsys, args):
+    code, out, err, seconds = _timed(capsys, "construct", *args)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: construct {args[0]}: ") and str(CONSTRUCT_MAX_N) in err
+    assert seconds < 1
+
+
+def test_construct_builds_at_the_cap(capsys):
+    code, out, _ = run(capsys, "construct", "f-lower", str(CONSTRUCT_MAX_N), "4")
+    assert code == 0 and out.startswith(f"{CONSTRUCT_MAX_N} 4\n")
 
 
 def test_construct_stdout_roundtrip(capsys):

@@ -657,6 +657,29 @@ def _no_worse(name, value, recorded):
     return value >= recorded
 
 
+def test_relabel_work_pinned(monkeypatch):
+    # node counts do not see how much work the color relabeling does: a
+    # filter that only spares _relabel_work calls leaves every count as
+    # it is.  The work entries are pinned, and the calls may only fall
+    real = search._relabel_work
+    seen = []
+
+    def counted(*args):
+        work, lv = real(*args)
+        seen.append(len(work))
+        return work, lv
+
+    monkeypatch.setattr(search, "_relabel_work", counted)
+    for run, calls, entries in [
+        (lambda: min_mono_triangles(11, 3, True), 716, 392),
+        (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), 470, 248),
+        (lambda: max_protected_edges(12, 3), 7813, 4209),
+    ]:
+        seen.clear()
+        run()
+        assert len(seen) <= calls and sum(seen) == entries, (len(seen), sum(seen))
+
+
 def test_large_n_has_no_depth_limit():
     # every edge is one level of the DFS, 1,770 of them at n = 60; a
     # small budget must end the run as not exhaustive, whatever depth
