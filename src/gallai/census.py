@@ -34,6 +34,14 @@ vertex, read from the full neighborhood).  The parts of a Gallai
 partition are modules (Gallai 1967), so the blow-up constructions are
 twin-rich, and on them the walk takes one step per triangle of the twin
 quotient instead of one per triangle.
+
+Each color is walked for a K4 at most once per coloring: its first K4,
+or None, goes into the coloring's K4 record (`Coloring.k4_record`),
+which the K4 and K4+e hunts read.  A color without a K4 has no K4+e.
+When the first K4 has a vertex of color-degree above 3 it is also the
+smallest K4 with one, so the K4+e witness is read off it.  Only
+otherwise does the K4+e hunt walk, on past the K4s whose four vertices
+all have color-degree 3, each a whole component of the color class.
 """
 
 from __future__ import annotations
@@ -147,7 +155,33 @@ def _rainbow_apexes(adj, u, v, a, apexes):
 
 
 def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest witness of `kind` in color c, or None.
+    """Lexicographically smallest witness of `kind` in color c, or None:
+    the first K4 of color c comes from the coloring's K4 record, walked
+    for on its first use (see the module docstring)."""
+    if kind == "K3":
+        return _clique_walk(coloring, c, kind)
+    record = coloring.k4_record()
+    if c not in record:
+        record[c] = _clique_walk(coloring, c, "K4")
+    quad = record[c]
+    if kind == "K4" or quad is None:
+        return quad
+    k4e = _with_pendant(coloring.adjacency()[c], coloring.degrees()[c], quad)
+    return k4e or _clique_walk(coloring, c, kind)
+
+
+def _with_pendant(adj_c, deg_c, quad):
+    """The clique quad followed by the lowest c-neighbor outside it of
+    its lowest vertex of c-degree above 3, or None if it has none."""
+    for y in quad:
+        if deg_c[y] > 3:
+            extra = adj_c[y] & ~sum(1 << (x - 1) for x in quad)
+            return quad + ((extra & -extra).bit_length(),)
+    return None
+
+
+def _clique_walk(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
+    """The first witness of `kind` in color c that the walk reaches.
 
     Every edge is oriented from its lower vertex to its higher one, and
     only the lowest vertex of each c-twin class takes part, so
@@ -187,12 +221,9 @@ def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[
                 while xs:
                     bx = xs & -xs
                     xs ^= bx
-                    x = bx.bit_length()
-                    for y in (u, v, w, x):
-                        if deg_c[y] > 3:
-                            quad = bu | bv | bw | bx
-                            extra = adj_c[y] & ~quad
-                            return (u, v, w, x, (extra & -extra).bit_length())
+                    k4e = _with_pendant(adj_c, deg_c, (u, v, w, bx.bit_length()))
+                    if k4e:
+                        return k4e
     return None
 
 
@@ -252,17 +283,21 @@ def count_nim_star_edges(coloring: Coloring, h: int) -> int:
 
     An edge uv of color q lies in a monochromatic K_{1,h} iff one of its
     endpoints has q-degree >= h, so it counts exactly when both
-    endpoints have q-degree <= h-1.
+    endpoints have q-degree <= h-1.  With L_q the bitset of those
+    vertices, each such edge is counted once from each end as a bit of
+    adj[q][u] & L_q for u in L_q: one AND and popcount per vertex and
+    color present.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
+    adj = coloring.adjacency()
     deg = coloring.degrees()
     n = coloring.n
-    count = 0
-    colors = iter(coloring.colors)
-    for u in range(1, n + 1):
-        for v, q in zip(range(u + 1, n + 1), colors):
-            deg_q = deg[q]
-            if deg_q[u] <= h - 1 and deg_q[v] <= h - 1:
-                count += 1
-    return count
+    twice = 0
+    # the colors present: k may be far larger
+    for q in set(coloring.colors):
+        adj_q, deg_q = adj[q], deg[q]
+        low = [u for u in range(1, n + 1) if deg_q[u] < h]
+        low_q = sum(1 << (u - 1) for u in low)
+        twice += sum((adj_q[u] & low_q).bit_count() for u in low)
+    return twice // 2

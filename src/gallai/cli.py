@@ -55,7 +55,8 @@ _FORMULAS = {
 
 # `gallai formula` prints values of at most this many digits, the most a
 # Python int converts to text by default, and refuses the others by name;
-# `formula` and `construct` refuse longer integer arguments the same way
+# `formula`, `construct`, `search` and `grstar-search` refuse longer
+# integer arguments the same way
 FORMULA_DIGITS = 4300
 
 # the formulas exponential in their first argument k: gr-k3, gr-k4e and
@@ -192,8 +193,9 @@ def _cmd_grstar_check(args):
 
 
 def _cmd_grstar_search(args):
-    found, witness = grstar.max_gr_star_witness(args.n, args.k, budget=args.budget)
-    doc = {"n": args.n, "k": args.k, "found": found, "witness_gecx": None}
+    n, k, budget = _integers("grstar-search", (args.n, args.k, args.budget))
+    found, witness = grstar.max_gr_star_witness(n, k, budget=budget)
+    doc = {"n": n, "k": k, "found": found, "witness_gecx": None}
     if witness is not None:
         text = grstar.serialize_extended_coloring(witness)
         doc["witness_gecx"] = text
@@ -207,25 +209,28 @@ def _cmd_grstar_search(args):
 # search
 
 def _cmd_search(args):
+    n, k, budget, jobs = _integers(
+        f"search {args.objective}", (args.n, args.k, args.budget, args.jobs)
+    )
     # the size caps come before the k-long default target list
-    search._check_args(args.n, args.k, args.jobs, args.budget)
-    kwargs = dict(budget=args.budget, jobs=args.jobs)
+    search._check_args(n, k, jobs, budget)
+    kwargs = dict(budget=budget, jobs=jobs)
     if args.targets is not None and args.objective != "exists-avoiding":
         raise ValueError(f"{args.objective} takes no per-color targets; drop --targets")
     if args.objective == "min-mono":
-        out = search.min_mono_triangles(args.n, args.k, args.gallai, **kwargs)
+        out = search.min_mono_triangles(n, k, args.gallai, **kwargs)
     elif args.objective == "max-protected":
         if args.gallai:
             raise ValueError("max-protected ranges over all colorings; drop --gallai")
-        out = search.max_protected_edges(args.n, args.k, **kwargs)
+        out = search.max_protected_edges(n, k, **kwargs)
     else:  # exists-avoiding
-        targets = _parse_targets(args.targets, args.k)
-        out = search.exists_avoiding(args.n, args.k, targets, args.gallai, **kwargs)
+        targets = _parse_targets(args.targets, k)
+        out = search.exists_avoiding(n, k, targets, args.gallai, **kwargs)
     witness_gec = out.witness.serialize() if out.witness else None
     doc = {
         "objective": out.objective,
-        "n": args.n,
-        "k": args.k,
+        "n": n,
+        "k": k,
         "value": out.value,
         "nodes_explored": out.nodes_explored,
         "exhaustive": out.exhaustive,
@@ -332,21 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_grstar_check)
 
+    # the integers of grstar-search and search are parsed by _integers
     p = sub.add_parser("grstar-search", help="exhaustive witness search at (n, k)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
+    p.add_argument("n")
+    p.add_argument("k")
+    p.add_argument("--budget", default=str(search.DEFAULT_BUDGET))
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_grstar_search)
 
     p = sub.add_parser("search", help="exhaustive search over k-colorings of K_n")
     p.add_argument("objective", choices=["min-mono", "exists-avoiding", "max-protected"])
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n")
+    p.add_argument("k")
     p.add_argument("--gallai", action="store_true", help="restrict to Gallai colorings")
     p.add_argument("--targets", help="per-color targets for exists-avoiding, e.g. K4+e,K3")
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", default=str(search.DEFAULT_BUDGET))
+    p.add_argument("--jobs", default="1")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_search)
 

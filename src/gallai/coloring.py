@@ -18,10 +18,14 @@ canonical reading: a text that is exactly what the serializer writes,
 checked by writing it again with the same row writer, is read off its
 color column without a per-line split.  Any other text, and every
 error, goes to the general reader `_parse_body`, which is the format's
-only definition.  The loops that still walk the pairs one at a time in
-Python are the general reader, the derived tables, `edges` (and
-`edges_by_color` on it), `permute_vertices` and the constructor's error
-path.
+only definition.  The loops of this module that still walk the pairs
+one at a time in Python are the general reader, the derived tables,
+`edges` (and `edges_by_color` on it), `permute_vertices` and the
+constructor's error path.  Elsewhere, at the sizes the constructions
+reach, they are the triangle census, the rainbow-triangle search and
+the protected-edge count in `census`, and the nim-star construction's
+last step.  The nim-star count works per vertex and color, and the
+Goodman and random Gallai constructions build whole rows.
 """
 
 from __future__ import annotations
@@ -60,9 +64,14 @@ def pair_index(n: int, u: int, v: int) -> int:
 class Coloring:
     """An immutable k-edge-coloring of the complete graph K_n.
 
-    Instances are safe to share across threads: all derived data
-    (per-color adjacency bitsets, degree tables) is computed once on
-    first use and never mutated afterwards.
+    Instances are safe to share across threads.  The per-color
+    adjacency bitsets and degree tables are computed once on first use
+    and never mutated afterwards.  The per-color K4 record beside them
+    gains one entry per color, on that color's first K4 hunt, and never
+    changes an entry: each is an immutable tuple or None that every
+    thread computes alike, and a dict store is atomic, so a reader sees
+    either no entry or the final one.  Two threads that hunt one color
+    at once may both walk it; they store the same value.
     """
 
     __slots__ = ("n", "k", "colors", "_derived")
@@ -106,7 +115,8 @@ class Coloring:
 
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
-        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.
+        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.  The K4
+        # record starts empty.
         n = self.n
         adj = [None] + [[0] * (n + 1) for _ in range(self.k)]
         bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
@@ -118,7 +128,7 @@ class Coloring:
                 adj_c[u] |= bv
                 adj_c[v] |= bu
         deg = [None] + [[mask.bit_count() for mask in adj_c] for adj_c in adj[1:]]
-        object.__setattr__(self, "_derived", (adj, deg))
+        object.__setattr__(self, "_derived", (adj, deg, {}))
 
     def adjacency(self) -> list:
         """Per-color adjacency bitsets, indexed adj[color][vertex]."""
@@ -131,6 +141,14 @@ class Coloring:
         if self._derived is None:
             self._build_derived()
         return self._derived[1]
+
+    def k4_record(self) -> dict:
+        """The first monochromatic K4 of each color hunted so far: color
+        -> its sorted vertex tuple, or None when the color has none.
+        Filled by `census.find_mono_subgraph`, one walk per color."""
+        if self._derived is None:
+            self._build_derived()
+        return self._derived[2]
 
     def edges_by_color(self) -> list:
         """Lists of pairs per color, indexed by color, each in

@@ -219,17 +219,29 @@ def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
     whose color-a degrees all sit at the feasible maximizers of
     d(n-1-d) is extremal.  The star-free circulant of maximum degree
     floor(n/2) realizes that: its degrees are floor or ceil of (n-1)/2,
-    but for the one vertex n = 3 mod 4 forces lower."""
+    but for the one vertex n = 3 mod 4 forces lower.
+
+    That graph, color_a here, is _star_free_graph(n, n // 2 + 1), built
+    by rows: row u is a prefix of one circulant pattern, plus the pair
+    of the (near-)antipodal matching on the rows that have one."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if color_a == color_b:
         raise ValueError("colors must differ")
     k = max(color_a, color_b)
-    graph = _star_free_graph(n, n // 2 + 1)
+    d = n // 2  # the maximum degree
+    # pattern[t]: the color of the pairs at circulant distance t, color_a
+    # on the offsets 1..d//2
+    pattern = [color_a if min(t, n - t) <= d // 2 else color_b for t in range(n)]
+    # when d is odd, the antipodal (n even) or near-antipodal (n odd)
+    # matching joins each u <= d to u + d
+    matched = d if d % 2 == 1 else 0
     colors = []
     for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            colors.append(color_a if (u - 1, v - 1) in graph else color_b)
+        row = pattern[1 : n - u + 1]
+        if u <= matched:
+            row[d - 1] = color_a
+        colors += row
     return Coloring(n, k, colors)
 
 
@@ -247,16 +259,18 @@ def construct_multiplicity_extremal(k: int, n: int) -> Coloring:
         raise ValueError(f"n={n} below threshold {gr_k3(k)} for k={k}")
     if k % 2 == 1:
         base = _triangle_free_even(k - 1, k)
-        m, r = divmod(n, base.n)
-        big = mono_clique(m + 1, k, k)
-        small = mono_clique(m, k, k)
+
+        def insert(size):
+            return mono_clique(size, k, k)
     else:
         base = _triangle_free_even(k - 2, k)
-        m, r = divmod(n, base.n)
-        big = goodman_extremal_2coloring(m + 1, k - 1, k).with_k(k)
-        small = goodman_extremal_2coloring(m, k - 1, k).with_k(k)
-    inserts = [big] * r + [small] * (base.n - r)
-    return blow_up(base, inserts)
+
+        def insert(size):
+            return goodman_extremal_2coloring(size, k - 1, k).with_k(k)
+    m, r = divmod(n, base.n)
+    # r of the inserts take m + 1 vertices, the rest m
+    big = [insert(m + 1)] * r if r else []
+    return blow_up(base, big + [insert(m)] * (base.n - r))
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +438,34 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
 
 def random_gallai_coloring(n: int, k: int, rng: random.Random) -> Coloring:
     """Random Gallai coloring built by recursive blow-ups of 2-colored
-    bases; any coloring produced this way is rainbow-triangle-free."""
+    bases; any coloring produced this way is rainbow-triangle-free.
+
+    Each blow-up of n >= 2 vertices draws a base of t = 2..min(n, 5)
+    vertices, its palette of at most two colors, the base colors and
+    the copy sizes, then builds its copies in order.  The rows are
+    written in one pass over that tree: every vertex of a copy has the
+    same colors to the vertices after the copy, so a copy passes its
+    vertices that suffix, and a single vertex's row is its suffix."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n} k={k}")
-    if n == 1:
-        return single_vertex(k)
-    t = rng.randint(2, min(n, 5))
-    palette = rng.sample(range(1, k + 1), min(k, 2))
-    base_colors = tuple(rng.choice(palette) for _ in range(comb(t, 2)))
-    base = Coloring(t, k, base_colors)
-    sizes = [1] * t
-    for _ in range(n - t):
-        sizes[rng.randrange(t)] += 1
-    inserts = [random_gallai_coloring(size, k, rng) for size in sizes]
-    return blow_up(base, inserts)
+    colors: list[int] = []
+
+    def rows(n, suffix):
+        if n == 1:
+            colors.extend(suffix)
+            return
+        t = rng.randint(2, min(n, 5))
+        palette = rng.sample(range(1, k + 1), min(k, 2))
+        base_colors = iter([rng.choice(palette) for _ in range(comb(t, 2))])
+        sizes = [1] * t
+        for _ in range(n - t):
+            sizes[rng.randrange(t)] += 1
+        for i, size in enumerate(sizes):
+            # the colors from copy i to the later copies, as in blow_up
+            tail: list[int] = []
+            for later, c in zip(sizes[i + 1 :], base_colors):
+                tail += [c] * later
+            rows(size, tail + suffix)
+
+    rows(n, [])
+    return Coloring(n, k, colors)

@@ -66,6 +66,18 @@ def brute_nim_star(c, h):
     return count
 
 
+def goodman_reference(n, a, b):
+    """The Goodman-extremal 2-coloring as an edge set on 0..n-1: color a
+    on the circulant of offsets 1..d//2 with d = floor(n/2), plus, when
+    d is odd, the antipodal (n even) or near-antipodal (n odd) matching
+    {i, i + d} for i < d; color b elsewhere."""
+    d = n // 2
+    edges = {tuple(sorted((i, (i + t) % n))) for i in range(n) for t in range(1, d // 2 + 1)}
+    if d % 2:
+        edges |= {(i, i + d) for i in range(d)}
+    return Coloring(n, max(a, b), [a if (u - 1, v - 1) in edges else b for u, v in lex_pairs(n)])
+
+
 def min_valid_partition_size(coloring, partition):
     """Smallest part count among valid coarsenings of the partition,
     by exhaustive enumeration of groupings of its parts."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from gallai import census
 from gallai import (
     Coloring,
     blow_up,
@@ -173,6 +174,37 @@ def test_witness_edges_carry_color():
             assert any(c.color(x, pendant) == 1 for x in quad)
 
 
+def _color_1(n, cliques, pendants=()):
+    """K_n in color 2 but for the color-1 cliques and pendant edges."""
+    ones = {frozenset(e) for vs in cliques for e in combinations(vs, 2)}
+    ones |= {frozenset(e) for e in pendants}
+    return Coloring(n, 2, [1 if {u, v} in ones else 2 for u, v in combinations(range(1, n + 1), 2)])
+
+
+# mono cliques with and without pendant edges: the first K4 has a vertex
+# of color-degree above 3, or none and a later K4 has one, or no K4 has
+K4_WITH_PENDANTS = [
+    mono_clique(6, 1, 2),
+    _color_1(8, [(3, 5, 6, 8)], [(2, 6)]),
+    _color_1(9, [(2, 4, 7, 9)], [(1, 9), (4, 5)]),
+    _color_1(10, [(2, 3, 5, 9), (1, 4, 6, 7)], [(6, 10)]),
+    _color_1(10, [(1, 2, 3, 4), (5, 6, 7, 8)], [(7, 10)]),
+    _color_1(9, [(1, 2, 3, 4), (5, 6, 7, 8)]),
+    _color_1(9, [(1, 2, 3, 4)]),
+]
+
+
+def _check_k4_hunts_in_any_order(c):
+    """K4 and K4+e witnesses equal the brute-force ones whichever is
+    asked first, each on a fresh Coloring, whose K4 record is empty."""
+    for color in range(1, c.k + 1):
+        want = {"K4": helpers.brute_first_mono_clique(c, color, 4), "K4+e": helpers.brute_first_k4e(c, color)}
+        for order in (("K4", "K4+e"), ("K4+e", "K4")):
+            fresh = Coloring(c.n, c.k, c.colors)
+            for kind in order:
+                assert find_mono_subgraph(fresh, color, kind).witness == want[kind], (color, order)
+
+
 @given(colorings(min_n=1, max_n=9, max_k=3))
 @settings(max_examples=200, deadline=None)
 def test_witness_is_lexicographically_smallest(c):
@@ -180,6 +212,7 @@ def test_witness_is_lexicographically_smallest(c):
         assert find_mono_subgraph(c, color, "K3").witness == helpers.brute_first_mono_clique(c, color, 3)
         assert find_mono_subgraph(c, color, "K4").witness == helpers.brute_first_mono_clique(c, color, 4)
         assert find_mono_subgraph(c, color, "K4+e").witness == helpers.brute_first_k4e(c, color)
+    _check_k4_hunts_in_any_order(c)
 
 
 def test_witnesses_on_blow_ups_match_brute():
@@ -208,6 +241,29 @@ def test_witnesses_on_blow_ups_match_brute():
             assert find_mono_subgraph(c, color, "K4+e").witness == helpers.brute_first_k4e(c, color)
             classes += 1
     assert classes > 800
+
+
+@pytest.mark.parametrize("c", K4_WITH_PENDANTS)
+def test_k4_and_k4e_witnesses_in_any_order_with_pendants(c):
+    assert helpers.brute_first_mono_clique(c, 1, 4) is not None
+    _check_k4_hunts_in_any_order(c)
+
+
+def test_k4e_after_k4_walks_no_more(monkeypatch):
+    walks = []
+    walk = census._clique_walk
+
+    def counted(coloring, color, kind):
+        walks.append((color, kind))
+        return walk(coloring, color, kind)
+
+    monkeypatch.setattr(census, "_clique_walk", counted)
+    c = goodman_extremal_2coloring(60, 1, 2)
+    # color 1 has a K4 with a pendant, color 2 no K4
+    assert [find_mono_subgraph(c, color, "K4").present for color in (1, 2)] == [True, False]
+    assert walks == [(1, "K4"), (2, "K4")]
+    assert [find_mono_subgraph(c, color, "K4+e").present for color in (1, 2)] == [True, False]
+    assert walks == [(1, "K4"), (2, "K4")]
 
 
 # Witnesses recorded from the pair-scanning hunts that the
@@ -306,3 +362,12 @@ def test_nim_star_examples():
 @settings(max_examples=120)
 def test_nim_star_matches_brute(c, h):
     assert count_nim_star_edges(c, h) == helpers.brute_nim_star(c, h)
+
+
+def test_nim_star_matches_brute_far_above_the_colors_used():
+    # two colors of a header k = 1000 occur; the count visits those only
+    rng = random.Random(8)
+    for n in (1, 2, 7, 12):
+        c = Coloring(n, 1000, [rng.choice((3, 997)) for _ in range(comb(n, 2))])
+        for h in range(1, 8):
+            assert count_nim_star_edges(c, h) == helpers.brute_nim_star(c, h)

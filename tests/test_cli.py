@@ -82,6 +82,28 @@ def test_integer_arguments_are_refused_by_name(capsys, argv):
     assert arg[:10] in line and "sys.set_int_max_str_digits" not in line
 
 
+def _refuses_by_name(capsys, call, argv):
+    # the 4,301 digits are not echoed: the line names the call, the
+    # argument's first characters and length, and the digit limit
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {call}: '7777777777'... (4301 characters)")
+    assert "4300 digits" in line and len(line) < 120
+
+
+@pytest.mark.parametrize(
+    "args", [("7" * 4301, "2"), ("5", "7" * 4301), ("5", "2", "--budget", "7" * 4301), ("5", "2", "--jobs", "7" * 4301)]
+)
+def test_search_integer_arguments_are_refused_by_name(capsys, args):
+    _refuses_by_name(capsys, "search min-mono", ("search", "min-mono", *args))
+
+
+@pytest.mark.parametrize("args", [("7" * 4301, "3"), ("5", "7" * 4301), ("5", "3", "--budget", "7" * 4301)])
+def test_grstar_search_integer_arguments_are_refused_by_name(capsys, args):
+    _refuses_by_name(capsys, "grstar-search", ("grstar-search", *args))
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import helpers
+from gallai import construct
 from gallai import (
     Coloring,
     blow_up,
@@ -200,6 +204,12 @@ def test_goodman_extremal_pentagon_at_5():
     assert triangle_census(c).mono_total == 0
 
 
+def test_goodman_extremal_matches_edge_set_reference():
+    for n in range(1, 301):
+        a, b = (1, 2) if n % 2 else (4, 3)
+        assert goodman_extremal_2coloring(n, a, b) == helpers.goodman_reference(n, a, b), n
+
+
 def test_goodman_extremal_color_arguments():
     c = goodman_extremal_2coloring(6, 3, 5)
     assert set(c.colors) <= {3, 5}
@@ -216,6 +226,23 @@ def test_multiplicity_extremal(k, n, want):
     assert cen.rainbow == 0
     assert cen.mono_total == want
     assert cen.mono_total == g_multiplicity_bounds(k, n)[0]
+
+
+def test_multiplicity_builds_only_the_inserts_it_uses(monkeypatch):
+    # k = 2 has a one-vertex base, so no insert takes m + 1 vertices;
+    # (4, 26) blows the pentagon up with one insert of 6 and four of 5
+    sizes = []
+    goodman = construct.goodman_extremal_2coloring
+
+    def recorded(n, a, b):
+        sizes.append(n)
+        return goodman(n, a, b)
+
+    monkeypatch.setattr(construct, "goodman_extremal_2coloring", recorded)
+    for k, n, built in [(2, 9, [9]), (4, 26, [5, 6])]:
+        sizes.clear()
+        assert construct_multiplicity_extremal(k, n).n == n
+        assert sorted(sizes) == built, (k, n)
 
 
 def test_multiplicity_rejects_small_n():
@@ -300,3 +327,18 @@ def test_random_gallai_is_gallai():
     for _ in range(60):
         c = random_gallai_coloring(rng.randint(1, 40), rng.randint(1, 6), rng)
         assert is_gallai(c)
+
+
+# sha256 of random_gallai_coloring(n, k, Random(seed)) serialized, keyed
+# "n k seed", recorded from the builder that made and blew up a Coloring
+# at every node of the recursion; partition_grid.json pins n <= 60
+RANDOM_GALLAI_PINS = Path(__file__).parent / "data" / "random_gallai_sha256.json"
+
+
+def test_random_gallai_matches_pinned_hashes():
+    pins = json.loads(RANDOM_GALLAI_PINS.read_text())
+    assert len(pins) == 3 * 140
+    for key, want in pins.items():
+        n, k, seed = map(int, key.split())
+        c = random_gallai_coloring(n, k, random.Random(seed))
+        assert hashlib.sha256(c.serialize().encode()).hexdigest() == want, key
