@@ -46,17 +46,15 @@ all have color-degree 3, each a whole component of the color class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import Coloring
 
 MONO_KINDS = ("K3", "K4", "K4+e")
 
 
-@dataclass(frozen=True)
-class TriangleCensus:
+class TriangleCensus(NamedTuple):
     """Counts of monochromatic/bichromatic/rainbow triangles."""
 
     mono_per_color: dict[int, int]
@@ -68,8 +66,7 @@ class TriangleCensus:
         return sum(self.mono_per_color.values())
 
 
-@dataclass(frozen=True)
-class MonoSubgraphReport:
+class MonoSubgraphReport(NamedTuple):
     """Outcome of a monochromatic K3/K4/K4+e hunt in one color.
 
     For kind "K4+e" a witness lists the four clique vertices in

@@ -15,7 +15,7 @@ import sys
 from math import ceil, log10
 from pathlib import Path
 
-from . import census, construct, formulas, grstar, search, verify
+from . import census, construct, formulas, grstar, search
 from .coloring import GecFormatError, parse_coloring
 from .partition import NotGallaiError, coarsen_to_min_parts, find_gallai_partition
 
@@ -121,15 +121,14 @@ _FAMILIES = {
 # `gallai construct` builds colorings of at most this many vertices and
 # takes no argument above it, so no power of 5 or 17 in a vertex count
 # gets large.  Measured at the cap on 2 vCPUs, every family built in at
-# most 2.6 s (nim-star 1000 2 32) and 63 MB (multiplicity 2 1000); at 2,000
-# vertices nim-star 2000 2 45 took 16 s
+# most 0.4 s and 37 MB (nim-star 1000 2 32)
 CONSTRUCT_MAX_N = 1000
 
 
 def _cmd_construct(args):
     fam = args.family
     arity, build, order = _FAMILIES[fam]
-    a = _integers(f"construct {fam}", args.args)
+    *a, seed = _integers(f"construct {fam}", (*args.args, args.seed))
     if fam == "goodman2" and len(a) == 1:
         a += [1, 2]  # the shorthand `goodman2 n` colors with 1 and 2
     if len(a) != arity:
@@ -139,7 +138,7 @@ def _cmd_construct(args):
     n = order(*a)
     if n > CONSTRUCT_MAX_N:
         raise ValueError(f"construct {fam}: {n} vertices, past the cap of {CONSTRUCT_MAX_N}")
-    extra = {"seed": args.seed} if fam == "nim-star" else {}
+    extra = {"seed": seed} if fam == "nim-star" else {}
     _emit(build(*a, **extra).serialize(), args.output)
     return 0
 
@@ -259,6 +258,8 @@ def _parse_targets(spec: str | None, k: int) -> list[str]:
 # verify-suite
 
 def _cmd_verify_suite(args):
+    from . import verify  # imported by this verb only
+
     results = verify.run_suite(args.level)
     ok = all(r.ok for r in results)
     if args.json:
@@ -306,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decomposition, and exhaustive search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every integer argument is taken as a string and parsed by _integers
 
     p = sub.add_parser("formula", help="evaluate a closed formula")
     p.add_argument("name", choices=sorted(_FORMULAS))
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="generate a coloring family member")
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("args", nargs="*")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_construct)
 
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_grstar_check)
 
-    # the integers of grstar-search and search are parsed by _integers
     p = sub.add_parser("grstar-search", help="exhaustive witness search at (n, k)")
     p.add_argument("n")
     p.add_argument("k")

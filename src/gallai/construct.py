@@ -339,11 +339,12 @@ def _relabel(edges: set[tuple[int, int]], mapping: Sequence[int]) -> set[tuple[i
     return out
 
 
-def _far_vertex(n: int, adjacency: list[set[int]], u: int) -> int | None:
-    """Smallest vertex at graph distance >= 3 from u, or None."""
-    near = {u} | adjacency[u]
+def _far_vertex(n: int, adjacency: list[dict[int, int]], u: int) -> int | None:
+    """Smallest vertex at graph distance >= 3 from u, or None; adjacency[x]
+    holds x's neighbours as keys."""
+    near = {u, *adjacency[u]}
     for w in adjacency[u]:
-        near |= adjacency[w]
+        near.update(adjacency[w])
     for v in range(n):
         if v not in near:
             return v
@@ -383,23 +384,30 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
         rng.shuffle(mapping)
         layers.append(_relabel(pattern, mapping))
 
+    # union[x]: x's neighbours in the union of the layers, each with the
+    # number of layers that hold the edge; shared[i, j] (i < j): the edges
+    # layers i and j share.  A switch moves only edges of one layer at
+    # its two vertices, so it updates both at those edges alone
+    union: list[dict[int, int]] = [{} for _ in range(n)]
+
+    def count(e, step):
+        a, b = e
+        for x, y in ((a, b), (b, a)):
+            union[x][y] = union[x].get(y, 0) + step
+            if not union[x][y]:
+                del union[x][y]
+
+    for layer in layers:
+        for e in layer:
+            count(e, 1)
+    shared = {
+        (i, j): layers[i] & layers[j] for i in range(k - 1) for j in range(i + 1, k - 1)
+    }
+
     max_switches = n * n
     switches = 0
     while True:
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for layer in layers:
-            for a, b in layer:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        conflict = None
-        for i in range(len(layers)):
-            for j in range(i + 1, len(layers)):
-                shared = layers[i] & layers[j]
-                if shared:
-                    conflict = (i, min(shared))
-                    break
-            if conflict:
-                break
+        conflict = next(((i, min(edges)) for (i, _), edges in shared.items() if edges), None)
         if conflict is None:
             break
         if switches >= max_switches:
@@ -407,16 +415,27 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
                 f"layer repair exceeded {max_switches} switches; "
                 "precondition on n violated"
             )
-        i, (a, b) = conflict
-        u = a
-        v = _far_vertex(n, adjacency, u)
+        i, (u, _) = conflict
+        v = _far_vertex(n, union, u)
         if v is None:
             raise RuntimeError(
                 "no vertex at distance >= 3 available; precondition on n violated"
             )
+        layer = layers[i]
         swap = list(range(n))
         swap[u], swap[v] = v, u
-        layers[i] = _relabel(layers[i], swap)
+        moved = {(min(x, w), max(x, w)) for x in (u, v) for w in union[x]} & layer
+        image = _relabel(moved, swap)
+        gone, came = moved - image, image - moved
+        layer -= gone
+        layer |= came
+        for edges, step in ((gone, -1), (came, 1)):
+            for e in edges:
+                count(e, step)
+                # e leaves or joins each pair's shared set with layer i
+                for j, other in enumerate(layers):
+                    if j != i and e in other:
+                        shared[min(i, j), max(i, j)] ^= {e}
         switches += 1
 
     colors = []

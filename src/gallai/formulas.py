@@ -13,12 +13,11 @@ which math.comb already does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class GuardedValue:
+class GuardedValue(NamedTuple):
     """An integer value together with its validity regime.
 
     validity is "exact" for formulas that hold at every size and

@@ -14,9 +14,7 @@ The `.gecx` format extends `.gec`: the pair body first, then a line
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .census import triangle_census
 from .coloring import Coloring, GecFormatError, _numbered_content_lines, _parse_body
@@ -26,28 +24,34 @@ MAX_WITNESS_N = 8
 MAX_WITNESS_K = 3
 
 
-@dataclass(frozen=True)
-class ExtendedColoring:
-    """A pair coloring plus one color per vertex, sharing {1..k}."""
-
+class _ExtendedFields(NamedTuple):
     pairs: Coloring
     singleton_colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.singleton_colors) != self.pairs.n:
-            raise ValueError(
-                f"need {self.pairs.n} singleton colors, got {len(self.singleton_colors)}"
-            )
-        for v, c in enumerate(self.singleton_colors, start=1):
-            if not 1 <= c <= self.pairs.k:
-                raise ValueError(f"singleton color {c} at vertex {v} outside 1..{self.pairs.k}")
+
+class ExtendedColoring(_ExtendedFields):
+    """A pair coloring plus one color per vertex, sharing {1..k}."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: Coloring, singleton_colors: tuple[int, ...]):
+        if len(singleton_colors) != pairs.n:
+            raise ValueError(f"need {pairs.n} singleton colors, got {len(singleton_colors)}")
+        for v, c in enumerate(singleton_colors, start=1):
+            if not 1 <= c <= pairs.k:
+                raise ValueError(f"singleton color {c} at vertex {v} outside 1..{pairs.k}")
+        return super().__new__(cls, pairs, singleton_colors)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     def singleton_color(self, v: int) -> int:
         return self.singleton_colors[v - 1]
 
 
-@dataclass(frozen=True)
-class GrStarReport:
+class GrStarReport(NamedTuple):
     """Outcome of the three witness conditions."""
 
     gallai: bool
@@ -123,6 +127,8 @@ def serialize_extended_coloring(extended: ExtendedColoring) -> str:
 def figure1_fixture() -> ExtendedColoring:
     """The bundled 10-vertex, 4-color extremal extended coloring with
     two distinct singleton colors; passes all witness conditions."""
+    from importlib import resources  # here, so no CLI call pays for it at start-up
+
     text = resources.files("gallai").joinpath("data/figure1.gecx").read_text()
     return parse_extended_coloring(text)
 

@@ -27,7 +27,7 @@ lexicographic order finds the first one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import find_rainbow_triangle, triangle_census
 from .coloring import Coloring
@@ -41,8 +41,7 @@ class NotGallaiError(ValueError):
         super().__init__(f"coloring has a rainbow triangle at {witness}")
 
 
-@dataclass(frozen=True)
-class GallaiPartition:
+class GallaiPartition(NamedTuple):
     """A vertex partition with monochromatic part-pairs.
 
     parts are sorted vertex tuples, ordered by smallest member; reduced

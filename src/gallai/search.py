@@ -126,7 +126,6 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from math import comb, inf
 from typing import NamedTuple, Optional, Sequence
@@ -152,8 +151,7 @@ TARGET_K3 = "K3"
 TARGET_K4E = "K4+e"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of one exhaustive search.
 
     exhaustive is True when the reported value is proven exact: the

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
@@ -42,8 +41,7 @@ from .partition import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -104,6 +104,12 @@ def test_grstar_search_integer_arguments_are_refused_by_name(capsys, args):
     _refuses_by_name(capsys, "grstar-search", ("grstar-search", *args))
 
 
+def test_construct_seed_is_refused_by_name(capsys):
+    _refuses_by_name(
+        capsys, "construct nim-star", ("construct", "nim-star", "40", "3", "4", "--seed", "7" * 4301)
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -325,6 +331,41 @@ def _gallai(tmp_path, *argv):
         text=True,
         timeout=120,
     )
+
+
+def _gallai_without_site(tmp_path, *argv):
+    """`python -S`: no site module, so no .pth file in site-packages
+    preloads modules (some preload typing, random or importlib.resources)
+    and hides an import that gallai itself pays for."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-S", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cli_import_skips_dataclasses_and_the_suite(tmp_path):
+    # the start-up every verb pays: records are named tuples, and only
+    # verify-suite imports gallai.verify
+    proc = _gallai_without_site(tmp_path, "-c", "import sys, gallai.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "gallai.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "gallai.verify", "importlib.resources"}
+
+
+def test_cli_verbs_run_without_site(tmp_path):
+    (tmp_path / "p.gec").write_text(pentagon_coloring(1, 2).serialize())
+    proc = _gallai_without_site(tmp_path, "-m", "gallai.cli", "formula", "gr-k3", "3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11\n", "")
+    proc = _gallai_without_site(tmp_path, "-m", "gallai.cli", "count", "p.gec")
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert (doc["n"], doc["rainbow"], doc["mono"]) == (5, 0, {"1": 0, "2": 0})
 
 
 BAD_CALLS = [

@@ -319,6 +319,20 @@ def test_nim_star_rejects_small_n():
         construct_nim_star(10, 3, 4)
 
 
+# sha256 of construct_nim_star(n, h, k, seed) serialized, keyed
+# "n h k seed", recorded from the repair that rebuilt the union of the
+# layers and intersected every pair of layers again after each switch
+NIM_STAR_PINS = Path(__file__).parent / "data" / "nim_star_sha256.json"
+
+
+def test_nim_star_matches_pinned_hashes():
+    pins = json.loads(NIM_STAR_PINS.read_text())
+    assert "1000 2 32 0" in pins and len(pins) == 11
+    for key, want in pins.items():
+        c = construct_nim_star(*map(int, key.split()))
+        assert hashlib.sha256(c.serialize().encode()).hexdigest() == want, key
+
+
 # --- randomized Gallai generator ---------------------------------------------
 
 

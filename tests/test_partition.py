@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -110,8 +109,7 @@ def _with_parts(coloring, partition, parts):
     colours read off the lowest member of each part, as a finder would."""
     lows = [part[0] for part in parts]
     reduced = [coloring.color(u, v) for u, v in combinations(lows, 2)]
-    return replace(
-        partition,
+    return partition._replace(
         parts=tuple(map(tuple, parts)),
         between_colors=frozenset(reduced),
         reduced=Coloring(len(parts), coloring.k, reduced),
@@ -131,45 +129,45 @@ def _perturbations(coloring, gp, rng):
     moved[i].remove(v)
     moved[j] = sorted(moved[j] + [v])
     if moved[i]:
-        yield "moved", replace(gp, parts=tuple(map(tuple, moved)))
+        yield "moved", gp._replace(parts=tuple(map(tuple, moved)))
         yield "moved, reduced recomputed", _with_parts(coloring, gp, moved)
     else:
-        yield "moved, part left empty", replace(gp, parts=tuple(map(tuple, moved)))
+        yield "moved, part left empty", gp._replace(parts=tuple(map(tuple, moved)))
 
     if k >= 2:
         x = rng.randrange(len(reduced))
         changed = list(reduced)
         changed[x] = rng.choice([c for c in range(1, k + 1) if c != reduced[x]])
-        yield "reduced colour changed", replace(gp, reduced=Coloring(t, k, changed))
+        yield "reduced colour changed", gp._replace(reduced=Coloring(t, k, changed))
         missing = [c for c in range(1, k + 1) if c not in gp.between_colors]
         if missing:
-            yield "between colour added", replace(gp, between_colors=gp.between_colors | {missing[0]})
+            yield "between colour added", gp._replace(between_colors=gp.between_colors | {missing[0]})
     if len(gp.between_colors) == 2:
-        yield "between colour dropped", replace(gp, between_colors=frozenset([min(gp.between_colors)]))
-    yield "between colours empty", replace(gp, between_colors=frozenset())
+        yield "between colour dropped", gp._replace(between_colors=frozenset([min(gp.between_colors)]))
+    yield "between colours empty", gp._replace(between_colors=frozenset())
 
-    yield "reduced n too large", replace(gp, reduced=Coloring(t + 1, k, reduced + [1] * t))
-    yield "reduced n too small", replace(gp, reduced=Coloring(t - 1, k, reduced[: comb(t - 1, 2)]))
-    yield "reduced k too large", replace(gp, reduced=gp.reduced.with_k(k + 1))
+    yield "reduced n too large", gp._replace(reduced=Coloring(t + 1, k, reduced + [1] * t))
+    yield "reduced n too small", gp._replace(reduced=Coloring(t - 1, k, reduced[: comb(t - 1, 2)]))
+    yield "reduced k too large", gp._replace(reduced=gp.reduced.with_k(k + 1))
     if max(reduced) < k:
-        yield "reduced k too small", replace(gp, reduced=Coloring(t, k - 1, reduced))
+        yield "reduced k too small", gp._replace(reduced=Coloring(t, k - 1, reduced))
 
     dup = [list(p) for p in parts]
     dup[j] = sorted(dup[j] + [v])
-    yield "vertex duplicated", replace(gp, parts=tuple(map(tuple, dup)))
+    yield "vertex duplicated", gp._replace(parts=tuple(map(tuple, dup)))
     gone = [list(p) for p in parts]
     gone[i].remove(v)
-    yield "vertex missing", replace(gp, parts=tuple(map(tuple, gone)))
+    yield "vertex missing", gp._replace(parts=tuple(map(tuple, gone)))
     for label, bad in (("0", 0), ("n+1", n + 1)):
         extra = [list(p) for p in parts]
         extra[j].append(bad)
-        yield f"vertex {label} added", replace(gp, parts=tuple(map(tuple, extra)))
+        yield f"vertex {label} added", gp._replace(parts=tuple(map(tuple, extra)))
         swapped = [list(p) for p in parts]
         swapped[i][swapped[i].index(v)] = bad
-        yield f"vertex replaced by {label}", replace(gp, parts=tuple(map(tuple, swapped)))
+        yield f"vertex replaced by {label}", gp._replace(parts=tuple(map(tuple, swapped)))
 
-    yield "single part", replace(
-        gp, parts=(tuple(range(1, n + 1)),), between_colors=frozenset(), reduced=Coloring(1, k, ())
+    yield "single part", gp._replace(
+        parts=(tuple(range(1, n + 1)),), between_colors=frozenset(), reduced=Coloring(1, k, ())
     )
 
 
