@@ -330,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--minimize",
         action="store_true",
-        help="merge pairs of parts until no pair can merge "
-        "(fewer parts, not always the minimum)",
+        help="merge parts into the fewest whose pairs stay monochromatic",
     )
     p.set_defaults(fn=_cmd_partition)
 

@@ -99,6 +99,12 @@ class Coloring:
     def __setattr__(self, name, value):
         raise AttributeError("Coloring is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__
+        # refuses the default restore; the derived tables are rebuilt
+        # on first use
+        return type(self), (self.n, self.k, self.colors)
+
     def color(self, u: int, v: int) -> int:
         """Color of the pair {u,v} (order of arguments is irrelevant)."""
         if u > v:

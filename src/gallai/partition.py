@@ -22,12 +22,40 @@ there are at least two of them.  Conversely, the parts of any Gallai
 partition whose between-colors lie in S are unions of non-S components,
 since a non-S edge never joins two parts.  A Gallai partition exists, so
 some S of size 1 or 2 splits the graph, and trying the candidate sets in
-lexicographic order finds the first one.
+lexicographic order finds the first one.  The components outside S
+depend on the colors of S that the coloring uses alone, so each distinct
+used part of a candidate set is tried once, where its first candidate
+comes, and unused colors cost nothing.
+
+Coarsening.  Let R be the reduced coloring of a Gallai partition with
+t >= 3 parts, in at most two colors a < b.  A module of R is a vertex
+set M that every vertex outside M sees in one color.  Two disjoint
+modules are joined in one color, so the valid coarsenings of the
+partition are exactly its groupings into at least two modules of R.
+
+Lemma.  If the a-graph or the b-graph of R is disconnected (as the
+b-graph is when R uses one color), each of its components is a module,
+and two groups suffice.  Otherwise R's maximal proper modules are
+disjoint, so they form the unique minimum coarsening: every group of a
+valid one is a proper module and lies inside one of them (Gallai 1967).
+
+Proof.  A component of the a-graph sees every outside vertex in b, so
+it and its complement are modules.  Now let both graphs be connected,
+and let maximal proper modules M and N overlap.  Then M | N is a module,
+so it is the whole vertex set, and M - N and N - M are not empty.  Take
+y in N - M.  Each x in M - N sees N in one color, and y sees M in one
+color; the pair xy has both, so every x in M - N sees N in y's color c.
+So M - N and its complement N are joined in c alone, and the other
+color's graph is disconnected: a contradiction.
+
+Two-group rule: the component holding the last part (the one with the
+largest lowest vertex) is one group, and every other part merges into
+the other.  On a one-colored R this leaves the last part alone.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .census import find_rainbow_triangle, triangle_census
 from .coloring import Coloring
@@ -54,10 +82,25 @@ class GallaiPartition(NamedTuple):
     reduced: Coloring
 
 
-def _candidate_color_sets(k: int) -> list[tuple[int, ...]]:
-    sets = [(a,) for a in range(1, k + 1)]
-    sets += [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    return sorted(sets)
+def _candidate_color_sets(used: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The sets S & used for the candidate color sets S, the subsets of
+    size 1 or 2 of 1..k in lexicographic order: each distinct non-empty
+    one once, in the order of its first candidate.
+
+    These are the u(u+1)/2 sets of size 1 or 2 of the u used colors, and
+    used = 1..k gives every candidate.  With gap the least unused color,
+    each used a < gap comes with its own candidates (a,) and (a, b); the
+    candidates (gap, b) are the first to give (b,) for each used b > gap;
+    and each used a > gap adds only its pairs (a, b)."""
+    used = sorted(used)
+    gap = next((i for i, c in enumerate(used, 1) if c != i), len(used) + 1)
+    # used[:gap - 1] is 1..gap-1, and the rest lies above gap
+    for i, a in enumerate(used):
+        if i == gap - 1:
+            yield from ((b,) for b in used[i:])
+        if a < gap:
+            yield (a,)
+        yield from ((a, b) for b in used[i + 1 :])
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
@@ -100,8 +143,8 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     """Produce a Gallai partition of a rainbow-triangle-free coloring.
 
     Deterministic: the parts are the components of the graph of edges
-    whose color lies outside the first candidate color set S (sets of
-    size 1 or 2 in lexicographic order) with at least two of them, in
+    whose color lies outside the first candidate color set S (subsets of
+    size 1 or 2 of 1..k in lexicographic order) with at least two of them, in
     order of their lowest vertex.  By the module's lemma every pair of
     parts is monochromatic, so the reduced color of parts A and B is the
     color of their lowest vertices.  Raises NotGallaiError with a
@@ -112,7 +155,8 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
         raise ValueError("partition needs n >= 2")
     if triangle_census(coloring).rainbow > 0:
         raise NotGallaiError(find_rainbow_triangle(coloring))
-    for s in _candidate_color_sets(coloring.k):
+    used = (c for c, deg in enumerate(coloring.degrees()[1:], 1) if any(deg))
+    for s in _candidate_color_sets(used):
         comps = _components_outside(coloring, s)
         if len(comps) >= 2:
             break
@@ -172,53 +216,154 @@ def verify_gallai_partition(coloring: Coloring, partition: GallaiPartition) -> b
     return between == set(partition.between_colors)
 
 
+# the digits of 0/1 flags, for int(..., 2)
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _color_rows(t: int, colors, a: int) -> list[int]:
+    """rows[x]: the bitmask (vertex x <-> bit x) of the vertices that x
+    sees in color a, in a coloring of K_t on vertices 0..t-1 given by its
+    colors in pair order.
+
+    One flag per pair, then the t x t 0/1 matrix of the pairs (x, y),
+    y > x: row x holds x's later neighbors and column x its earlier
+    ones, each read off the matrix as one binary number."""
+    flags = bytes(map(a.__eq__, colors)).translate(_DIGITS)
+    upper = []
+    end = 0
+    for x in range(t):
+        start, end = end, end + t - 1 - x
+        upper.append(b"0" * (x + 1) + flags[start:end])
+    matrix = b"".join(upper)
+    return [int(row[::-1], 2) | int(matrix[x::t][::-1], 2) for x, row in enumerate(upper)]
+
+
+def _component(rows: list[int], vertices: int, x: int, flip: int) -> int:
+    """The component of x in the graph on the vertices of the bitmask
+    vertices whose edges are the a-pairs of rows (flip 0) or the other
+    pairs (flip -1)."""
+    comp = frontier = 1 << x
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fresh = (rows[low.bit_length() - 1] ^ flip) & vertices & ~comp
+        comp |= fresh
+        frontier |= fresh
+    return comp
+
+
+def _module_children(rows: list[int], vertices: int) -> list[int]:
+    """The root step of the modular decomposition of a 2-coloring: the
+    children, as bitmasks, of the 2-coloring that rows (the a-pairs, as
+    from _color_rows) induces on the vertices of the bitmask vertices,
+    at least two of them.
+
+    A disconnected a- or b-graph gives two modules, by the module
+    docstring's two-group rule.  Otherwise the root is prime, and its
+    children are the maximal proper modules.  With v the lowest vertex:
+
+    - Refine the other vertices, from v's a- and b-neighbors, into
+      M(R, v), the maximal modules without v: split a block whenever an
+      outside vertex sees two of its vertices in different colors.
+    - Orient block X -> Y when Y sees X and v in different colors; a
+      module that holds v and X then holds Y.  So the blocks that reach
+      every block are the children without v.  The last root of one
+      search over the blocks reaches every block (a mother vertex), and
+      the blocks that reach it are found by one backward search.
+    - v's module is v and every other block."""
+    last = vertices.bit_length() - 1
+    for flip in (0, -1):
+        comp = _component(rows, vertices, last, flip)
+        if comp != vertices:
+            return [vertices ^ comp, comp]
+
+    v_bit = vertices & -vertices
+    row_v = rows[v_bit.bit_length() - 1]
+    rest = vertices ^ v_bit
+    stack = [block for block in (rest & row_v, rest & ~row_v) if block]
+    blocks = {}  # lowest vertex -> block of M(R, v)
+    while stack:
+        block = stack.pop()
+        low = block & -block
+        outside = vertices & ~block
+        row0 = rows[low.bit_length() - 1] & outside
+        others = block ^ low
+        while others:
+            x = others & -others
+            others ^= x
+            apart = (rows[x.bit_length() - 1] & outside) ^ row0
+            if apart:
+                row_w = rows[(apart & -apart).bit_length() - 1]
+                stack += (block & row_w, block & ~row_w)
+                break
+        else:
+            blocks[low.bit_length() - 1] = block
+
+    reps = 0
+    for x in blocks:
+        reps |= 1 << x
+    # X -> Y: Y's representative lies in rows[x] ^ row_v
+    seen = 0
+    for root in blocks:
+        if seen >> root & 1:
+            continue
+        mother = frontier = 1 << root
+        seen |= frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = (rows[low.bit_length() - 1] ^ row_v) & reps & ~seen
+            seen |= fresh
+            frontier |= fresh
+    # X -> Y backwards: X's representative lies in rows[y], complemented
+    # when v sees Y in a
+    reach = frontier = mother
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        y = low.bit_length() - 1
+        fresh = (rows[y] ^ -(row_v >> y & 1)) & reps & ~reach
+        reach |= fresh
+        frontier |= fresh
+    children = [block for x, block in blocks.items() if reach >> x & 1]
+    return children + [vertices ^ sum(children)]
+
+
 def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> GallaiPartition:
-    """Merge pairs of parts (keeping every part-pair monochromatic)
-    until no pair can merge.
+    """The coarsening of the partition with the fewest parts (at least
+    two) whose part-pairs stay monochromatic.
 
-    Two parts may merge iff they see every third part in the same
-    color; the scan always merges the lexicographically first such
-    pair, so the output is deterministic.  The result is not always the
-    minimum part count among valid coarsenings: when the minimum has to
-    merge several parts whose quotient is prime (a P4 in some color,
-    say), no pair of them can merge, and the scan stops early.
+    Its groups are the children of the root of the modular decomposition
+    of the reduced coloring R, by the module docstring's lemma: two
+    groups when R uses one color or one of its color graphs is
+    disconnected, the component holding the last part against the rest;
+    otherwise R's maximal proper modules, the unique minimum.  Parts are
+    ordered by smallest member, and a partition that cannot merge comes
+    back as it is.
     """
-    parts = [list(p) for p in partition.parts]
+    parts = partition.parts
     t = len(parts)
-    # 0-based color matrix of the current parts, 0 on the diagonal
-    matrix = [[0] * t for _ in range(t)]
-    colors = iter(partition.reduced.colors)
-    for a in range(t):
-        row = matrix[a]
-        for b, c in zip(range(a + 1, t), colors):
-            row[b] = matrix[b][a] = c
-
-    while t > 2:  # two parts are always a valid floor
-        pair = next(
-            (
-                (a, b)
-                for a in range(t)
-                for b in range(a + 1, t)
-                if matrix[a][:a] == matrix[b][:a]
-                and matrix[a][a + 1 : b] == matrix[b][a + 1 : b]
-                and matrix[a][b + 1 :] == matrix[b][b + 1 :]
-            ),
-            None,
+    if t <= 2:  # two parts are always a valid floor
+        return partition
+    colors = partition.reduced.colors
+    a, b = min(colors), max(colors)
+    rows = _color_rows(t, colors, a)
+    groups = _module_children(rows, (1 << t) - 1)
+    if len(groups) == t:
+        return partition
+    # each group as its sorted vertices and its first part, the part
+    # holding its smallest vertex
+    merged = sorted(
+        (
+            tuple(sorted(v for i in _vertices(group) for v in parts[i - 1])),
+            (group & -group).bit_length() - 1,
         )
-        if pair is None:
-            break
-        a, b = pair
-        parts[a] = sorted(parts[a] + parts[b])
-        del parts[b]
-        del matrix[b]
-        for row in matrix:
-            del row[b]
-        t -= 1
-
-    order = sorted(range(t), key=lambda i: parts[i][0])
-    reduced = [matrix[i][j] for x, i in enumerate(order) for j in order[x + 1 :]]
+        for group in groups
+    )
+    firsts = [x for _, x in merged]
+    reduced = [a if rows[x] >> y & 1 else b for i, x in enumerate(firsts) for y in firsts[i + 1 :]]
     return GallaiPartition(
-        parts=tuple(tuple(parts[i]) for i in order),
+        parts=tuple(part for part, _ in merged),
         between_colors=frozenset(reduced),
-        reduced=Coloring(t, coloring.k, reduced),
+        reduced=Coloring(len(merged), coloring.k, reduced),
     )

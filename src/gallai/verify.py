@@ -36,6 +36,7 @@ from .partition import (
     _candidate_color_sets,
     _components_outside,
     _vertices,
+    coarsen_to_min_parts,
     find_gallai_partition,
     verify_gallai_partition,
 )
@@ -428,8 +429,10 @@ def check_partition_refinement_small():
     n <= 5, k <= 3: each has a valid partition, and for each candidate
     color set S the components of the non-S graph are pairwise
     monochromatic, refine every valid partition whose between-colors lie
-    in S, and number at least two whenever such a partition exists."""
-    examined = 0
+    in S, and number at least two whenever such a partition exists.  The
+    coarsening of the found partition is valid and has the fewest parts
+    among the valid partitions that the found one refines."""
+    examined = merged = 0
     for n in range(2, 6):
         pairs = comb(n, 2)
         for colors in product((1, 2, 3), repeat=pairs):
@@ -441,7 +444,16 @@ def check_partition_refinement_small():
             _require(valid, ("Gallai coloring must admit a partition", n, colors))
             gp = find_gallai_partition(c)
             _require(verify_gallai_partition(c, gp), (n, colors))
-            for s in _candidate_color_sets(3):
+            coarse = coarsen_to_min_parts(c, gp)
+            fewest = min(len(p) for p, _ in valid if _refines(gp.parts, p))
+            _require(
+                verify_gallai_partition(c, coarse)
+                and _refines(gp.parts, coarse.parts)
+                and len(coarse.parts) == fewest,
+                ("coarsening must have the fewest parts", n, colors, coarse.parts, fewest),
+            )
+            merged += len(coarse.parts) < len(gp.parts)
+            for s in _candidate_color_sets(range(1, 4)):
                 groups = [_vertices(comp) for comp in _components_outside(c, s)]
                 relevant = [p for p, between in valid if between <= set(s)]
                 if len(groups) < 2:
@@ -452,7 +464,10 @@ def check_partition_refinement_small():
                 _require(_between_colors(c, groups) is not None, (n, colors, s))
                 for p in relevant:
                     _require(_refines(groups, p), (n, colors, s, p))
-    return f"partition lemma brute-forced on {examined} Gallai colorings with n<=5, k<=3"
+    return (
+        f"partition lemma brute-forced on {examined} Gallai colorings with n<=5, k<=3;"
+        f" {examined} coarsenings have the fewest parts, {merged} of them merging some"
+    )
 
 
 def check_partition_soundness():

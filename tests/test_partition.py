@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gallai.partition
 import helpers
 from gallai import (
     Coloring,
@@ -212,11 +213,57 @@ def test_non_s_components_pairwise_monochromatic():
     rng = random.Random(60)
     for _ in range(40):
         c = random_gallai_coloring(rng.randint(2, 60), rng.randint(1, 6), rng)
-        for s in _candidate_color_sets(c.k):
+        for s in _candidate_color_sets(range(1, c.k + 1)):
             groups = [_vertices(comp) for comp in _components_outside(c, s)]
             assert sorted(v for g in groups for v in g) == list(range(1, c.n + 1))
             for a, b in combinations(groups, 2):
                 assert len({c.color(u, v) for u in a for v in b}) == 1, (c.serialize(), s)
+
+
+def _parts_by_all_candidates(c):
+    """find_gallai_partition's parts by the full enumeration of the
+    candidate colour sets: every subset of size 1 or 2 of 1..k, sorted,
+    until the components outside one of them number two or more."""
+    k = c.k
+    sets = sorted([(a,) for a in range(1, k + 1)] + list(combinations(range(1, k + 1), 2)))
+    for s in sets:
+        comps = _components_outside(c, s)
+        if len(comps) >= 2:
+            return tuple(_vertices(comp) for comp in comps)
+    raise AssertionError("no candidate set splits")
+
+
+def test_candidate_sets_split_as_the_full_enumeration():
+    # the grid's random inputs, with unused colours above the used ones
+    # and, spread out, below and between them too
+    for n in range(2, 61):
+        for k in range(1, 7):
+            c = random_gallai_coloring(n, k, random.Random(100 * n + k))
+            spread = Coloring(n, 2 * k + 3, [2 * x + 1 for x in c.colors])
+            for wide in (c.with_k(k + 4), spread):
+                assert find_gallai_partition(wide).parts == _parts_by_all_candidates(wide), (n, k)
+
+
+def test_candidate_sets_try_each_used_restriction_once(monkeypatch):
+    calls = []
+    components_outside = gallai.partition._components_outside
+
+    def counted(coloring, s):
+        calls.append(s)
+        return components_outside(coloring, s)
+
+    monkeypatch.setattr(gallai.partition, "_components_outside", counted)
+    k = 10**5
+    # the pentagon splits only outside both of its colours
+    for c, parts in [
+        (Coloring(3, k, (k - 1, k - 1, k)), ((1,), (2, 3))),
+        (Coloring(3, k, (k, k, k)), ((1,), (2,), (3,))),
+        (pentagon_coloring(k - 1, k), tuple((v,) for v in range(1, 6))),
+    ]:
+        calls.clear()
+        assert find_gallai_partition(c).parts == parts
+        u = len(set(c.colors))
+        assert len(calls) <= u * (u + 1) // 2 + 1, calls
 
 
 def test_roundtrip_on_random_blow_ups():
@@ -259,24 +306,30 @@ def test_coarsen_pentagon_stays_five():
     assert len(coarsen_to_min_parts(c, gp).parts) == 5
 
 
+def _random_small_colorings(rng, count):
+    """Random Gallai blow-ups and random 2-colorings (every one Gallai,
+    and often prime) with n <= 8."""
+    for i in range(count):
+        n = rng.randint(2, 8)
+        if i % 2:
+            yield Coloring(n, 2, [rng.randint(1, 2) for _ in range(comb(n, 2))])
+        else:
+            yield random_gallai_coloring(n, rng.randint(1, 4), rng)
+
+
 def test_coarsen_reaches_minimum_exhaustively():
     # compare against the true minimum over all valid coarsenings,
     # computed by brute force over set partitions
     rng = random.Random(5)
-    for _ in range(40):
-        c = random_gallai_coloring(rng.randint(2, 7), rng.randint(1, 3), rng)
+    for c in _random_small_colorings(rng, 300):
         gp = find_gallai_partition(c)
         coarse = coarsen_to_min_parts(c, gp)
-        assert verify_gallai_partition(c, coarse)
+        assert verify_gallai_partition(c, coarse), c.serialize()
+        assert all(any(set(p) <= set(q) for q in coarse.parts) for p in gp.parts)
         best = helpers.min_valid_partition_size(c, gp)
         assert len(coarse.parts) == best, (c.serialize(), best)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: pairwise merging stalls when the minimum must "
-    "merge a prime quotient (here a P4) in one step",
-)
 def test_coarsen_merges_p4_quotient_to_two_parts():
     # colour 1 is the path 5-1-3-4 and vertex 2 sees every other vertex
     # in colour 2, so {2}, {1,3,4,5} is a valid coarsening of the five
@@ -285,7 +338,38 @@ def test_coarsen_merges_p4_quotient_to_two_parts():
     gp = find_gallai_partition(c)
     assert gp.parts == ((1,), (2,), (3,), (4,), (5,))
     assert helpers.min_valid_partition_size(c, gp) == 2
-    assert len(coarsen_to_min_parts(c, gp).parts) == 2
+    assert coarsen_to_min_parts(c, gp).parts == ((1, 3, 4, 5), (2,))
+
+
+def test_coarsen_keeps_the_last_part_apart_on_one_color():
+    # the two-group rule: the component of the last part in the
+    # disconnected colour graph is one group
+    c = mono_clique(6, 2, k=3)
+    coarse = coarsen_to_min_parts(c, find_gallai_partition(c))
+    assert coarse.parts == ((1, 2, 3, 4, 5), (6,))
+    assert coarse.reduced == Coloring(2, 3, [2])
+
+
+def test_coarsen_finds_the_prime_quotient_of_a_blow_up():
+    # a pentagon of modules in the pentagon's own two colours: a P4, a
+    # triangle, one vertex, two joined edges and an edge.  Both colour
+    # graphs are connected, so the partition is the 14 singletons, and
+    # the five modules are the unique minimum; vertex 1's module, the
+    # P4, is prime itself.
+    inner = [
+        Coloring(4, 2, (1, 2, 2, 1, 2, 1)),
+        mono_clique(3, 1, k=2),
+        mono_clique(1, 1, k=2),
+        blow_up(Coloring(2, 2, (2,)), [mono_clique(2, 1, k=2)] * 2),
+        Coloring(2, 2, (1,)),
+    ]
+    c = blow_up(pentagon_coloring(1, 2), inner)
+    gp = find_gallai_partition(c)
+    assert len(gp.parts) == 14
+    coarse = coarsen_to_min_parts(c, gp)
+    assert coarse.parts == ((1, 2, 3, 4), (5, 6, 7), (8,), (9, 10, 11, 12), (13, 14))
+    assert coarse.reduced == pentagon_coloring(1, 2)
+    assert verify_gallai_partition(c, coarse)
 
 
 def test_completeness_exhaustive_tiny():

@@ -1,6 +1,8 @@
 """The result records are named tuples that keep the field order, the
 keyword construction, the repr text and the immutability of the frozen
-dataclasses they were."""
+dataclasses they were, and they pickle with the colorings they hold."""
+
+import pickle
 
 import pytest
 
@@ -96,3 +98,18 @@ def test_extended_coloring_checks_its_singletons():
     assert ext._replace(singleton_colors=(2, 2, 2)) == ExtendedColoring(pairs, (2, 2, 2))
     with pytest.raises(ValueError, match="need 3 singleton colors"):
         ext._replace(singleton_colors=(1,))
+
+
+def test_colorings_and_records_holding_them_pickle():
+    coloring = Coloring(4, 3, [1, 2, 1, 3, 1, 2])
+    coloring.adjacency()  # derived tables are not part of the pickle
+    outcome = SearchOutcome("min-mono", 0, coloring, 7, True)
+    partition = GallaiPartition(((1, 3), (2,), (4,)), frozenset({1, 2}), Coloring(3, 3, [1, 2, 1]))
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for value in (coloring, outcome, partition):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value), (protocol, value)
+        back = pickle.loads(pickle.dumps(coloring, protocol))
+        assert back.adjacency() == coloring.adjacency()
+        with pytest.raises(AttributeError):
+            back.n = 5
