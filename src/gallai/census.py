@@ -5,15 +5,23 @@ monochromatic (one color on its three edges), bichromatic (exactly two
 colors) or rainbow (three colors).  A coloring is a Gallai coloring when
 its rainbow count is zero.
 
-Counting strategy: monochromatic triangles come from per-color adjacency
-bitsets (popcount of common neighborhoods along each edge, divided by
-three).  Every non-monochromatic triangle has exactly one vertex where
-its two same-colored edges meet, so the "monochromatic cherry" sum
+Counting strategy: the monochromatic triangles of each color are
+counted while the coloring's derived tables are built
+(`Coloring.mono_triangles`).  The pairs are added in lexicographic
+order, and just before pair (u, v) is added the common c-neighbors of u
+and v are the apexes w < u, so each c-colored triangle is counted once,
+at its last pair.  Every non-monochromatic triangle has exactly one
+vertex where its two same-colored edges meet, so the "monochromatic
+cherry" sum
     sum_v sum_c C(deg_c(v), 2)
 equals 3*mono + bichromatic, which yields the bichromatic count without
 triple enumeration; the rainbow count follows from the total C(n,3).
-This keeps the census near O(n^2) per color, fast enough for the
-n ~ 300 construction checks.
+So only the derived tables walk the pairs, and the census itself is
+O(n) per color in use.  A color not in use has no cherries and no
+triangles; its zero is filled in without a loop over the vertices.
+Each c-colored triangle holds three c-cherries, so
+3*mono_c <= sum_v C(deg_c(v), 2) for every color, and the census checks
+it.
 
 Hunt order: the K3/K4/K4+e hunts in color c orient every c-edge from
 its lower vertex to its higher one and run over u < v < w (< x), with
@@ -35,9 +43,11 @@ partition are modules (Gallai 1967), so the blow-up constructions are
 twin-rich, and on them the walk takes one step per triangle of the twin
 quotient instead of one per triangle.
 
-Each color is walked for a K4 at most once per coloring: its first K4,
-or None, goes into the coloring's K4 record (`Coloring.k4_record`),
-which the K4 and K4+e hunts read.  A color without a K4 has no K4+e.
+A color with no triangle, as the derived tables count them, has no K3,
+K4 or K4+e, and its hunts walk nothing.  Each color is walked for a K4
+at most once per coloring: its first K4, or None, goes into the
+coloring's K4 record (`Coloring.k4_record`), which the K4 and K4+e
+hunts read.  A color without a K4 has no K4+e.
 When the first K4 has a vertex of color-degree above 3 it is also the
 smallest K4 with one, so the K4+e witness is read off it.  Only
 otherwise does the K4+e hunt walk, on past the K4s whose four vertices
@@ -85,42 +95,40 @@ class MonoSubgraphReport(NamedTuple):
 
 
 def triangle_census(coloring: Coloring) -> TriangleCensus:
-    n, k = coloring.n, coloring.k
-    adj = coloring.adjacency()
+    tri = coloring.mono_triangles()
+    mono = dict.fromkeys(range(1, coloring.k + 1), 0)
+    for c in coloring.used_colors():
+        mono[c] = tri[c]
+    bichromatic, rainbow = _bichromatic_rainbow(coloring)
+    return TriangleCensus(mono, bichromatic, rainbow)
+
+
+def _bichromatic_rainbow(coloring: Coloring) -> tuple[int, int]:
+    """The bichromatic and rainbow triangle counts, from the triangle
+    counts and the degree tables of the colors in use."""
+    tri = coloring.mono_triangles()
     deg = coloring.degrees()
-
-    # triples[c]: over the c-colored edges, the common c-neighbors of
-    # their ends; each c-colored triangle is counted once per edge
-    triples = [0] * (k + 1)
-    colors = iter(coloring.colors)
-    for u in range(1, n + 1):
-        for v, c in zip(range(u + 1, n + 1), colors):
-            triples[c] += (adj[c][u] & adj[c][v]).bit_count()
-    mono = {}
-    for c in range(1, k + 1):
-        if triples[c] % 3:
-            raise RuntimeError(f"color {c}: triangle edge count {triples[c]} not divisible by 3")
-        mono[c] = triples[c] // 3
-    mono_total = sum(mono.values())
-
-    cherries = 0
-    for c in range(1, k + 1):
-        deg_c = deg[c]
-        for v in range(1, n + 1):
-            d = deg_c[v]
-            cherries += d * (d - 1) // 2
+    mono_total = cherries = 0
+    for c in coloring.used_colors():
+        cherries_c = sum(d * (d - 1) for d in deg[c]) // 2
+        if 3 * tri[c] > cherries_c:
+            raise RuntimeError(
+                f"color {c}: {tri[c]} triangles need more than its {cherries_c} cherries"
+            )
+        mono_total += tri[c]
+        cherries += cherries_c
     bichromatic = cherries - 3 * mono_total
-    rainbow = comb(n, 3) - mono_total - bichromatic
+    rainbow = comb(coloring.n, 3) - mono_total - bichromatic
     if bichromatic < 0 or rainbow < 0:
         raise RuntimeError(
             f"inconsistent census: bichromatic={bichromatic} rainbow={rainbow}"
         )
-    return TriangleCensus(mono, bichromatic, rainbow)
+    return bichromatic, rainbow
 
 
 def is_gallai(coloring: Coloring) -> bool:
     """True iff the coloring has no rainbow triangle."""
-    return triangle_census(coloring).rainbow == 0
+    return _bichromatic_rainbow(coloring)[1] == 0
 
 
 def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
@@ -155,6 +163,8 @@ def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[
     """Lexicographically smallest witness of `kind` in color c, or None:
     the first K4 of color c comes from the coloring's K4 record, walked
     for on its first use (see the module docstring)."""
+    if not coloring.mono_triangles()[c]:
+        return None
     if kind == "K3":
         return _clique_walk(coloring, c, kind)
     record = coloring.k4_record()
@@ -243,9 +253,10 @@ def count_protected_edges(coloring: Coloring) -> int:
     rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.  The first
     holds for deg_a(u) - 1 apexes (every a-neighbor of u but v), the
     second for deg_a(v) - 1, and the third for the popcount of R_u & R_v,
-    where the row R_u = OR over colors x of adj[x][u] << (x-1)*n puts
-    each color's neighborhood of u in its own block of n bits, so a bit
-    common to R_u and R_v is a w with c(uw) = c(vw).  u and v never
+    where the row R_u, the OR of adj[x][u] << i*n over the colors x in
+    use, x the i-th of them from 0, puts each used color's neighborhood
+    of u in its own block of n bits, so a bit common to R_u and R_v is a
+    w with c(uw) = c(vw).  u and v never
     count there: no vertex is its own neighbor, so v lies in R_u but in
     no block of R_v, and likewise u.  With no common a-neighbor the
     third case holds no a-colored apex, so the three are disjoint, and
@@ -257,8 +268,8 @@ def count_protected_edges(coloring: Coloring) -> int:
     adj = coloring.adjacency()
     deg = coloring.degrees()
     rows = [0] * (n + 1)
-    for x, adj_x in enumerate(adj[1:]):
-        shift = x * n
+    for i, x in enumerate(coloring.used_colors()):
+        adj_x, shift = adj[x], i * n
         for u in range(1, n + 1):
             rows[u] |= adj_x[u] << shift
     protected = 0
@@ -291,8 +302,7 @@ def count_nim_star_edges(coloring: Coloring, h: int) -> int:
     deg = coloring.degrees()
     n = coloring.n
     twice = 0
-    # the colors present: k may be far larger
-    for q in set(coloring.colors):
+    for q in coloring.used_colors():
         adj_q, deg_q = adj[q], deg[q]
         low = [u for u in range(1, n + 1) if deg_q[u] < h]
         low_q = sum(1 << (u - 1) for u in low)

@@ -9,7 +9,9 @@ reported witnesses are deterministic.
 The `.gec` text format: first line "n k", then exactly C(n,2) lines
 "u v c" with 1 <= u < v <= n and 1 <= c <= k, each pair exactly once, in
 any order.  Lines starting with "#" are comments.  The serializer emits
-pairs in lexicographic order.
+pairs in lexicographic order.  The header's k may far exceed the colors
+in use: the serializer and the derived tables do per-color work only
+for the colors in use, and an unused color costs one list slot.
 
 Neither direction walks the pairs one at a time in Python.  The
 serializer writes one row u, the lines of the pairs (u, v) for v > u,
@@ -19,13 +21,15 @@ checked by writing it again with the same row writer, is read off its
 color column without a per-line split.  Any other text, and every
 error, goes to the general reader `_parse_body`, which is the format's
 only definition.  The loops of this module that still walk the pairs
-one at a time in Python are the general reader, the derived tables,
-`edges` (and `edges_by_color` on it), `permute_vertices` and the
-constructor's error path.  Elsewhere, at the sizes the constructions
-reach, they are the triangle census, the rainbow-triangle search and
-the protected-edge count in `census`, and the nim-star construction's
-last step.  The nim-star count works per vertex and color, and the
-Goodman and random Gallai constructions build whole rows.
+one at a time in Python are the general reader, the derived tables
+(which count the monochromatic triangles in the same walk, so the
+triangle census has no pair loop of its own), `edges` (and
+`edges_by_color` on it), `permute_vertices` and the constructor's error
+path.  Elsewhere, at the sizes the constructions reach, they are the
+rainbow-triangle search and the protected-edge count in `census`, and
+the nim-star construction's last step.  The nim-star count works per
+vertex and color, and the Goodman and random Gallai constructions build
+whole rows.
 """
 
 from __future__ import annotations
@@ -65,12 +69,12 @@ class Coloring:
     """An immutable k-edge-coloring of the complete graph K_n.
 
     Instances are safe to share across threads.  The per-color
-    adjacency bitsets and degree tables are computed once on first use
-    and never mutated afterwards.  The per-color K4 record beside them
-    gains one entry per color, on that color's first K4 hunt, and never
-    changes an entry: each is an immutable tuple or None that every
-    thread computes alike, and a dict store is atomic, so a reader sees
-    either no entry or the final one.  Two threads that hunt one color
+    adjacency bitsets, degree tables and triangle counts are computed
+    once on first use and never mutated afterwards.  The per-color K4
+    record beside them gains one entry per color, on that color's first
+    K4 hunt, and never changes an entry: each is an immutable tuple or
+    None that every thread computes alike, and a dict store is atomic,
+    so a reader sees either no entry or the final one.  Two threads that hunt one color
     at once may both walk it; they store the same value.
     """
 
@@ -121,40 +125,68 @@ class Coloring:
 
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
-        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.  The K4
-        # record starts empty.
-        n = self.n
-        adj = [None] + [[0] * (n + 1) for _ in range(self.k)]
+        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v; tri[c]
+        # the number of c-colored triangles.  Only the colors in use get
+        # rows of their own: every unused color shares one all-zero row,
+        # so k costs one list slot per color.  The K4 record starts empty.
+        #
+        # The pairs are added in lexicographic order.  Just before (u, v)
+        # is added, adj[c][v] holds only the c-neighbors w < u of v, so
+        # adj[c][u] & adj[c][v] is the set of apexes w < u of c-colored
+        # triangles uvw: each triangle is counted once, at its last pair.
+        n, k = self.n, self.k
+        used = tuple(sorted(set(self.colors)))
+        zero = [0] * (n + 1)
+        adj = [zero] * (k + 1)
+        adj[0] = None
+        for c in used:
+            adj[c] = [0] * (n + 1)
+        tri = [0] * (k + 1)
+        tri[0] = None
         bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
         colors = iter(self.colors)
         for u in range(1, n + 1):
             bu = bits[u]
             for v, bv, c in zip(range(u + 1, n + 1), bits[u + 1 :], colors):
                 adj_c = adj[c]
-                adj_c[u] |= bv
-                adj_c[v] |= bu
-        deg = [None] + [[mask.bit_count() for mask in adj_c] for adj_c in adj[1:]]
-        object.__setattr__(self, "_derived", (adj, deg, {}))
+                au, av = adj_c[u], adj_c[v]
+                tri[c] += (au & av).bit_count()
+                adj_c[u] = au | bv
+                adj_c[v] = av | bu
+        deg = adj[:]
+        for c in used:
+            deg[c] = [mask.bit_count() for mask in adj[c]]
+        object.__setattr__(self, "_derived", (adj, deg, tri, used, {}))
+
+    def _table(self, i: int):
+        if self._derived is None:
+            self._build_derived()
+        return self._derived[i]
 
     def adjacency(self) -> list:
-        """Per-color adjacency bitsets, indexed adj[color][vertex]."""
-        if self._derived is None:
-            self._build_derived()
-        return self._derived[0]
+        """Per-color adjacency bitsets, indexed adj[color][vertex].  The
+        colors not in use share one all-zero row."""
+        return self._table(0)
 
     def degrees(self) -> list:
-        """Per-color degree table, indexed deg[color][vertex]."""
-        if self._derived is None:
-            self._build_derived()
-        return self._derived[1]
+        """Per-color degree table, indexed deg[color][vertex].  The
+        colors not in use share one all-zero row."""
+        return self._table(1)
+
+    def mono_triangles(self) -> list:
+        """Per-color monochromatic triangle counts, indexed tri[color];
+        counted while the adjacency bitsets are built."""
+        return self._table(2)
+
+    def used_colors(self) -> tuple[int, ...]:
+        """The colors on at least one pair, ascending."""
+        return self._table(3)
 
     def k4_record(self) -> dict:
         """The first monochromatic K4 of each color hunted so far: color
         -> its sorted vertex tuple, or None when the color has none.
         Filled by `census.find_mono_subgraph`, one walk per color."""
-        if self._derived is None:
-            self._build_derived()
-        return self._derived[2]
+        return self._table(4)
 
     def edges_by_color(self) -> list:
         """Lists of pairs per color, indexed by color, each in

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .census import find_rainbow_triangle, triangle_census
+from .census import find_rainbow_triangle, is_gallai
 from .coloring import Coloring
 
 
@@ -153,10 +153,9 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     n = coloring.n
     if n < 2:
         raise ValueError("partition needs n >= 2")
-    if triangle_census(coloring).rainbow > 0:
+    if not is_gallai(coloring):
         raise NotGallaiError(find_rainbow_triangle(coloring))
-    used = (c for c, deg in enumerate(coloring.degrees()[1:], 1) if any(deg))
-    for s in _candidate_color_sets(used):
+    for s in _candidate_color_sets(coloring.used_colors()):
         comps = _components_outside(coloring, s)
         if len(comps) >= 2:
             break

@@ -61,6 +61,18 @@ def test_census_rainbow_k3():
     assert find_rainbow_triangle(RAINBOW_K3) == (1, 2, 3)
 
 
+def test_census_refuses_inconsistent_counts():
+    # mono_clique(4, 1): 4 triangles and 4 * C(3, 2) = 12 cherries
+    c = mono_clique(4, 1)
+    c.mono_triangles()[1] = 5  # 15 cherries needed
+    with pytest.raises(RuntimeError, match="cherries"):
+        triangle_census(c)
+    c = mono_clique(4, 1)
+    c.mono_triangles()[1] = 3  # 3 bichromatic left, so -2 rainbow
+    with pytest.raises(RuntimeError, match="inconsistent census"):
+        triangle_census(c)
+
+
 def test_two_colorings_always_gallai():
     rng = random.Random(5)
     for _ in range(20):
@@ -80,6 +92,7 @@ def test_degenerate_sizes():
 def test_census_matches_brute_force(c):
     mono, bi, rain = helpers.brute_census(c)
     cen = triangle_census(c)
+    assert list(cen.mono_per_color) == list(range(1, c.k + 1))
     assert {q: v for q, v in cen.mono_per_color.items() if v} == mono
     assert cen.bichromatic == bi
     assert cen.rainbow == rain
@@ -263,6 +276,12 @@ def test_k4e_after_k4_walks_no_more(monkeypatch):
     assert [find_mono_subgraph(c, color, "K4").present for color in (1, 2)] == [True, False]
     assert walks == [(1, "K4"), (2, "K4")]
     assert [find_mono_subgraph(c, color, "K4+e").present for color in (1, 2)] == [True, False]
+    assert walks == [(1, "K4"), (2, "K4")]
+    # a color with no triangle starts no walk of any kind
+    pentagon = pentagon_coloring(1, 2).with_k(3)
+    for color in (1, 2, 3):
+        for kind in ("K3", "K4", "K4+e"):
+            assert not find_mono_subgraph(pentagon, color, kind).present
     assert walks == [(1, "K4"), (2, "K4")]
 
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -10,14 +11,19 @@ from hypothesis import strategies as st
 from gallai import (
     Coloring,
     GecFormatError,
+    coarsen_to_min_parts,
     construct_gr_k3_extremal,
     construct_gr_k4e_extremal,
+    count_nim_star_edges,
     count_protected_edges,
     find_gallai_partition,
+    find_mono_subgraph,
+    is_gallai,
     lex_pairs,
     pair_index,
     parse_coloring,
     triangle_census,
+    verify_gallai_partition,
 )
 from gallai.coloring import _numbered_content_lines, _parse_body, _parse_canonical
 from gallai.grstar import parse_extended_coloring
@@ -235,6 +241,24 @@ def test_huge_k_is_never_enumerated():
     assert parse_coloring(text) == c
 
 
+def test_huge_k_sizes_derived_tables_by_the_colors_in_use():
+    # every unused color shares one all-zero row, and the census fills
+    # in its zero without a loop over the vertices; one row of its own
+    # per color would take 176 MB more here
+    c = Coloring(3, 10**6, (1, 2, 3))
+
+    def census():
+        c.adjacency()
+        return triangle_census(c)
+
+    assert _peak_bytes(census) < 128 << 20
+    cen = census()
+    assert cen.mono_total == cen.bichromatic == 0 and cen.rainbow == 1
+    assert len(cen.mono_per_color) == 10**6
+    assert c.used_colors() == (1, 2, 3)
+    assert c.adjacency()[4] is c.adjacency()[10**6] == [0] * 4
+
+
 def test_parse_peak_memory_on_largest_construction():
     # n = 289: the general per-line reader peaks at 7.1 MB on this text
     text = construct_gr_k4e_extremal(4, 4).serialize()
@@ -254,7 +278,7 @@ def test_permutations_are_bijections(c):
 def test_derived_tables_match_per_pair_recount():
     rng = random.Random(3)
     for _ in range(60):
-        n, k = rng.randint(1, 40), rng.randint(1, 5)
+        n, k = rng.randint(1, 40), rng.randint(1, 6)
         c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
         adj = [None] + [[0] * (n + 1) for _ in range(k)]
         deg = [None] + [[0] * (n + 1) for _ in range(k)]
@@ -264,8 +288,38 @@ def test_derived_tables_match_per_pair_recount():
             adj[q][v] |= 1 << (u - 1)
             deg[q][u] += 1
             deg[q][v] += 1
+        tri = [None] + [0] * k
+        for u, v, w in combinations(range(1, n + 1), 3):
+            q = c.color(u, v)
+            if c.color(u, w) == q == c.color(v, w):
+                tri[q] += 1
         assert c.adjacency() == adj
         assert c.degrees() == deg
+        assert c.mono_triangles() == tri
+        assert c.used_colors() == tuple(sorted(set(c.colors)))
+
+
+def test_derived_tables_are_built_once(monkeypatch):
+    builds = []
+    build = Coloring._build_derived
+
+    def counted(coloring):
+        builds.append(coloring)
+        build(coloring)
+
+    monkeypatch.setattr(Coloring, "_build_derived", counted)
+    c = construct_gr_k3_extremal(4)
+    assert triangle_census(c).rainbow == 0
+    assert is_gallai(c)
+    gp = find_gallai_partition(c)
+    assert verify_gallai_partition(c, gp)
+    assert verify_gallai_partition(c, coarsen_to_min_parts(c, gp))
+    for color in range(1, c.k + 1):
+        for kind in ("K3", "K4", "K4+e"):
+            find_mono_subgraph(c, color, kind)
+    count_protected_edges(c)
+    count_nim_star_edges(c, 2)
+    assert sum(b is c for b in builds) == 1
 
 
 def test_no_pair_table_outlives_its_coloring():
