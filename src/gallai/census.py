@@ -56,27 +56,25 @@ all have color-degree 3, each a whole component of the color class.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple, Optional
 
 from .coloring import Coloring
 
 MONO_KINDS = ("K3", "K4", "K4+e")
 
 
-class TriangleCensus(NamedTuple):
+class TriangleCensus(namedtuple("TriangleCensus", "mono_per_color bichromatic rainbow")):
     """Counts of monochromatic/bichromatic/rainbow triangles."""
 
-    mono_per_color: dict[int, int]
-    bichromatic: int
-    rainbow: int
+    __slots__ = ()
 
     @property
     def mono_total(self) -> int:
         return sum(self.mono_per_color.values())
 
 
-class MonoSubgraphReport(NamedTuple):
+class MonoSubgraphReport(namedtuple("MonoSubgraphReport", "color kind witness")):
     """Outcome of a monochromatic K3/K4/K4+e hunt in one color.
 
     For kind "K4+e" a witness lists the four clique vertices in
@@ -85,9 +83,7 @@ class MonoSubgraphReport(NamedTuple):
     of its kind (see the module docstring).
     """
 
-    color: int
-    kind: str
-    witness: Optional[tuple[int, ...]]
+    __slots__ = ()
 
     @property
     def present(self) -> bool:
@@ -131,7 +127,7 @@ def is_gallai(coloring: Coloring) -> bool:
     return _bichromatic_rainbow(coloring)[1] == 0
 
 
-def find_rainbow_triangle(coloring: Coloring) -> Optional[tuple[int, int, int]]:
+def find_rainbow_triangle(coloring: Coloring) -> tuple[int, int, int] | None:
     """First rainbow triangle in lexicographic order, or None."""
     n = coloring.n
     if coloring.k < 3:
@@ -159,7 +155,7 @@ def _rainbow_apexes(adj, u, v, a, apexes):
     return apexes
 
 
-def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
+def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | None:
     """Lexicographically smallest witness of `kind` in color c, or None:
     the first K4 of color c comes from the coloring's K4 record, walked
     for on its first use (see the module docstring)."""
@@ -187,7 +183,7 @@ def _with_pendant(adj_c, deg_c, quad):
     return None
 
 
-def _clique_walk(coloring: Coloring, c: int, kind: str) -> Optional[tuple[int, ...]]:
+def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | None:
     """The first witness of `kind` in color c that the walk reaches.
 
     Every edge is oriented from its lower vertex to its higher one, and

@@ -5,51 +5,58 @@ grstar-search, search, verify-suite.  Data goes to standard output (or
 a -o file), errors to standard error; JSON documents carry a top-level
 "schema": "1" field.  All invocations are reproducible given identical
 arguments and --seed.
+
+A call pays only for its own verb: the module level imports what every
+verb needs, each verb imports the gallai modules it calls, and `main`
+builds the subparser of the verb it runs and no other.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import ceil, log10
-from pathlib import Path
-
-from . import census, construct, formulas, grstar, search
-from .coloring import GecFormatError, parse_coloring
-from .partition import NotGallaiError, coarsen_to_min_parts, find_gallai_partition
 
 SCHEMA = "1"
 
 
+def _write(path: str, text: str):
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(doc: dict):
+    import json
+
     doc = {"schema": SCHEMA, **doc}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with open(path) as f:
+        return f.read()
 
 
 # ---------------------------------------------------------------------------
 # formula
 
+# formula: (arity, the gallai.formulas function that evaluates it)
 _FORMULAS = {
-    "goodman-m2": (1, formulas.goodman_m2),
-    "m3": (1, formulas.m3_formula),
-    "gr-k3": (1, formulas.gr_k3),
-    "gr-k4e": (2, formulas.gr_mixed_k4e),
-    "gr-star-k3": (1, formulas.gr_star_k3),
-    "turan": (2, formulas.turan_count),
-    "ex-star": (2, formulas.ex_star),
-    "g-bounds": (2, formulas.g_multiplicity_bounds),
+    "goodman-m2": (1, "goodman_m2"),
+    "m3": (1, "m3_formula"),
+    "gr-k3": (1, "gr_k3"),
+    "gr-k4e": (2, "gr_mixed_k4e"),
+    "gr-star-k3": (1, "gr_star_k3"),
+    "turan": (2, "turan_count"),
+    "ex-star": (2, "ex_star"),
+    "g-bounds": (2, "g_multiplicity_bounds"),
 }
 
 
@@ -85,6 +92,8 @@ def _integers(call, args):
 
 
 def _cmd_formula(args):
+    from . import formulas
+
     name = args.name
     arity, fn = _FORMULAS[name]
     if len(args.args) != arity:
@@ -92,7 +101,7 @@ def _cmd_formula(args):
     a = _integers(f"formula {name}", args.args)
     if name in _EXPONENTIAL and a[0] >= _FORMULA_MAX_K:
         raise ValueError(f"formula {name}: k={a[0]} puts it past {FORMULA_DIGITS} digits")
-    result = fn(*a)
+    result = getattr(formulas, fn)(*a)
     suffix = ""
     if isinstance(result, formulas.GuardedValue):
         result, suffix = result.value, f" {result.validity}"
@@ -106,16 +115,17 @@ def _cmd_formula(args):
 # ---------------------------------------------------------------------------
 # construct
 
-# family: (arity, the function that builds a member, its vertex count)
+# family: (arity, the gallai.construct function that builds a member,
+# its vertex count from the gallai.formulas module f and the arguments)
 _FAMILIES = {
-    "pentagon": (2, construct.pentagon_coloring, lambda a, b: 5),
-    "paley17": (2, construct.paley17_coloring, lambda a, b: 17),
-    "gr-k3": (1, construct.construct_gr_k3_extremal, lambda k: formulas.gr_k3(k) - 1),
-    "gr-k4e": (2, construct.construct_gr_k4e_extremal, formulas.mixed_k4e_extremal_order),
-    "multiplicity": (2, construct.construct_multiplicity_extremal, lambda k, n: n),
-    "f-lower": (2, construct.construct_f_lower, lambda n, k: n),
-    "nim-star": (3, construct.construct_nim_star, lambda n, h, k: n),
-    "goodman2": (3, construct.goodman_extremal_2coloring, lambda n, a, b: n),
+    "pentagon": (2, "pentagon_coloring", lambda f, a, b: 5),
+    "paley17": (2, "paley17_coloring", lambda f, a, b: 17),
+    "gr-k3": (1, "construct_gr_k3_extremal", lambda f, k: f.gr_k3(k) - 1),
+    "gr-k4e": (2, "construct_gr_k4e_extremal", lambda f, k, s: f.mixed_k4e_extremal_order(k, s)),
+    "multiplicity": (2, "construct_multiplicity_extremal", lambda f, k, n: n),
+    "f-lower": (2, "construct_f_lower", lambda f, n, k: n),
+    "nim-star": (3, "construct_nim_star", lambda f, n, h, k: n),
+    "goodman2": (3, "goodman_extremal_2coloring", lambda f, n, a, b: n),
 }
 
 # `gallai construct` builds colorings of at most this many vertices and
@@ -124,8 +134,25 @@ _FAMILIES = {
 # most 0.4 s and 37 MB (nim-star 1000 2 32)
 CONSTRUCT_MAX_N = 1000
 
+# `count`, `partition` and `grstar-check` read files whose header gives
+# at most this many colors, and refuse a larger k once the file is read
+# and before any table is sized by it: the derived tables hold k + 1
+# slots each, and `count` prints one `mono` entry per color.  A 3-vertex
+# file with header k = 10^7 took 23.7 s and 3.5 GB in `count`, and at
+# k = 10^9 all three verbs ran out of memory.  At the cap, on 2 vCPUs,
+# each verb ran a 3-vertex file in under 0.1 s and 18 MB.  The library
+# takes any k.
+GEC_MAX_K = 10_000
+
+
+def _check_header_k(verb: str, path: str, k: int):
+    if k > GEC_MAX_K:
+        raise ValueError(f"{verb}: {path} has k = {k} colors, past the cap of {GEC_MAX_K}")
+
 
 def _cmd_construct(args):
+    from . import construct, formulas
+
     fam = args.family
     arity, build, order = _FAMILIES[fam]
     *a, seed = _integers(f"construct {fam}", (*args.args, args.seed))
@@ -135,11 +162,11 @@ def _cmd_construct(args):
         raise ValueError(f"construct {fam} takes {arity} integer argument(s)")
     if max(a) > CONSTRUCT_MAX_N:
         raise ValueError(f"construct {fam}: argument {max(a)} is past the cap of {CONSTRUCT_MAX_N}")
-    n = order(*a)
+    n = order(formulas, *a)
     if n > CONSTRUCT_MAX_N:
         raise ValueError(f"construct {fam}: {n} vertices, past the cap of {CONSTRUCT_MAX_N}")
     extra = {"seed": seed} if fam == "nim-star" else {}
-    _emit(build(*a, **extra).serialize(), args.output)
+    _emit(getattr(construct, build)(*a, **extra).serialize(), args.output)
     return 0
 
 
@@ -147,8 +174,12 @@ def _cmd_construct(args):
 # count / partition / grstar
 
 def _cmd_count(args):
+    from .census import count_protected_edges, triangle_census
+    from .coloring import parse_coloring
+
     c = parse_coloring(_read(args.file))
-    cen = census.triangle_census(c)
+    _check_header_k("count", args.file, c.k)
+    cen = triangle_census(c)
     _emit_json(
         {
             "n": c.n,
@@ -156,14 +187,18 @@ def _cmd_count(args):
             "mono": {str(q): cen.mono_per_color[q] for q in sorted(cen.mono_per_color)},
             "bichromatic": cen.bichromatic,
             "rainbow": cen.rainbow,
-            "protected_edges": census.count_protected_edges(c),
+            "protected_edges": count_protected_edges(c),
         }
     )
     return 0
 
 
 def _cmd_partition(args):
+    from .coloring import parse_coloring
+    from .partition import coarsen_to_min_parts, find_gallai_partition
+
     c = parse_coloring(_read(args.file))
+    _check_header_k("partition", args.file, c.k)
     gp = find_gallai_partition(c)
     if args.minimize:
         gp = coarsen_to_min_parts(c, gp)
@@ -176,7 +211,10 @@ def _cmd_partition(args):
 
 
 def _cmd_grstar_check(args):
+    from . import grstar
+
     ext = grstar.parse_extended_coloring(_read(args.file))
+    _check_header_k("grstar-check", args.file, ext.pairs.k)
     report = grstar.check_gr_star_conditions(ext)
     _emit_json(
         {
@@ -192,14 +230,16 @@ def _cmd_grstar_check(args):
 
 
 def _cmd_grstar_search(args):
-    n, k, budget = _integers("grstar-search", (args.n, args.k, args.budget))
+    from . import grstar
+
+    n, k, budget = _integers("grstar-search", (args.n, args.k, _budget(args)))
     found, witness = grstar.max_gr_star_witness(n, k, budget=budget)
     doc = {"n": n, "k": k, "found": found, "witness_gecx": None}
     if witness is not None:
         text = grstar.serialize_extended_coloring(witness)
         doc["witness_gecx"] = text
         if args.output:
-            Path(args.output).write_text(text)
+            _write(args.output, text)
     _emit_json(doc)
     return 0
 
@@ -207,9 +247,20 @@ def _cmd_grstar_search(args):
 # ---------------------------------------------------------------------------
 # search
 
+def _budget(args) -> str:
+    """The --budget argument, by default search.DEFAULT_BUDGET."""
+    if args.budget is not None:
+        return args.budget
+    from .search import DEFAULT_BUDGET
+
+    return str(DEFAULT_BUDGET)
+
+
 def _cmd_search(args):
+    from . import search
+
     n, k, budget, jobs = _integers(
-        f"search {args.objective}", (args.n, args.k, args.budget, args.jobs)
+        f"search {args.objective}", (args.n, args.k, _budget(args), args.jobs)
     )
     # the size caps come before the k-long default target list
     search._check_args(n, k, jobs, budget)
@@ -236,15 +287,17 @@ def _cmd_search(args):
         "witness_gec": witness_gec,
     }
     if witness_gec and args.output:
-        Path(args.output).write_text(witness_gec)
+        _write(args.output, witness_gec)
     _emit_json(doc)
     return 0
 
 
 def _parse_targets(spec: str | None, k: int) -> list[str]:
+    from .search import TARGET_K3, TARGET_K4E
+
     if spec is None:
-        return [search.TARGET_K3] * k
-    names = {"k3": search.TARGET_K3, "k4e": search.TARGET_K4E, "k4+e": search.TARGET_K4E}
+        return [TARGET_K3] * k
+    names = {"k3": TARGET_K3, "k4e": TARGET_K4E, "k4+e": TARGET_K4E}
     out = []
     for item in spec.split(","):
         key = item.strip().lower()
@@ -258,7 +311,7 @@ def _parse_targets(spec: str | None, k: int) -> list[str]:
 # verify-suite
 
 def _cmd_verify_suite(args):
-    from . import verify  # imported by this verb only
+    from . import verify
 
     results = verify.run_suite(args.level)
     ok = all(r.ok for r in results)
@@ -300,76 +353,107 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **options):
+    return names, options
+
+
+# verb: (help, handler, its arguments); every integer argument is taken
+# as a string and parsed by _integers
+_VERBS = {
+    "formula": (
+        "evaluate a closed formula",
+        _cmd_formula,
+        [_arg("name", choices=sorted(_FORMULAS)), _arg("args", nargs="*")],
+    ),
+    "construct": (
+        "generate a coloring family member",
+        _cmd_construct,
+        [
+            _arg("family", choices=sorted(_FAMILIES)),
+            _arg("args", nargs="*"),
+            _arg("--seed", default="0"),
+            _arg("-o", "--output"),
+        ],
+    ),
+    "count": ("census report for a .gec file", _cmd_count, [_arg("file")]),
+    "partition": (
+        "Gallai partition of a .gec file",
+        _cmd_partition,
+        [
+            _arg("file"),
+            _arg(
+                "--minimize",
+                action="store_true",
+                help="merge parts into the fewest whose pairs stay monochromatic",
+            ),
+        ],
+    ),
+    "grstar-check": (
+        "check witness conditions of a .gecx file",
+        _cmd_grstar_check,
+        [_arg("file")],
+    ),
+    "grstar-search": (
+        "exhaustive witness search at (n, k)",
+        _cmd_grstar_search,
+        [_arg("n"), _arg("k"), _arg("--budget"), _arg("-o", "--output")],
+    ),
+    "search": (
+        "exhaustive search over k-colorings of K_n",
+        _cmd_search,
+        [
+            _arg("objective", choices=["min-mono", "exists-avoiding", "max-protected"]),
+            _arg("n"),
+            _arg("k"),
+            _arg("--gallai", action="store_true", help="restrict to Gallai colorings"),
+            _arg("--targets", help="per-color targets for exists-avoiding, e.g. K4+e,K3"),
+            _arg("--budget"),
+            _arg("--jobs", default="1"),
+            _arg("-o", "--output"),
+        ],
+    ),
+    "verify-suite": (
+        "run the acceptance battery",
+        _cmd_verify_suite,
+        [
+            _arg("--level", choices=["fast", "full"], default="fast"),
+            _arg("--json", action="store_true"),
+        ],
+    ),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `gallai`.  Given the name of a verb, it holds that
+    verb's subparser alone; given anything else (None, `-h`, an unknown
+    word) it holds every verb's.  Its help, usage and errors read the
+    same either way."""
     parser = _Parser(
         prog="gallai",
         description="Gallai colorings: formulas, constructions, censuses, "
         "decomposition, and exhaustive search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # every integer argument is taken as a string and parsed by _integers
-
-    p = sub.add_parser("formula", help="evaluate a closed formula")
-    p.add_argument("name", choices=sorted(_FORMULAS))
-    p.add_argument("args", nargs="*")
-    p.set_defaults(fn=_cmd_formula)
-
-    p = sub.add_parser("construct", help="generate a coloring family member")
-    p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("args", nargs="*")
-    p.add_argument("--seed", default="0")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("count", help="census report for a .gec file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("partition", help="Gallai partition of a .gec file")
-    p.add_argument("file")
-    p.add_argument(
-        "--minimize",
-        action="store_true",
-        help="merge parts into the fewest whose pairs stay monochromatic",
-    )
-    p.set_defaults(fn=_cmd_partition)
-
-    p = sub.add_parser("grstar-check", help="check witness conditions of a .gecx file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_grstar_check)
-
-    p = sub.add_parser("grstar-search", help="exhaustive witness search at (n, k)")
-    p.add_argument("n")
-    p.add_argument("k")
-    p.add_argument("--budget", default=str(search.DEFAULT_BUDGET))
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_grstar_search)
-
-    p = sub.add_parser("search", help="exhaustive search over k-colorings of K_n")
-    p.add_argument("objective", choices=["min-mono", "exists-avoiding", "max-protected"])
-    p.add_argument("n")
-    p.add_argument("k")
-    p.add_argument("--gallai", action="store_true", help="restrict to Gallai colorings")
-    p.add_argument("--targets", help="per-color targets for exists-avoiding, e.g. K4+e,K3")
-    p.add_argument("--budget", default=str(search.DEFAULT_BUDGET))
-    p.add_argument("--jobs", default="1")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("verify-suite", help="run the acceptance battery")
-    p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify_suite)
-
+    verbs = [verb] if verb in _VERBS else list(_VERBS)
+    # a lone subparser's usage line still names every verb
+    metavar = "{" + ",".join(_VERBS) + "}" if len(verbs) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in verbs:
+        help_text, handler, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
-    except (GecFormatError, NotGallaiError, ValueError, OSError, RuntimeError) as exc:
+    # GecFormatError and NotGallaiError are ValueErrors
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

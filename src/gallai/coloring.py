@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from itertools import combinations, islice
 from math import comb
-from typing import Iterator, Sequence
 
 
 class GecFormatError(ValueError):

@@ -22,8 +22,8 @@ and the construction families built from them:
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from .coloring import Coloring, lex_pairs
 from .formulas import ex_star, gr_k3, mixed_k4e_extremal_order

@@ -13,11 +13,11 @@ which math.comb already does.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 
-class GuardedValue(NamedTuple):
+class GuardedValue(namedtuple("GuardedValue", "value validity")):
     """An integer value together with its validity regime.
 
     validity is "exact" for formulas that hold at every size and
@@ -25,8 +25,7 @@ class GuardedValue(NamedTuple):
     large n (no explicit threshold is known).
     """
 
-    value: int
-    validity: str  # "exact" | "asymptotic-only"
+    __slots__ = ()
 
 
 def goodman_m2(n: int) -> int:

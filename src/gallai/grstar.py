@@ -14,7 +14,7 @@ The `.gecx` format extends `.gec`: the pair body first, then a line
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .census import triangle_census
 from .coloring import Coloring, GecFormatError, _numbered_content_lines, _parse_body
@@ -24,12 +24,7 @@ MAX_WITNESS_N = 8
 MAX_WITNESS_K = 3
 
 
-class _ExtendedFields(NamedTuple):
-    pairs: Coloring
-    singleton_colors: tuple[int, ...]
-
-
-class ExtendedColoring(_ExtendedFields):
+class ExtendedColoring(namedtuple("ExtendedColoring", "pairs singleton_colors")):
     """A pair coloring plus one color per vertex, sharing {1..k}."""
 
     __slots__ = ()
@@ -51,12 +46,10 @@ class ExtendedColoring(_ExtendedFields):
         return self.singleton_colors[v - 1]
 
 
-class GrStarReport(NamedTuple):
+class GrStarReport(namedtuple("GrStarReport", "gallai mono_triangle_free singleton_clash")):
     """Outcome of the three witness conditions."""
 
-    gallai: bool
-    mono_triangle_free: bool
-    singleton_clash: Optional[tuple[int, int]]
+    __slots__ = ()
 
     @property
     def passes(self) -> bool:
@@ -135,7 +128,7 @@ def figure1_fixture() -> ExtendedColoring:
 
 def max_gr_star_witness(
     n: int, k: int, *, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, Optional[ExtendedColoring]]:
+) -> tuple[bool, ExtendedColoring | None]:
     """Decide by exhaustive search whether an n-vertex, k-color witness
     exists; the pair search is delegated to the pruned DFS and each
     vertex then takes the smallest color absent from its star.

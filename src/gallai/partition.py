@@ -55,7 +55,8 @@ the other.  On a one-colored R this leaves the last part alone.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .census import find_rainbow_triangle, is_gallai
 from .coloring import Coloring
@@ -69,7 +70,7 @@ class NotGallaiError(ValueError):
         super().__init__(f"coloring has a rainbow triangle at {witness}")
 
 
-class GallaiPartition(NamedTuple):
+class GallaiPartition(namedtuple("GallaiPartition", "parts between_colors reduced")):
     """A vertex partition with monochromatic part-pairs.
 
     parts are sorted vertex tuples, ordered by smallest member; reduced
@@ -77,9 +78,7 @@ class GallaiPartition(NamedTuple):
     between-color.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    between_colors: frozenset[int]
-    reduced: Coloring
+    __slots__ = ()
 
 
 def _candidate_color_sets(used: Iterable[int]) -> Iterator[tuple[int, ...]]:

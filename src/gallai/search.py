@@ -125,10 +125,11 @@ Every search refuses n above MAX_N and k above MAX_K with a ValueError.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Sequence
 from contextlib import nullcontext
 from functools import partial
 from math import comb, inf
-from typing import NamedTuple, Optional, Sequence
 
 from .census import triangle_census
 from .coloring import Coloring, pair_index
@@ -151,7 +152,9 @@ TARGET_K3 = "K3"
 TARGET_K4E = "K4+e"
 
 
-class SearchOutcome(NamedTuple):
+class SearchOutcome(
+    namedtuple("SearchOutcome", "objective value witness nodes_explored exhaustive")
+):
     """Result of one exhaustive search.
 
     exhaustive is True when the reported value is proven exact: the
@@ -162,14 +165,10 @@ class SearchOutcome(NamedTuple):
     nodes_explored is at most the budget, whatever jobs.
     """
 
-    objective: str
-    value: Optional[int]
-    witness: Optional[Coloring]
-    nodes_explored: int
-    exhaustive: bool
+    __slots__ = ()
 
 
-class _Plan(NamedTuple):
+class _Plan(namedtuple("_Plan", "n u v idx back first at_u at_v")):
     """The column-order traversal, one column per field: each edge's
     endpoints u < v, its pair index, and the two lookups of the
     transposition rule (module docstring): where _search keeps the mask
@@ -180,14 +179,7 @@ class _Plan(NamedTuple):
     at_u and at_v give the slots that hold u's and v's before edge t,
     or -1 for an endpoint with no colored edge yet."""
 
-    n: int
-    u: list
-    v: list
-    idx: list
-    back: list
-    first: list
-    at_u: list
-    at_v: list
+    __slots__ = ()
 
 
 def _edge_plan(n: int) -> _Plan:
@@ -839,7 +831,7 @@ def max_protected_edges(
 
 def find_gr_star_pair_witness(
     n: int, k: int, *, budget: int = DEFAULT_BUDGET
-) -> Optional[Coloring]:
+) -> Coloring | None:
     """Find a Gallai k-coloring of K_n pairs with no monochromatic
     triangle in which every vertex avoids at least one color on its
     star (so singleton colors can always be chosen clash-free), or

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from itertools import combinations, product
 from math import comb
-from typing import NamedTuple
 
 from . import census, construct, formulas, grstar, search
 from .coloring import Coloring, parse_coloring
@@ -42,11 +42,7 @@ from .partition import (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "name ok detail seconds")
 
 
 def _gr_k4e_instances(limit=300):
@@ -72,7 +68,13 @@ def _require(ok, detail=None):
 # proved search instances
 
 
-class Proved(NamedTuple):
+class Proved(
+    namedtuple(
+        "Proved",
+        "level objective n k value nodes exhaustive gallai targets budget jobs",
+        defaults=(True, False, (), search.DEFAULT_BUDGET, 1),
+    )
+):
     """One search instance and the outcome a serial run proves for it.
 
     objective is a `gallai search` objective: "min-mono", under gallai
@@ -83,17 +85,7 @@ class Proved(NamedTuple):
     is "fast", "full", "ci" or "record" (see the module docstring).
     """
 
-    level: str
-    objective: str
-    n: int
-    k: int
-    value: int
-    nodes: int
-    exhaustive: bool = True
-    gallai: bool = False
-    targets: tuple = ()
-    budget: int = search.DEFAULT_BUDGET
-    jobs: int = 1
+    __slots__ = ()
 
 
 _K3 = (search.TARGET_K3, search.TARGET_K3)

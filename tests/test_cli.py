@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from gallai import parse_coloring, pentagon_coloring
-from gallai.cli import CONSTRUCT_MAX_N, main
+from gallai.cli import _VERBS, CONSTRUCT_MAX_N, GEC_MAX_K, build_parser, main
 from gallai.grstar import parse_extended_coloring, serialize_extended_coloring, figure1_fixture
 
 
@@ -206,6 +208,61 @@ def test_count_rejects_oversized_header(capsys, tmp_path):
     assert err.startswith("error:") and "pair (1, 3) missing" in err
 
 
+def _three_vertices(k, verb):
+    """A 3-vertex coloring in colors 1 and 2 under header k, as the file
+    that verb reads."""
+    text = f"3 {k}\n1 2 1\n1 3 2\n2 3 1\n"
+    if verb == "grstar-check":
+        return "huge.gecx", text + "SINGLETONS\n1 3\n2 3\n3 3\n"
+    return "huge.gec", text
+
+
+@pytest.mark.parametrize("verb", ["count", "partition", "grstar-check"])
+def test_file_verbs_take_header_k_up_to_the_cap(capsys, tmp_path, verb):
+    name, text = _three_vertices(GEC_MAX_K, verb)
+    (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, verb, str(tmp_path / name))
+    assert code == 0 and err == ""
+    if verb == "count":
+        assert list(json.loads(out)["mono"]) == [str(c) for c in range(1, GEC_MAX_K + 1)]
+    name, text = _three_vertices(GEC_MAX_K + 1, verb)
+    (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, verb, str(tmp_path / name))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {verb}: {tmp_path / name} has k = {GEC_MAX_K + 1} colors, "
+        f"past the cap of {GEC_MAX_K}\n"
+    )
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("verb", ["count", "partition", "grstar-check"])
+def test_file_verbs_refuse_header_k_of_a_billion(tmp_path, verb):
+    # the derived tables would hold 10^9 + 1 slots each: under a 1 GB
+    # address-space limit the refusal must come first, as one error line
+    name, text = _three_vertices(10**9, verb)
+    (tmp_path / name).write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gallai.cli", verb, name],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == (
+        f"error: {verb}: {name} has k = 1000000000 colors, past the cap of {GEC_MAX_K}\n"
+    )
+
+
 def test_grstar_check(capsys, tmp_path):
     target = tmp_path / "f.gecx"
     target.write_text(serialize_extended_coloring(figure1_fixture()))
@@ -349,13 +406,66 @@ def _gallai_without_site(tmp_path, *argv):
 
 
 def test_cli_import_skips_dataclasses_and_the_suite(tmp_path):
-    # the start-up every verb pays: records are named tuples, and only
-    # verify-suite imports gallai.verify
-    proc = _gallai_without_site(tmp_path, "-c", "import sys, gallai.cli; print(*sys.modules)")
+    # every module a verb but verify-suite may load: the records are
+    # collections.namedtuple classes, so none imports dataclasses or
+    # typing, and only verify-suite imports gallai.verify
+    proc = _gallai_without_site(
+        tmp_path, "-c", "import sys, gallai.cli; from gallai import *; print(*sys.modules)"
+    )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "gallai.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "gallai.verify", "importlib.resources"}
+    assert {"gallai.cli", "gallai.search", "gallai.grstar", "gallai.partition"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "gallai.verify", "importlib.resources"}
+
+
+def _modules_after(tmp_path, *argv):
+    """The modules loaded by one `gallai` call without site, and its
+    output."""
+    code = "import sys, gallai.cli; gallai.cli.main(sys.argv[1:]); print(*sys.modules)"
+    proc = _gallai_without_site(tmp_path, "-c", code, *argv)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    return set(modules.split()), out
+
+
+SUBMODULES = {
+    "gallai.census",
+    "gallai.construct",
+    "gallai.search",
+    "gallai.grstar",
+    "gallai.partition",
+    "gallai.verify",
+}
+
+
+def test_each_verb_imports_only_what_it_runs(tmp_path):
+    loaded, out = _modules_after(tmp_path, "formula", "gr-k3", "3")
+    assert out == ["11"]
+    assert "gallai.formulas" in loaded
+    assert not loaded & (SUBMODULES | {"json"})
+
+    (tmp_path / "p.gec").write_text(pentagon_coloring(1, 2).serialize())
+    loaded, out = _modules_after(tmp_path, "count", "p.gec")
+    assert json.loads("\n".join(out))["rainbow"] == 0
+    assert {"gallai.census", "json"} <= loaded
+    assert not loaded & (SUBMODULES - {"gallai.census", "gallai.verify"})
+
+
+def test_bare_package_import_loads_no_submodule(tmp_path):
+    code = (
+        "import sys, gallai\n"
+        "print(*[m for m in sys.modules if m.startswith('gallai.')])\n"
+        "print(gallai.search.MAX_N, gallai.gr_k3(3))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('gallai.')))"
+    )
+    proc = _gallai_without_site(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    # the submodules a name needs load on its first use
+    assert proc.stdout.splitlines() == [
+        "",
+        "100 11",
+        "gallai.census gallai.coloring gallai.construct gallai.formulas gallai.search",
+    ]
 
 
 def test_cli_verbs_run_without_site(tmp_path):
@@ -366,6 +476,76 @@ def test_cli_verbs_run_without_site(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert (doc["n"], doc["rainbow"], doc["mono"]) == (5, 0, {"1": 0, "2": 0})
+
+
+def _parse(parser, argv):
+    """What parsing argv prints and its exit code, or the arguments."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+    return vars(args), out.getvalue(), err.getvalue()
+
+
+# per verb: a call that parses, and one with a missing or bad argument,
+# which the verb's own subparser reports
+VERB_CALLS = {
+    "formula": (["formula", "gr-k3", "3"], ["formula", "no-such-formula"]),
+    "construct": (["construct", "pentagon", "1", "2", "-o", "p.gec"], ["construct"]),
+    "count": (["count", "p.gec"], ["count"]),
+    "partition": (["partition", "p.gec", "--minimize"], ["partition"]),
+    "grstar-check": (["grstar-check", "p.gecx"], ["grstar-check"]),
+    "grstar-search": (["grstar-search", "5", "3"], ["grstar-search", "5"]),
+    "search": (["search", "min-mono", "5", "2", "--gallai"], ["search", "min-mono", "5"]),
+    "verify-suite": (["verify-suite", "--json"], ["verify-suite", "--level", "bogus"]),
+}
+
+
+@pytest.mark.parametrize("verb", list(_VERBS))
+def test_one_verb_parser_reads_as_the_full_one(verb):
+    # the verb's help and usage; a good call; an error of the verb's own;
+    # an unknown option after a good call, which the top-level parser
+    # reports with its own usage line
+    good, bad = VERB_CALLS[verb]
+    unknown = [*good, "--no-such-option"]
+    calls = {"help": [verb, "--help"], "good": good, "bad": bad, "unknown": unknown}
+    got = {name: _parse(build_parser(verb), argv) for name, argv in calls.items()}
+    for name, argv in calls.items():
+        assert got[name] == _parse(build_parser(), argv), argv
+    assert got["help"][1].startswith(f"usage: gallai {verb} ")
+    assert got["good"][0]["command"] == verb
+    assert "unrecognized arguments: --no-such-option" in got["unknown"][2]
+
+
+USAGE = (
+    "usage: gallai [-h] "
+    "{formula,construct,count,partition,grstar-check,grstar-search,search,verify-suite} ..."
+)
+
+
+def _words(text):
+    # argparse wraps the usage line to the terminal's width
+    return " ".join(text.split())
+
+
+def test_calls_without_a_verb_keep_their_text(tmp_path):
+    proc = _gallai(tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert _words(proc.stderr) == USAGE + " error: the following arguments are required: command"
+
+    proc = _gallai(tmp_path, "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _words(proc.stdout).startswith(USAGE + " Gallai colorings: formulas, constructions,")
+    for verb, (help_text, _, _) in _VERBS.items():
+        assert f" {verb} {help_text} " in _words(proc.stdout)
+
+    proc = _gallai(tmp_path, "nosuchverb")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    error = _words(proc.stderr)
+    assert error.startswith(USAGE + " error: argument command: invalid choice: ")
+    assert all(word in error for word in ["nosuchverb", *_VERBS])
 
 
 BAD_CALLS = [
