@@ -18,7 +18,6 @@ from collections import namedtuple
 
 from .census import triangle_census
 from .coloring import Coloring, GecFormatError, _numbered_content_lines, _parse_body
-from .search import DEFAULT_BUDGET, find_gr_star_pair_witness
 
 MAX_WITNESS_N = 8
 MAX_WITNESS_K = 3
@@ -127,13 +126,19 @@ def figure1_fixture() -> ExtendedColoring:
 
 
 def max_gr_star_witness(
-    n: int, k: int, *, budget: int = DEFAULT_BUDGET
+    n: int, k: int, *, budget: int | None = None
 ) -> tuple[bool, ExtendedColoring | None]:
     """Decide by exhaustive search whether an n-vertex, k-color witness
     exists; the pair search is delegated to the pruned DFS and each
-    vertex then takes the smallest color absent from its star.
+    vertex then takes the smallest color absent from its star.  budget
+    is search.DEFAULT_BUDGET when None.
 
     Restricted to desk scale (n <= 8, k <= 3)."""
+    # here, so checking the conditions loads no search
+    from .search import DEFAULT_BUDGET, find_gr_star_pair_witness
+
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if not 1 <= n <= MAX_WITNESS_N:
         raise ValueError(f"n must be within 1..{MAX_WITNESS_N}, got {n}")
     if not 1 <= k <= MAX_WITNESS_K:

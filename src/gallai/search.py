@@ -30,22 +30,23 @@ DFS to colorings satisfying them loses no orbit:
   * when every color is interchangeable, the image of a swap is
     compared after renaming its colors into first-appearance order,
     its least relabeling, so no transposition followed by a relabeling
-    gives a smaller coloring either.  The renaming fixes every color of
-    K_{i-1}, which the swap (i, j) leaves in place, and sends a color
-    new to the image to the least unused one, which ties the coloring
-    or exceeds it there.  So a swap departs from the identity map only
-    where the tie masks above hold it up to the first edge of a color
-    d below k and the image brings a larger color c there: it then
-    ties under the map c -> d, and the engine follows it position by
-    position (`_relabel_work`, and `relabeled` in `_search`) until the
-    image is larger or smaller; one mask of first edges, the edges where
-    a color appears for the first time, finds such swaps, less those the
-    next edge already makes larger.  Such a swap needs K_{i-1} and every
-    edge it leaves in place to keep colors the map fixes, so it lives
-    only near the first edges of a column.  With several classes
-    (exists with mixed targets) a color new to one class can rename
-    below another class's color, which the masks do not bound, and the
-    image is compared as it is.
+    gives a smaller coloring either.  One test at the last edge of each
+    column v (`_column_end`) compares K_v with its renamed image under
+    every swap (i, j), j <= v, not yet decided: those that tied K_{v-1}
+    under a renaming not the identity on all k colors, from column v
+    on, and each new swap (i, v) from column i on, its renaming starting
+    as the identity on the colors of K_{i-1}, which the swap leaves in
+    place.
+    A smaller image refuses the color, a larger one drops the swap and a
+    tie carries it to the next column end.  A renaming that is the
+    identity on all k colors leaves the swap to the tie masks above, so
+    the new swaps stop at the first i whose K_{i-1} uses every color.
+    Column order puts K_v first, so a leaf passes every column end
+    exactly when no swap and renaming makes it smaller, and a refused
+    K_v has no such leaf below it.  With several classes (exists with
+    mixed targets) a color new to one class can rename below another
+    class's color, which the masks do not bound, and the image is
+    compared as it is.
 
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
@@ -129,7 +130,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from contextlib import nullcontext
 from functools import partial
-from math import comb, inf
+from math import comb
 
 from .census import triangle_census
 from .coloring import Coloring, pair_index
@@ -208,65 +209,78 @@ def _edge_plan(n: int) -> _Plan:
 # ---------------------------------------------------------------------------
 # the engine
 
-# no swap tied under a color map: a wake no edge reaches
-_IDLE = (inf, ())
 
+def _column_end(t, col, opened, held, named, k, plan):
+    """Whether coloring the last edge t of column v with col[t] leaves
+    K_v no larger than its image under every vertex swap (i, j), j <= v,
+    with the image's colors renamed into first-appearance order.
 
-def _relabel_work(t, ma, mb, lv, us, vs, col):
-    """What _search's relabeled decides at edge t = (u, v), and live[t]
-    less it.
-
-    ma and mb are the swaps (i, v) and (i, u) that the tie masks hold up
-    to a first edge of fa, {u, i} respectively (i, v), of color d: a
-    color c above d there ties each under a map other than the identity,
-    c -> d.  Each becomes the live state (wake, i, j, depth, None, -d, t),
-    compared on from that depth once edge wake, the later of that depth
-    and its image, is colored; one the edges up to t decide gets wake t.
-    The work is those of wake t and the swaps of lv that edge t wakes,
-    less those tied up to a first edge that a color no larger than d
-    met, all in that one shape; the rest stays."""
-    work = []
-    wake, states = lv
-    if wake <= t:
-        rest = []
-        wake = inf
-        for st in states:
-            if st[0] > t:
-                rest.append(st)
-                wake = min(wake, st[0])
-            elif st[5] > 0 or col[st[6]] > -st[5]:
-                work.append(st)
-        states = rest
-    u = us[t]
+    The swaps compared are those held[v] holds, which tied K_{v-1} and
+    go on from column v, and each new swap (i, v) from column i on, for
+    i = 1, 2, ... while K_{i-1} leaves a color unused: the swap leaves
+    K_{i-1} in place, so its renaming starts as the identity on K_{i-1}'s
+    colors, and once K_{i-1} uses all k colors it is the identity, which
+    _search's tie masks compare.  A swap whose renaming is the identity
+    on the colors named so far (pi None) can differ from the coloring
+    only at the edges {a, i} and {a, j}, first at the least a with
+    {a, i} and {a, j} of different colors; there a color y new to the
+    image above the coloring's x ties under y -> x when x is new too,
+    and the swap goes on under that map, compared edge by edge.  A
+    smaller image refuses the color, a larger one drops the swap, and so
+    does a tie under the identity once K_v uses every color.  Writes
+    named[v], the colors K_v uses, and held[v + 1], the swaps K_v ties
+    as (i, j, pi, the colors pi names, where the comparison goes on: a
+    vertex a while pi is None, else a depth)."""
+    us, vs = plan.u, plan.v
     v = vs[t]
-    while ma or mb:
-        if ma:
-            low = ma & -ma
-            ma ^= low
-            i = low.bit_length() - 1
-            j = v
-            a, b = (i, u) if i < u else (u, i)
+    named[v] = d = max(named[v - 1], *col[t - v + 2 : t + 1])
+    kept = []
+    for i, j, pi, mapped, p in held[v] + [
+        (i, v, None, 0, 1) for i in range(1, v) if named[i - 1] < k
+    ]:
+        if pi is None:
+            for a in range(p, v + 1):
+                if a != i and a != j:
+                    p = (i - 1) * (i - 2) // 2 + a - 1 if a < i else (a - 1) * (a - 2) // 2 + i - 1
+                    s = (j - 1) * (j - 2) // 2 + a - 1 if a < j else (a - 1) * (a - 2) // 2 + j - 1
+                    x = col[p]
+                    y = col[s]
+                    if x != y:
+                        break
+            else:
+                if d < k:
+                    kept.append((i, j, None, 0, v + 1))
+                continue
+            if y < x:
+                return False
+            if x != opened[p][-1]:
+                continue  # x is not new, so y renames above it
+            pi = [*range(x)] + [0] * (k + 1 - x)
+            pi[y] = mapped = x
+            p += 1
         else:
-            low = mb & -mb
-            mb ^= low
-            i = low.bit_length() - 1
-            j = u
-            a, b = i, v
-        p = (b - 1) * (b - 2) // 2 + a - 1
-        d = col[p]
-        p += 1
-        a = us[p]
-        b = vs[p]
-        a = j if a == i else i if a == j else a
-        b = j if b == i else i if b == j else b
-        s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
-        if p <= t and s <= t:
-            work.append((t, i, j, p, None, -d, t))
+            pi = pi[:]
+        while p <= t:
+            a = us[p]
+            b = vs[p]
+            a = j if a == i else i if a == j else a
+            b = j if b == i else i if b == j else b
+            s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
+            y = col[s]
+            z = pi[y]
+            if not z:
+                mapped += 1
+                z = pi[y] = mapped
+            x = col[p]
+            if z != x:
+                if z < x:
+                    return False
+                break
+            p += 1
         else:
-            s = max(p, s)
-            states = [*states, (s, i, j, p, None, -d, t)]
-            wake = min(wake, s)
-    return work, ((wake, states) if states else _IDLE)
+            kept.append((i, j, pi, mapped, t + 1))
+    held[v + 1] = kept
+    return True
 
 
 def _search(plan, k, class_of, objective, start, floor, task):
@@ -310,15 +324,16 @@ def _search(plan, k, class_of, objective, start, floor, task):
     that coloring if the claim is refused.
 
     Colors in one class of class_of (all colors when it is None) make
-    their first appearances in increasing order: opened[t][0] lists
+    their first appearances in increasing order: opened[t] lists
     the colors edge t may take, those in use and the least unused one
     of each class, and after[c] is the next color of c's class (0 for
     the last), which the first edge to take c opens.  The colors an edge
     may take start at the largest color a tied vertex swap (module
     docstring) puts below it, so every leaf is no larger in column
     order than its image under any transposition.  With one class,
-    relabeled then refuses a color under which a swap tied under a
-    color map other than the identity gives a smaller image, so every
+    _column_end then refuses, at the last edge of each column v, a color
+    under which some swap gives K_v a smaller image once the image's
+    colors are renamed, before the node is counted or claimed, so every
     leaf is also no larger than that image with its colors renamed.
 
     Returns (nodes, exhaustive)."""
@@ -339,99 +354,33 @@ def _search(plan, k, class_of, objective, start, floor, task):
         if class_of[c] in latest:
             after[latest[class_of[c]]] = c
         latest[class_of[c]] = c
-    # relabeling, with one class.  A swap the tie masks hold up to the
-    # first edge of a color d below k ties under a map other than the
-    # identity when a larger color meets that edge.  fa[x] has bit y set
-    # for such a first edge {x, y}: the swaps (y, v) compare it at (x, v),
-    # and for y < x the swaps (y, u) at (u, x).  When the next edge takes
-    # d too, a swap that leaves it in place sends d above itself there and
-    # gives a larger image, so bit y leaves fa[x] unless y is on that edge
-    # (a swap (y, j) with j on it is never both tied and read from bit y
-    # later).  That branch decides nothing the comparison would not, but
-    # it spares _relabel_work calls: without it f(13, 3) makes 55,269 of
-    # them instead of 44,753.  opened[t] is (the colors open to edge t,
-    # fa), written forward like every other per-depth state.  With one
-    # class the open colors change exactly at a first edge, so the branch
-    # finds one by the list's identity.  An edge that changes the colors
-    # or fa writes new lists, so no list changes once written and a
-    # backtrack leaves them be.  live[t] is (the least wake, the swaps
-    # tied under a map other than the identity) before edge t
-    relabel = len(set(class_of[1:])) <= 1
+    # the colors open to edge t, written forward like every other
+    # per-depth state; an edge that opens a color writes a new list
     opened = [None] * (m + 1)
-    empty = [0] * (plan.n + 1)
-    opened[0] = ([c for c in range(1, k + 1) if c not in after], empty)
-    live = [_IDLE] * (m + 1)
-    # pend[t]: None, or where relabeled decides edge t, its work and the
-    # rest of live[t] (from _relabel_work)
-    pend = [None] * (m + 1)
+    opened[0] = [c for c in range(1, k + 1) if c not in after]
+    # with one class, the last edge of column v runs _column_end, which
+    # reads held[v] and writes named[v] and held[v + 1]
+    one_class = len(set(class_of[1:])) <= 1
+    ends = [one_class and u + 1 == v for u, v in zip(us, vs)]
+    held = [[] for _ in range(plan.n + 2)]
+    named = [0] * (plan.n + 1)
     split = task.split
-
-    def relabeled(t, c):
-        # whether coloring edge t with c leaves every swap's image, its
-        # colors renamed, no smaller than the coloring; sets live[t + 1]
-        work, (wake, rest) = pend[t]
-        col[t] = c
-        kept = rest
-        for _, i, j, p, pi, mapped, at in work:
-            if mapped < 0:
-                # tied by the masks up to the first edge of color d = -mapped,
-                # which the color of edge at meets under a map other than
-                # the identity if it is larger
-                y = col[at]
-                if y <= -mapped:
-                    continue
-                mapped = -mapped
-                pi = [*range(mapped)] + [0] * (k + 1 - mapped)  # unset from d on
-                pi[y] = mapped
-            # compare the image under (i, j) and pi with the coloring from
-            # depth p on, as far as the edges up to t decide it
-            while p <= t:
-                a = us[p]
-                b = vs[p]
-                a = j if a == i else i if a == j else a
-                b = j if b == i else i if b == j else b
-                s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
-                if s > t:
-                    break
-                y = col[s]
-                z = pi[y]
-                if not z:
-                    mapped += 1
-                    z = mapped
-                    pi = pi[:]
-                    pi[y] = z
-                x = col[p]
-                if z != x:
-                    if z < x:
-                        return False
-                    break
-                p += 1
-            else:
-                s = p
-            if s <= t:
-                continue  # the image is larger
-            if kept is rest:
-                kept = [*rest]
-            kept.append((s, i, j, p, pi, mapped, t))
-            if s < wake:
-                wake = s
-        live[t + 1] = (wake, kept) if kept else _IDLE
-        return True
 
     cut = start + 1
     nodes = limit = 0
     exhaustive = True
     its = [iter(())] * (m + 1)  # the untried candidates at each depth
     if m:
-        its[0] = iter(opened[0][0])  # edge (1, 2) is free of ties
+        its[0] = iter(opened[0])  # edge (1, 2) is free of ties
     t = 0
     while t >= 0:
         for c in its[t]:
             if not apply(t, c, cut):
                 continue
-            if pend[t] is not None and not relabeled(t, c):
+            col[t] = c
+            if ends[t] and not _column_end(t, col, opened, held, named, k, plan):
                 continue
-            if t == split and not task.claim((*col[:t], c)):
+            if t == split and not task.claim(tuple(col[: t + 1])):
                 continue  # another worker's subtree, or one behind the claims
             nodes += 1
             if nodes > limit:
@@ -445,29 +394,13 @@ def _search(plan, k, class_of, objective, start, floor, task):
                     t = -1
                     break
                 limit += grant
-            col[t] = c
-            op, fa = state = opened[t]
+            op = opened[t]
             nxt = after[c]
-            u = us[t]
-            v = vs[t]
             if nxt and nxt not in op:
                 op = sorted([*op, nxt])
-                if relabel:  # c is new
-                    fa = fa[:]
-                    fa[u] |= 1 << v
-                    fa[v] |= 1 << u
-                state = (op, fa)
-            elif relabel and t and op is not opened[t - 1][0] and c == col[t - 1]:
-                # the edge after a first edge (a, b), in its color
-                a = us[t - 1]
-                b = vs[t - 1]
-                fa = fa[:]
-                if b != u and b != v:
-                    fa[a] &= ~(1 << b)
-                if a != u and a != v:
-                    fa[b] &= ~(1 << a)
-                state = (op, fa)
-            opened[t + 1] = state
+            opened[t + 1] = op
+            u = us[t]
+            v = vs[t]
             row = rows[c]
             tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
             tie[~t] = tie[backs[t]] & row[v]
@@ -486,16 +419,6 @@ def _search(plan, k, class_of, objective, start, floor, task):
                     if rows[x][u] & a or rows[x][v] & b:
                         lo = x
                         break
-                if relabel:
-                    lv = live[t]
-                    ma = a & fa[u]
-                    mb = b & fa[v]
-                    pend[t] = None
-                    if ma or mb or lv[0] <= t:
-                        work, lv = _relabel_work(t, ma, mb, lv, us, vs, col)
-                        if work:
-                            pend[t] = (work, lv)
-                    live[t + 1] = lv
                 its[t] = iter(op[op.index(lo) :])
             break
         else:

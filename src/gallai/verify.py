@@ -104,30 +104,33 @@ PROVED = (
     Proved("full", "exists-avoiding", 8, 2, 1, 28, targets=_K4E_K3),
     Proved("full", "exists-avoiding", 9, 2, 0, 1470, targets=_K4E_K3),
     # g(3, n), the least monochromatic count of a Gallai 3-coloring: the
-    # upper end of g_multiplicity_bounds(3, n)
-    Proved("full", "min-mono", 11, 3, 1, 1878, gallai=True),
-    Proved("full", "min-mono", 12, 3, 2, 9380, gallai=True),
-    Proved("full", "min-mono", 13, 3, 3, 32525, gallai=True),
-    Proved("full", "min-mono", 13, 3, 3, 32525, gallai=True, jobs=2),
-    Proved("full", "min-mono", 14, 3, 4, 90109, gallai=True),
-    Proved("full", "min-mono", 15, 3, 5, 236160, gallai=True),
-    Proved("ci", "min-mono", 16, 3, 8, 1646597, gallai=True),
-    Proved("ci", "min-mono", 16, 3, 8, 1646597, gallai=True, jobs=2),
-    Proved("record", "min-mono", 17, 3, 11, 16657748, gallai=True),
-    Proved("record", "min-mono", 18, 3, 14, 139035634, gallai=True),
+    # upper end of g_multiplicity_bounds(3, n).  With two jobs, n = 12 ends
+    # inside search._PROBE, so its walk and count are the serial ones;
+    # n = 13 and 16 start a helper
+    Proved("full", "min-mono", 11, 3, 1, 1902, gallai=True),
+    Proved("full", "min-mono", 12, 3, 2, 9613, gallai=True),
+    Proved("full", "min-mono", 12, 3, 2, 9613, gallai=True, jobs=2),
+    Proved("full", "min-mono", 13, 3, 3, 33375, gallai=True),
+    Proved("full", "min-mono", 13, 3, 3, 33375, gallai=True, jobs=2),
+    Proved("full", "min-mono", 14, 3, 4, 92265, gallai=True),
+    Proved("full", "min-mono", 15, 3, 5, 240661, gallai=True),
+    Proved("ci", "min-mono", 16, 3, 8, 1681802, gallai=True),
+    Proved("ci", "min-mono", 16, 3, 8, 1681802, gallai=True, jobs=2),
+    Proved("record", "min-mono", 17, 3, 11, 16876230, gallai=True),
+    Proved("record", "min-mono", 18, 3, 14, 140256328, gallai=True),
     # f(n, k), the most edges in no rainbow and no monochromatic triangle:
     # the count of construct_f_lower(n, k); the budget-stopped run at
     # n = 60 shows the engine has no depth limit
     Proved("full", "max-protected", 60, 2, 71, 5000, exhaustive=False, budget=5000),
-    Proved("full", "max-protected", 9, 2, 20, 16772),
-    Proved("full", "max-protected", 10, 2, 25, 94521),
-    Proved("ci", "max-protected", 11, 2, 30, 863495),
-    Proved("full", "max-protected", 10, 3, 45, 2674),
-    Proved("full", "max-protected", 11, 3, 52, 6171),
-    Proved("full", "max-protected", 12, 3, 60, 26270),
-    Proved("full", "max-protected", 13, 3, 69, 159554),
-    Proved("ci", "max-protected", 14, 3, 79, 1020678),
-    Proved("ci", "max-protected", 15, 3, 90, 7266276),
+    Proved("full", "max-protected", 9, 2, 20, 17026),
+    Proved("full", "max-protected", 10, 2, 25, 95456),
+    Proved("ci", "max-protected", 11, 2, 30, 867628),
+    Proved("full", "max-protected", 10, 3, 45, 2680),
+    Proved("full", "max-protected", 11, 3, 52, 6201),
+    Proved("full", "max-protected", 12, 3, 60, 26949),
+    Proved("full", "max-protected", 13, 3, 69, 165813),
+    Proved("ci", "max-protected", 14, 3, 79, 1068450),
+    Proved("ci", "max-protected", 15, 3, 90, 7621659),
 )
 
 

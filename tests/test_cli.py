@@ -450,6 +450,14 @@ def test_each_verb_imports_only_what_it_runs(tmp_path):
     assert {"gallai.census", "json"} <= loaded
     assert not loaded & (SUBMODULES - {"gallai.census", "gallai.verify"})
 
+    # grstar-check only checks the conditions: the witness search, and
+    # the constructions its seeds come from, stay unloaded
+    (tmp_path / "f.gecx").write_text(serialize_extended_coloring(figure1_fixture()))
+    loaded, out = _modules_after(tmp_path, "grstar-check", "f.gecx")
+    assert json.loads("\n".join(out))["passes"]
+    assert {"gallai.grstar", "gallai.census"} <= loaded
+    assert not loaded & {"gallai.search", "gallai.construct", "gallai.verify"}
+
 
 def test_bare_package_import_loads_no_submodule(tmp_path):
     code = (

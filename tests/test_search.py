@@ -40,11 +40,11 @@ MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
 # the pair search behind find_gr_star_pair_witness
 SEARCH_GRID = Path(__file__).parent / "data" / "search_grid.json"
 # the engine's exact serial node counts on the same calls, in the same
-# order, recorded once every vertex transposition and its color renaming
-# was decided edge by edge; a call the budget cuts short also has its
-# best-so-far value and witness there, which a stronger reduction may
-# change.  A call that is a row of verify.PROVED has no count here: the
-# row holds it
+# order, recorded once the tie masks decided every vertex transposition
+# edge by edge and the column-end test its color renaming; a call the
+# budget cuts short also has its best-so-far value and witness there,
+# which a stronger reduction may change.  A call that is a row of
+# verify.PROVED has no count here: the row holds it
 SEARCH_NODES = Path(__file__).parent / "data" / "search_nodes.json"
 
 
@@ -657,27 +657,32 @@ def _no_worse(name, value, recorded):
     return value >= recorded
 
 
-def test_relabel_work_pinned(monkeypatch):
-    # node counts do not see how much work the color relabeling does: a
-    # filter that only spares _relabel_work calls leaves every count as
-    # it is.  The work entries are pinned, and the calls may only fall
-    real = search._relabel_work
-    seen = []
+def test_column_end_work_pinned(monkeypatch):
+    # node counts do not see how much work the column-end test does: a
+    # change that only spares swap comparisons leaves every count as it
+    # is.  Its calls, the swaps they take up (those held over from the
+    # column before and the new swaps (i, v)) and the colors they refuse
+    # are pinned
+    real = search._column_end
+    seen = [0, 0, 0]
 
-    def counted(*args):
-        work, lv = real(*args)
-        seen.append(len(work))
-        return work, lv
+    def counted(t, col, opened, held, named, k, plan):
+        v = plan.v[t]
+        seen[0] += 1
+        seen[1] += len(held[v]) + sum(named[i - 1] < k for i in range(1, v))
+        ok = real(t, col, opened, held, named, k, plan)
+        seen[2] += not ok
+        return ok
 
-    monkeypatch.setattr(search, "_relabel_work", counted)
-    for run, calls, entries in [
-        (lambda: min_mono_triangles(11, 3, True), 716, 392),
-        (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), 470, 248),
-        (lambda: max_protected_edges(12, 3), 7813, 4209),
+    monkeypatch.setattr(search, "_column_end", counted)
+    for run, pins in [
+        (lambda: min_mono_triangles(11, 3, True), [168, 805, 10]),
+        (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), [98, 409, 8]),
+        (lambda: max_protected_edges(12, 3), [2016, 13635, 148]),
     ]:
-        seen.clear()
+        seen[:] = [0, 0, 0]
         run()
-        assert len(seen) <= calls and sum(seen) == entries, (len(seen), sum(seen))
+        assert seen == pins
 
 
 def test_large_n_has_no_depth_limit():
