@@ -1,12 +1,16 @@
-"""Generators for the extremal colorings: base gadgets (pentagon and
-Paley-17 two-colorings, monochromatic cliques), the blow-up operator,
-and the construction families built from them:
+"""Generators for the extremal colorings: base gadgets (monochromatic
+cliques, and the pentagon and Paley-17 two-colorings, both Paley
+colorings from one writer: the pentagon's cycle differences +-1 are the
+quadratic residues mod 5), the blow-up operator, and the construction
+families built from them:
 
-  * triangle-free Gallai colorings of maximum order for k colors
-    (iterated pentagon blow-ups, odd k finished by a monochromatic join);
   * colorings of maximum order avoiding monochromatic K4+e in the first
     s colors and monochromatic triangles in the rest (17-fold Paley
-    blow-ups, then pentagon blow-ups, then a final join);
+    blow-ups, then pentagon blow-ups, then a final join).  Its member
+    s = 0 is the triangle-free Gallai coloring of maximum order for k
+    colors (iterated pentagon blow-ups, odd k finished by a
+    monochromatic join), and this recursion is the only builder of
+    iterated Paley blow-ups;
   * Gallai colorings meeting the minimum monochromatic-triangle-count
     upper bound (clique or near-optimal 2-colored inserts in the
     triangle-free base);
@@ -17,12 +21,17 @@ and the construction families built from them:
     monochromatic triangles;
   * star-free layer packings certifying the nim lower bound, with the
     distance-3 relabeling repair making layers pairwise edge-disjoint.
+
+One rule, `_star_free_rows`, gives both the Goodman 2-colorings' first
+color and the nim-star layers' pattern: the extremal star-free graph of
+a maximum degree.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from itertools import compress
 from math import comb
 
 from .coloring import Coloring, lex_pairs
@@ -43,34 +52,27 @@ def mono_clique(n: int, color: int, k: int | None = None) -> Coloring:
     return Coloring(n, k, (color,) * comb(n, 2))
 
 
+def _paley_coloring(q: int, a: int, b: int, name: str) -> Coloring:
+    """K_q, q a prime = 1 mod 4, colored a on the differences that are
+    quadratic residues mod q and b on the rest: each color class is the
+    self-complementary Paley graph of order q."""
+    if a == b:
+        raise ValueError(f"{name} colors must differ")
+    residues = {x * x % q for x in range(1, q)}
+    return Coloring(q, max(a, b), [a if (v - u) % q in residues else b for u, v in lex_pairs(q)])
+
+
 def pentagon_coloring(a: int, b: int) -> Coloring:
     """K_5 with the 5-cycle {i,i+1} in color a and the diagonals in
     color b; the unique 2-coloring of K_5 with no monochromatic
     triangle."""
-    if a == b:
-        raise ValueError("pentagon colors must differ")
-    k = max(a, b)
-    colors = []
-    for u, v in lex_pairs(5):
-        on_cycle = (v - u) in (1, 4)
-        colors.append(a if on_cycle else b)
-    return Coloring(5, k, colors)
-
-
-_QR17 = frozenset(pow(x, 2, 17) for x in range(1, 17))
+    return _paley_coloring(5, a, b, "pentagon")
 
 
 def paley17_coloring(a: int, b: int) -> Coloring:
     """K_17 colored a on quadratic-residue differences mod 17 and b
-    otherwise; neither color class contains a K4 (each class is the
-    self-complementary Paley graph of order 17)."""
-    if a == b:
-        raise ValueError("paley colors must differ")
-    k = max(a, b)
-    colors = []
-    for u, v in lex_pairs(17):
-        colors.append(a if (v - u) % 17 in _QR17 else b)
-    return Coloring(17, k, colors)
+    otherwise; neither color class contains a K4."""
+    return _paley_coloring(17, a, b, "paley")
 
 
 # ---------------------------------------------------------------------------
@@ -111,43 +113,6 @@ def blow_up(base: Coloring, inserts: Sequence[Coloring]) -> Coloring:
     return Coloring(sum(sizes), base.k, out)
 
 
-def _join_two_copies(g: Coloring, color: int, k: int) -> Coloring:
-    """Two copies of g with all cross edges in the given color."""
-    base = mono_clique(2, color, k)
-    g = g.with_k(k)
-    return blow_up(base, [g, g])
-
-
-# ---------------------------------------------------------------------------
-# triangle-free Gallai colorings of maximum order
-
-
-def _triangle_free_even(j: int, k: int) -> Coloring:
-    """Triangle-free Gallai coloring on 5^(j/2) vertices using colors
-    1..j (j even), over the color universe 1..k: iterated pentagon
-    blow-ups."""
-    g = single_vertex(k)
-    for i in range(0, j, 2):
-        base = pentagon_coloring(i + 1, i + 2).with_k(k)
-        g = blow_up(base, [g] * 5)
-    return g
-
-
-def construct_gr_k3_extremal(k: int) -> Coloring:
-    """Gallai-k-coloring with no monochromatic triangle on the largest
-    possible vertex count (one less than the Gallai-Ramsey threshold).
-
-    Even k: iterated pentagon blow-ups on color pairs (1,2),(3,4),...;
-    odd k: the (k-1)-color coloring, two copies joined in color k (no
-    copy has a color-k edge, so no color-k triangle arises)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k % 2 == 0:
-        return _triangle_free_even(k, k)
-    g = _triangle_free_even(k - 1, k)
-    return _join_two_copies(g, k, k)
-
-
 # ---------------------------------------------------------------------------
 # colorings with no K4+e in the first s colors, no K3 in the rest
 
@@ -160,7 +125,8 @@ def construct_gr_k4e_extremal(k: int, s: int) -> Coloring:
     while colors remain: blow a 2-colored Paley K_17 up with 17 copies
     while at most s-2 colors are used, a triangle-free K_5 while at most
     k-2 are used, and finish an odd tail by joining two copies with the
-    last color."""
+    last color, which neither copy uses.  At s = 0 that is the
+    triangle-free family of construct_gr_k3_extremal."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= s <= k:
@@ -179,7 +145,7 @@ def construct_gr_k4e_extremal(k: int, s: int) -> Coloring:
             g = blow_up(base, [g] * 5)
             i += 2
         else:  # i == k-1
-            g = _join_two_copies(g, k, k)
+            g = blow_up(mono_clique(2, k, k), [g, g])
             i += 1
     if g.n != mixed_k4e_extremal_order(k, s):
         raise RuntimeError(
@@ -188,26 +154,34 @@ def construct_gr_k4e_extremal(k: int, s: int) -> Coloring:
     return g
 
 
+def construct_gr_k3_extremal(k: int) -> Coloring:
+    """Gallai-k-coloring with no monochromatic triangle on the largest
+    possible vertex count (one less than the Gallai-Ramsey threshold):
+    the s = 0 member of the K4+e family, iterated pentagon blow-ups on
+    color pairs (1,2),(3,4),..., two copies joined in color k for odd k."""
+    return construct_gr_k4e_extremal(k, 0)
+
+
 # ---------------------------------------------------------------------------
 # minimum monochromatic-triangle-count extremal colorings
 
 
-def _circulant_pairs(n: int, offsets) -> set[tuple[int, int]]:
-    """0-based circulant edge set; an antipodal offset contributes a
-    perfect matching."""
-    edges = set()
-    for d in offsets:
-        for i in range(n):
-            j = (i + d) % n
-            edges.add((min(i, j), max(i, j)))
-    return edges
+def _star_free_rows(n: int, d: int, edge, other):
+    """The rows of the 0-based n-vertex graph of maximum degree d < n
+    with floor(dn/2) edges, the extremal star-free graph: row u holds,
+    for v = u+1..n-1, edge when {u, v} is an edge and other when not.
 
-
-def _near_antipodal_matching(n: int) -> set[tuple[int, int]]:
-    """For odd n: a matching of (n-1)/2 offset-(n-1)/2 pairs covering
-    all vertices but the last."""
-    half = (n - 1) // 2
-    return {(i, i + half) for i in range((n - 1) // 2)}
+    {u, v} is an edge at circulant distance at most d // 2 and, when d
+    is odd, when v = u + n // 2 for u < n // 2: an antipodal matching
+    for even n, one covering all vertices but the last for odd n."""
+    half = n // 2
+    pattern = [edge if min(t, n - t) <= d // 2 else other for t in range(n)]
+    matched = half if d % 2 else 0
+    for u in range(n):
+        row = pattern[1 : n - u]
+        if u < matched:
+            row[half - 1] = edge
+        yield row
 
 
 def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
@@ -217,32 +191,19 @@ def goodman_extremal_2coloring(n: int, color_a: int, color_b: int) -> Coloring:
     The monochromatic count of a 2-coloring is C(n,3) minus half the sum
     of d(v)(n-1-d(v)) over the color-a degrees d(v), so any coloring
     whose color-a degrees all sit at the feasible maximizers of
-    d(n-1-d) is extremal.  The star-free circulant of maximum degree
-    floor(n/2) realizes that: its degrees are floor or ceil of (n-1)/2,
-    but for the one vertex n = 3 mod 4 forces lower.
-
-    That graph, color_a here, is _star_free_graph(n, n // 2 + 1), built
-    by rows: row u is a prefix of one circulant pattern, plus the pair
-    of the (near-)antipodal matching on the rows that have one."""
+    d(n-1-d) is extremal.  Color a here is the extremal star-free graph
+    of maximum degree floor(n/2), _star_free_rows(n, n // 2): each of
+    its degrees is floor or ceil of (n-1)/2, except that for n = 3 mod 4,
+    where n vertices of odd degree (n-1)/2 cannot be, one vertex has
+    degree (n-3)/2."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if color_a == color_b:
         raise ValueError("colors must differ")
-    k = max(color_a, color_b)
-    d = n // 2  # the maximum degree
-    # pattern[t]: the color of the pairs at circulant distance t, color_a
-    # on the offsets 1..d//2
-    pattern = [color_a if min(t, n - t) <= d // 2 else color_b for t in range(n)]
-    # when d is odd, the antipodal (n even) or near-antipodal (n odd)
-    # matching joins each u <= d to u + d
-    matched = d if d % 2 == 1 else 0
     colors = []
-    for u in range(1, n + 1):
-        row = pattern[1 : n - u + 1]
-        if u <= matched:
-            row[d - 1] = color_a
+    for row in _star_free_rows(n, n // 2, color_a, color_b):
         colors += row
-    return Coloring(n, k, colors)
+    return Coloring(n, max(color_a, color_b), colors)
 
 
 def construct_multiplicity_extremal(k: int, n: int) -> Coloring:
@@ -257,16 +218,14 @@ def construct_multiplicity_extremal(k: int, n: int) -> Coloring:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < gr_k3(k):
         raise ValueError(f"n={n} below threshold {gr_k3(k)} for k={k}")
-    if k % 2 == 1:
-        base = _triangle_free_even(k - 1, k)
+    j = k - 1 if k % 2 else k - 2  # the colors of the triangle-free base
+    base = construct_gr_k3_extremal(j).with_k(k) if j else single_vertex(k)
 
-        def insert(size):
+    def insert(size):
+        if k % 2 == 1:
             return mono_clique(size, k, k)
-    else:
-        base = _triangle_free_even(k - 2, k)
+        return goodman_extremal_2coloring(size, k - 1, k).with_k(k)
 
-        def insert(size):
-            return goodman_extremal_2coloring(size, k - 1, k).with_k(k)
     m, r = divmod(n, base.n)
     # r of the inserts take m + 1 vertices, the rest m
     big = [insert(m + 1)] * r if r else []
@@ -314,23 +273,6 @@ def construct_f_lower(n: int, k: int) -> Coloring:
 # star-free layer packings (nim lower bound)
 
 
-def _star_free_graph(n: int, h: int) -> set[tuple[int, int]]:
-    """0-based n-vertex graph with max degree h-1 and floor((h-1)n/2)
-    edges: circulant offsets 1..floor((h-1)/2), completed by an
-    antipodal (n even) or near-antipodal (n odd) matching when h-1 is
-    odd."""
-    d = h - 1
-    if n <= d:
-        raise ValueError(f"need n > h-1, got n={n} h={h}")
-    edges = _circulant_pairs(n, range(1, d // 2 + 1))
-    if d % 2 == 1:
-        if n % 2 == 0:
-            edges |= _circulant_pairs(n, [n // 2])
-        else:
-            edges |= _near_antipodal_matching(n)
-    return edges
-
-
 def _relabel(edges: set[tuple[int, int]], mapping: Sequence[int]) -> set[tuple[int, int]]:
     out = set()
     for a, b in edges:
@@ -372,7 +314,11 @@ def construct_nim_star(n: int, h: int, k: int, seed: int = 0) -> Coloring:
             f"n={n} too small for the distance-3 repair: need n >= {(k - 1) ** 2 * (h - 1) ** 2 + 2}"
         )
     rng = random.Random(seed)
-    pattern = _star_free_graph(n, h)
+    pattern = {
+        (u, v)
+        for u, row in enumerate(_star_free_rows(n, h - 1, True, False))
+        for v in compress(range(u + 1, n), row)
+    }
     if len(pattern) != ex_star(n, h):
         raise RuntimeError(
             f"star-free pattern has {len(pattern)} edges, expected ex_star={ex_star(n, h)}"

@@ -51,26 +51,28 @@ DFS to colorings satisfying them loses no orbit:
 One engine, `_search`, runs every objective: a depth-first loop over
 the edges in that order with an explicit stack, so no n meets a depth
 limit.  An objective adds two hooks: test-and-apply an edge, and the
-cost of a leaf.  The hooks read the coloring from the engine's
-per-color neighbor bitsets, in which column order leaves the
-monochromatic and rainbow triangles an edge closes a few bitset
-operations away (see `_search`).  Every other piece of search state,
-the engine's and the objective's alike, is kept per depth and written
-forward, so backtracking reverts the bitsets alone.  Every objective
-minimizes a cost: the monochromatic-triangle count, minus the
-protected-edge count, or 0 for an avoiding coloring.  A leaf is kept
-when its cost is below a cut, which starts one above a start value
-and then follows the best leaf; a leaf at the least possible cost ends
-the run, so the first avoiding coloring does.  A child dies when its
-partial cost, or a bound on every completion, reaches the cut, or when
-a forbidden monochromatic target or (under gallai_only) a rainbow
-triangle completes.  The DFS visits colorings in lexicographic order
-of the column order above and prunes ties, so the reported witness is
-the smallest optimal coloring of the reduced space in that order,
-deterministically.  That is not the pair order
-(1,2),(1,3),(1,4),...,(2,3),... of Coloring.colors: the two orders
-share only their first two edges, so comparing colors tuples does not
-find that witness.
+cost of a leaf.  The engine applies the Gallai restriction itself,
+refusing a color that closes a rainbow triangle, so one test serves
+every objective that searches Gallai colorings.  The hooks read the
+coloring from the engine's per-color neighbor bitsets, in which column
+order leaves the monochromatic and rainbow triangles an edge closes a
+few bitset operations away (see `_search`).  Every other piece of
+search state, the engine's and the objective's alike, is kept per
+depth and written forward, so backtracking reverts the bitsets alone.
+Every objective minimizes a cost: the monochromatic-triangle count,
+minus the protected-edge count, or 0 for an avoiding coloring.  A leaf
+is kept when its cost is below a cut, which starts one above a start
+value and then follows the best leaf; a leaf at the least possible
+cost ends the run, so the first avoiding coloring does.  A child dies
+when its partial cost, or a bound on every completion, reaches the
+cut, or when a forbidden monochromatic target or, in a Gallai space,
+a rainbow triangle completes.  The DFS visits
+colorings in lexicographic order of the column order above and prunes
+ties, so the reported witness is the smallest optimal coloring of the
+reduced space in that order, deterministically.  That is not the pair
+order (1,2),(1,3),(1,4),...,(2,3),... of Coloring.colors: the two
+orders share only their first two edges, so comparing colors tuples
+does not find that witness.
 
 The minimum-monochromatic search adds two things, in every walk alike:
 
@@ -283,7 +285,7 @@ def _column_end(t, col, opened, held, named, k, plan):
     return True
 
 
-def _search(plan, k, class_of, objective, start, floor, task):
+def _search(plan, k, class_of, gallai, objective, start, floor, task):
     """Depth-first search over the canonical colorings of plan's edges
     for the first leaf, in DFS order, of least cost.
 
@@ -311,6 +313,11 @@ def _search(plan, k, class_of, objective, start, floor, task):
         depth's; False rejects c, including when no completion can
         cost less than cut;
       * leaf() returns the cost of the completed coloring.
+
+    With gallai set, the space is the Gallai colorings: the engine
+    refuses a color that closes a rainbow triangle before apply sees
+    it, so no hook tests for one.  With k <= 2 no triangle is rainbow,
+    and the test is skipped.
 
     A leaf is kept when its cost is below cut, which starts at start + 1
     (so leaves that tie start are kept) and then drops to each kept
@@ -347,6 +354,11 @@ def _search(plan, k, class_of, objective, start, floor, task):
     rows = [[0] * (plan.n + 1) for _ in range(k + 1)]
     top = range(k, 1, -1)
     apply, leaf = objective(plan, rows)
+    # a rainbow triangle needs three colors; others[c], for the rainbow
+    # test: the rows of the colors other than c
+    gallai = gallai and k > 2
+    if gallai:
+        others = [[r for r in rows[1:] if r is not row] for row in rows]
     class_of = class_of or [0] * (k + 1)
     after = [0] * (k + 1)
     latest = {}  # the last color of each class so far
@@ -373,8 +385,17 @@ def _search(plan, k, class_of, objective, start, floor, task):
     if m:
         its[0] = iter(opened[0])  # edge (1, 2) is free of ties
     t = 0
+    u, v = 1, 2  # edge t's endpoints whenever t < m, kept as t moves
     while t >= 0:
         for c in its[t]:
+            if gallai:
+                row = rows[c]
+                rain = ((1 << u) - 2) & ~(row[u] | row[v])
+                if rain:
+                    for r in others[c]:
+                        rain &= ~(r[u] & r[v])
+                    if rain:
+                        continue
             if not apply(t, c, cut):
                 continue
             col[t] = c
@@ -399,8 +420,6 @@ def _search(plan, k, class_of, objective, start, floor, task):
             if nxt and nxt not in op:
                 op = sorted([*op, nxt])
             opened[t + 1] = op
-            u = us[t]
-            v = vs[t]
             row = rows[c]
             tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
             tie[~t] = tie[backs[t]] & row[v]
@@ -501,14 +520,13 @@ class _SplitPairs(dict):
         return value
 
 
-def _min_mono_hooks(plan, rows, gallai_only, split):
+def _min_mono_hooks(plan, rows, split):
     """Cost: the monochromatic-triangle count.  apply also prunes on
     Goodman's counting bound: with s the sum of the per-vertex
     split-pair maxima, every completion has at least C(n,3) - s/2
     monochromatic triangles."""
     n, us, vs, at_u, at_v = plan.n, plan.u, plan.v, plan.at_u, plan.at_v
     m = len(us)
-    others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     triples = comb(n, 3)
     weight = [n ** (c - 1) for c in range(split.k + 1)]
     # code[2t], code[2t + 1]: the color degrees, base n, of u and v once
@@ -527,13 +545,6 @@ def _min_mono_hooks(plan, rows, gallai_only, split):
         nm = mono[t] + (a & b).bit_count()
         if nm >= cut:
             return False
-        if gallai_only:
-            rain = ((1 << u) - 2) & ~(a | b)
-            if rain:
-                for r in others[c]:
-                    rain &= ~(r[u] & r[v])
-                if rain:
-                    return False
         w = weight[c]
         cu = code[at_u[t]]
         cv = code[at_v[t]]
@@ -565,9 +576,9 @@ def min_mono_triangles(
     _check_args(n, k, jobs, budget)
     seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
     start = comb(n, 3) if seed_value is None else seed_value
-    objective = partial(_min_mono_hooks, gallai_only=gallai_only, split=_SplitPairs(n, k))
+    objective = partial(_min_mono_hooks, split=_SplitPairs(n, k))
     value, witness_col, nodes, exhaustive = _dispatch(
-        n, k, None, objective, start, 0, budget, jobs
+        n, k, None, gallai_only, objective, start, 0, budget, jobs
     )
     if witness_col is None and not exhaustive and seed_col is not None:
         # the budget ran out before a leaf at or below the seed: the seed
@@ -581,10 +592,10 @@ def min_mono_triangles(
 # existence of a coloring avoiding per-color targets
 
 
-def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
+def _exists_hooks(plan, rows, targets, saturation_cap):
     """Cost: 0 for every leaf; apply refuses an edge that completes its
-    color's target, a rainbow triangle under gallai_only, or, with
-    saturation_cap, a vertex that meets every color."""
+    color's target or, with saturation_cap, a vertex that meets every
+    color."""
     us, vs = plan.u, plan.v
     others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
@@ -600,13 +611,6 @@ def _exists_hooks(plan, rows, targets, gallai_only, saturation_cap):
         common = row[u] & row[v]
         if common and is_k3[c]:
             return False
-        if gallai_only:
-            rain = ((1 << u) - 2) & ~(row[u] | row[v])
-            if rain:
-                for r in others[c]:
-                    rain &= ~(r[u] & r[v])
-                if rain:
-                    return False
         # u or v meets every color other than c already
         if saturation_cap and any(all(r[y] for r in others[c]) for y in (u, v)):
             return False
@@ -670,14 +674,12 @@ def exists_avoiding(
 
 
 def _exists(n, k, targets, gallai_only, budget, jobs, saturation_cap):
-    objective = partial(
-        _exists_hooks, targets=targets, gallai_only=gallai_only, saturation_cap=saturation_cap
-    )
+    objective = partial(_exists_hooks, targets=targets, saturation_cap=saturation_cap)
     class_ids: dict[str, int] = {}
     class_of = [0] + [class_ids.setdefault(t, len(class_ids)) for t in targets]
     # every avoiding coloring costs 0, the least cost, so the first ends the run
     _, witness_col, nodes, exhaustive = _dispatch(
-        n, k, class_of, objective, 0, 0, budget, jobs
+        n, k, class_of, gallai_only, objective, 0, 0, budget, jobs
     )
     value = 1 if witness_col is not None else (0 if exhaustive else None)
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
@@ -692,13 +694,12 @@ def _max_protected_hooks(plan, rows):
     """Cost: minus the protected-edge count.  The edges of each
     monochromatic or rainbow triangle are unprotected, so the edges not
     yet unprotected bound every completion."""
-    n, us, vs, idxs = plan.n, plan.u, plan.v, plan.idx
-    m = len(idxs)
+    us, vs = plan.u, plan.v
+    m = len(us)
     others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
-    pair = [[0] * (n + 1) for _ in range(n + 1)]  # pair[x][y]: the bit of {x, y}
-    for u, v, idx in zip(us, vs, idxs):
-        pair[u][v] = pair[v][u] = 1 << idx
-    unprot = [0] * (m + 1)  # bitmask of the unprotected pair indices
+    # column x holds edge (w, x) at depth start[x] + w - 1
+    start = [(x - 1) * (x - 2) // 2 for x in range(plan.n + 1)]
+    unprot = [0] * (m + 1)  # bitmask of the unprotected edges, by depth
 
     def apply(t, c, cut):
         u = us[t]
@@ -713,14 +714,8 @@ def _max_protected_hooks(plan, rows):
         bad |= a & b
         mask = unprot[t]
         if bad:
-            pu = pair[u]
-            pv = pair[v]
-            mask |= pu[v]
-            while bad:
-                low = bad & -bad
-                bad ^= low
-                w = low.bit_length() - 1
-                mask |= pu[w] | pv[w]
+            # edge t and the edges (w, u), (w, v) of each apex w
+            mask |= (bad << start[u] | bad << start[v]) >> 1 | 1 << t
         if mask.bit_count() - m >= cut:
             return False
         unprot[t + 1] = mask
@@ -741,7 +736,7 @@ def max_protected_edges(
     # start from a count of 0, which every coloring reaches; no coloring
     # protects more than all C(n,2) edges
     cost, witness_col, nodes, exhaustive = _dispatch(
-        n, k, None, _max_protected_hooks, 0, -comb(n, 2), budget, jobs
+        n, k, None, False, _max_protected_hooks, 0, -comb(n, 2), budget, jobs
     )
     value = -cost if cost is not None else None
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
@@ -832,7 +827,7 @@ class _Worker:
         self.pool = None
         self.split = _SPLIT - 1 if jobs > 1 or shared is not None else -1
         if shared is None:
-            _, k, _, _, start, _ = args
+            _, k, _, _, _, start, _ = args
             # the best key starts after every key, the last claimed before them
             self.cells = [min(budget, 2**62), start] + [k + 1] * _SPLIT + [0] * _SPLIT
             self.lock = nullcontext()
@@ -921,10 +916,11 @@ def _helper(_):
     return _Worker(_POOL_RUN[0], shared=_POOL_RUN[1]).walk()
 
 
-def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
-    """Run the engine over the whole reduced space of K_n as one worker's
-    walk and combine the walks: (least cost or None, its colors, nodes,
-    exhaustive).  Every run explores at most budget nodes.
+def _dispatch(n, k, class_of, gallai, objective, start, floor, budget, jobs):
+    """Run the engine over the whole reduced space of K_n, its Gallai
+    colorings alone when gallai is set, as one worker's walk and combine
+    the walks: (least cost or None, its colors, nodes, exhaustive).
+    Every run explores at most budget nodes.
 
     The walk is that of one job when jobs is 1, when the CPU count lowers
     it to 1, or when n <= 6, where K_6 leaves no subtree.  Otherwise, once
@@ -935,7 +931,7 @@ def _dispatch(n, k, class_of, objective, start, floor, budget, jobs):
     plan = _edge_plan(n)
     # no more processes than CPUs: the verdict does not depend on jobs
     jobs = min(jobs, os.cpu_count() or 1) if jobs > 1 and len(plan.idx) > _SPLIT else 1
-    parent = _Worker((plan, k, class_of, objective, start, floor), budget, jobs)
+    parent = _Worker((plan, k, class_of, gallai, objective, start, floor), budget, jobs)
     try:
         runs = [parent.walk()]
         if parent.pool is not None:

@@ -321,13 +321,15 @@ def test_nim_star_rejects_small_n():
 
 # sha256 of construct_nim_star(n, h, k, seed) serialized, keyed
 # "n h k seed", recorded from the repair that rebuilt the union of the
-# layers and intersected every pair of layers again after each switch
+# layers and intersected every pair of layers again after each switch;
+# "41 4 2 0" and "51 4 3 2", odd n with odd h - 1, pin the near-antipodal
+# matching of the star-free pattern
 NIM_STAR_PINS = Path(__file__).parent / "data" / "nim_star_sha256.json"
 
 
 def test_nim_star_matches_pinned_hashes():
     pins = json.loads(NIM_STAR_PINS.read_text())
-    assert "1000 2 32 0" in pins and len(pins) == 11
+    assert "1000 2 32 0" in pins and len(pins) == 13
     for key, want in pins.items():
         c = construct_nim_star(*map(int, key.split()))
         assert hashlib.sha256(c.serialize().encode()).hexdigest() == want, key

@@ -535,7 +535,7 @@ def test_parent_switches_to_the_shared_lock(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Array", array)
     monkeypatch.setattr(multiprocessing, "Pool", _IdlePool)
     plan = _edge_plan(8)
-    worker = search._Worker((plan, 2, None, search._max_protected_hooks, 0, -28), 100, 2)
+    worker = search._Worker((plan, 2, None, False, search._max_protected_hooks, 0, -28), 100, 2)
     worker.start_helpers()
     [shared] = arrays
     assert worker.lock is shared.get_lock()
@@ -734,7 +734,7 @@ def test_saturation_cap_tests_the_higher_endpoint():
         rows[c][y] |= 1 << x
     t = list(zip(plan.u, plan.v)).index((2, 4))
     for cap in (False, True):
-        apply, _ = _exists_hooks(plan, rows, [TARGET_K3] * 2, True, cap)
+        apply, _ = _exists_hooks(plan, rows, [TARGET_K3] * 2, cap)
         assert apply(t, 1, 1) is not cap
 
 
@@ -743,7 +743,7 @@ def test_recorded_k4_blocks_only_its_own_color():
     # completes K4+e in color 2 but not in color 1
     plan = _edge_plan(5)
     rows = [[0] * 6 for _ in range(3)]
-    apply, _ = _exists_hooks(plan, rows, [TARGET_K4E] * 2, False, False)
+    apply, _ = _exists_hooks(plan, rows, [TARGET_K4E] * 2, False)
     for t in range(6):  # the edges of K_4, in column order
         assert apply(t, 2, 1)
         rows[2][plan.u[t]] |= 1 << plan.v[t]

@@ -51,7 +51,7 @@ def _leaves(n, k, class_of, task=None):
     """The reduced space: every coloring the engine reaches, in column
     order; with a task, those of the subtrees it claims."""
     out = []
-    args = (_edge_plan(n), k, class_of, partial(_collect_hooks, out=out), 0, 0)
+    args = (_edge_plan(n), k, class_of, False, partial(_collect_hooks, out=out), 0, 0)
     _search(*args, task or _Worker(args, DEFAULT_BUDGET))
     return out
 
@@ -187,7 +187,7 @@ def test_reduced_space_size(n, k, size):
     # a larger i, so the column-end test starts more swaps (i, v) and
     # carries more of them, tied under a renaming, into later columns
     out = [0]
-    args = (_edge_plan(n), k, None, partial(_count_hooks, out=out), 0, 0)
+    args = (_edge_plan(n), k, None, False, partial(_count_hooks, out=out), 0, 0)
     _search(*args, _Worker(args, DEFAULT_BUDGET))
     assert out[0] == size
 
