@@ -116,24 +116,15 @@ def _components_outside(coloring: Coloring, s: tuple[int, ...]) -> list[int]:
     """Vertex bitmasks of the components of the graph formed by edges
     whose color is not in s, in order of their lowest vertex."""
     adj = coloring.adjacency()
-    inside = [adj[c] for c in s]
+    # rows[v - 1]: the vertices v sees in a color of s
+    rows = adj[s[0]][1:]
+    for c in s[1:]:
+        rows = list(map(int.__or__, rows, adj[c][1:]))
     comps = []
     unseen = (1 << coloring.n) - 1
     while unseen:
-        comp = frontier = unseen & -unseen
+        comp = _component(rows, unseen, unseen & -unseen, -1)
         unseen ^= comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            v = low.bit_length()
-            # every pair has one color, so the unseen non-s neighbors of
-            # v are the unseen vertices it does not reach in a color of s
-            fresh = unseen
-            for adj_c in inside:
-                fresh &= ~adj_c[v]
-            unseen ^= fresh
-            comp |= fresh
-            frontier |= fresh
         comps.append(comp)
     return comps
 
@@ -236,18 +227,21 @@ def _color_rows(t: int, colors, a: int) -> list[int]:
     return [int(row[::-1], 2) | int(matrix[x::t][::-1], 2) for x, row in enumerate(upper)]
 
 
-def _component(rows: list[int], vertices: int, x: int, flip: int) -> int:
-    """The component of x in the graph on the vertices of the bitmask
-    vertices whose edges are the a-pairs of rows (flip 0) or the other
-    pairs (flip -1)."""
-    comp = frontier = 1 << x
+def _component(rows: list[int], vertices: int, start: int, flip: int) -> int:
+    """The vertices that the bitmask start, a subset of the bitmask
+    vertices, reaches in the graph on vertices whose edges are the pairs
+    set in rows (flip 0) or the other pairs (flip -1), bit x of rows[x]
+    aside: the union of the components that meet start.  The partition
+    layer's one reachability search."""
+    frontier = start
+    left = vertices ^ start  # the vertices not reached yet
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        fresh = (rows[low.bit_length() - 1] ^ flip) & vertices & ~comp
-        comp |= fresh
+        fresh = (rows[low.bit_length() - 1] ^ flip) & left
+        left ^= fresh
         frontier |= fresh
-    return comp
+    return vertices ^ left
 
 
 def _module_children(rows: list[int], vertices: int) -> list[int]:
@@ -265,11 +259,27 @@ def _module_children(rows: list[int], vertices: int) -> list[int]:
       outside vertex sees two of its vertices in different colors.
     - Orient block X -> Y when Y sees X and v in different colors; a
       module that holds v and X then holds Y.  So the blocks that reach
-      every block are the children without v.  The last root of one
-      search over the blocks reaches every block (a mother vertex), and
-      the blocks that reach it are found by one backward search.
-    - v's module is v and every other block."""
-    last = vertices.bit_length() - 1
+      every block are the children without v, and they are the blocks
+      that reach one such child, found by one backward search from the
+      first block the refinement finalises, which is one (below).
+    - v's module is v and every other block.
+
+    Claim.  With both color graphs connected, the first block that the
+    refinement finalises is a child other than v's child C_v.
+
+    Proof.  Let A and B be v's a- and b-neighbors.  The stack pops B
+    first, and each split by a vertex w pushes w's b-side last, so the
+    first finalised block X0 ends a chain B = S0 > S1 > ... of b-sides.
+    B meets a child other than C_v: otherwise C_v sees every other child
+    in a, and the b-graph is disconnected.  v sees all of B in b, so it
+    splits no S_i.  While S_i meets C_v, every vertex split off so far
+    lies in C_v, so w lies in C_v or in A - C_v.  If w lies in C_v, it
+    sees each vertex of S_i outside C_v in that vertex's color to v,
+    which is b, so each stays in S_(i+1).  If w lies in A - C_v, it sees
+    all of C_v in a, so S_(i+1) leaves C_v for good.  Either way X0
+    holds a vertex of a child Y other than C_v.  A module without v lies
+    inside one child, so Y is a block, and X0 = Y."""
+    last = 1 << (vertices.bit_length() - 1)
     for flip in (0, -1):
         comp = _component(rows, vertices, last, flip)
         if comp != vertices:
@@ -279,7 +289,7 @@ def _module_children(rows: list[int], vertices: int) -> list[int]:
     row_v = rows[v_bit.bit_length() - 1]
     rest = vertices ^ v_bit
     stack = [block for block in (rest & row_v, rest & ~row_v) if block]
-    blocks = {}  # lowest vertex -> block of M(R, v)
+    blocks = {}  # lowest vertex -> block of M(R, v), in order of finalising
     while stack:
         block = stack.pop()
         low = block & -block
@@ -297,32 +307,11 @@ def _module_children(rows: list[int], vertices: int) -> list[int]:
         else:
             blocks[low.bit_length() - 1] = block
 
-    reps = 0
-    for x in blocks:
-        reps |= 1 << x
-    # X -> Y: Y's representative lies in rows[x] ^ row_v
-    seen = 0
-    for root in blocks:
-        if seen >> root & 1:
-            continue
-        mother = frontier = 1 << root
-        seen |= frontier
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            fresh = (rows[low.bit_length() - 1] ^ row_v) & reps & ~seen
-            seen |= fresh
-            frontier |= fresh
+    reps = sum(1 << x for x in blocks)
     # X -> Y backwards: X's representative lies in rows[y], complemented
     # when v sees Y in a
-    reach = frontier = mother
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        y = low.bit_length() - 1
-        fresh = (rows[y] ^ -(row_v >> y & 1)) & reps & ~reach
-        reach |= fresh
-        frontier |= fresh
+    back = [row ^ -(row_v >> y & 1) for y, row in enumerate(rows)]
+    reach = _component(back, reps, 1 << next(iter(blocks)), 0)
     children = [block for x, block in blocks.items() if reach >> x & 1]
     return children + [vertices ^ sum(children)]
 

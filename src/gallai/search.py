@@ -597,7 +597,8 @@ def _exists_hooks(plan, rows, targets, saturation_cap):
     color's target or, with saturation_cap, a vertex that meets every
     color."""
     us, vs = plan.u, plan.v
-    others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
+    if saturation_cap:
+        others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
     # mem[t]: bit c(n + 1) + y set when, before edge t, vertex y lies in a
     # recorded pendant-free K4 of color c

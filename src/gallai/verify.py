@@ -98,11 +98,16 @@ PROVED = (
     Proved("fast", "min-mono", 5, 2, 0, 13),
     Proved("fast", "min-mono", 6, 2, 2, 19),
     Proved("full", "min-mono", 7, 2, 4, 55),
-    # avoidance flips at the thresholds gr_k3(2) = 6 and gr_mixed_k4e(2, 1) = 9
+    # avoidance flips at the thresholds gr_k3(2) = 6 and gr_mixed_k4e(2, 1) = 9,
+    # and over Gallai colorings at gr_mixed_k4e(3, 1) = 21 and gr_k3(4) = 26
     Proved("full", "exists-avoiding", 5, 2, 1, 20, targets=_K3),
     Proved("full", "exists-avoiding", 6, 2, 0, 26, targets=_K3),
     Proved("full", "exists-avoiding", 8, 2, 1, 28, targets=_K4E_K3),
     Proved("full", "exists-avoiding", 9, 2, 0, 1470, targets=_K4E_K3),
+    Proved("full", "exists-avoiding", 20, 3, 1, 312, gallai=True, targets=(*_K4E_K3, search.TARGET_K3)),
+    Proved("ci", "exists-avoiding", 21, 3, 0, 1090323, gallai=True, targets=(*_K4E_K3, search.TARGET_K3)),
+    Proved("full", "exists-avoiding", 25, 4, 1, 457155, gallai=True, targets=_K3 * 2),
+    Proved("ci", "exists-avoiding", 26, 4, 0, 1749664, gallai=True, targets=_K3 * 2),
     # g(3, n), the least monochromatic count of a Gallai 3-coloring: the
     # upper end of g_multiplicity_bounds(3, n).  With two jobs, n = 12 ends
     # inside search._PROBE, so its walk and count are the serial ones;

@@ -34,7 +34,12 @@ from gallai import (
     triangle_census,
     verify_gallai_partition,
 )
-from gallai.partition import _candidate_color_sets, _components_outside, _vertices
+from gallai.partition import (
+    _candidate_color_sets,
+    _components_outside,
+    _module_children,
+    _vertices,
+)
 
 RAINBOW_K3 = parse_coloring("3 3\n1 2 1\n1 3 2\n2 3 3")
 
@@ -370,6 +375,80 @@ def test_coarsen_finds_the_prime_quotient_of_a_blow_up():
     assert coarse.parts == ((1, 2, 3, 4), (5, 6, 7), (8,), (9, 10, 11, 12), (13, 14))
     assert coarse.reduced == pentagon_coloring(1, 2)
     assert verify_gallai_partition(c, coarse)
+
+
+def _children_by_brute_force(rows, vertices):
+    """_module_children by definition, on the vertices of the bitmask
+    vertices with a-pairs rows: when a colour graph is disconnected, the
+    component of the last vertex and the rest; otherwise the maximal
+    modules among all proper vertex subsets."""
+    members = [x for x in range(vertices.bit_length()) if vertices >> x & 1]
+    for flip in (0, -1):
+        comp = 1 << members[-1]
+        grown = True
+        while grown:
+            grown = False
+            for x, y in product(members, repeat=2):
+                if comp >> x & 1 and not comp >> y & 1 and (rows[x] ^ flip) >> y & 1:
+                    comp |= 1 << y
+                    grown = True
+        if comp != vertices:
+            return sorted([comp, vertices ^ comp])
+    modules = []
+    sub = vertices
+    while sub:
+        sub = (sub - 1) & vertices
+        outside = [x for x in members if not sub >> x & 1]
+        if sub and all(rows[x] & sub in (0, sub) for x in outside):
+            modules.append(sub)
+    return sorted(m for m in modules if not any(m != w and m & w == m for w in modules))
+
+
+def _rows_of(t, a_pairs):
+    rows = [0] * t
+    for x, y in a_pairs:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows
+
+
+def test_module_children_on_every_vertex_subset():
+    # item by item against brute force, on every vertex subset of at
+    # least two vertices, as the decomposition tree will call it
+    rng = random.Random(35)
+    for _ in range(300):
+        t = rng.randint(2, 7)
+        rows = _rows_of(t, [p for p in combinations(range(t), 2) if rng.random() < 0.5])
+        for vertices in range(1, 1 << t):
+            if vertices & (vertices - 1):
+                want = _children_by_brute_force(rows, vertices)
+                assert sorted(_module_children(rows, vertices)) == want, (rows, vertices)
+
+
+def test_module_children_when_vertex_0_has_a_module_of_its_own():
+    # blow-ups of P4 and of random bases whose vertex 0 becomes a module
+    # of 2-4 vertices, so that the lowest vertex's child is not a single
+    # vertex and lower blocks of the refinement lie inside it
+    rng = random.Random(36)
+    p4 = [(0, 1), (1, 2), (2, 3)]
+    for i in range(1200):
+        if i % 2:
+            base_t, base = 4, p4
+        else:
+            base_t = rng.randint(3, 5)
+            base = [p for p in combinations(range(base_t), 2) if rng.random() < 0.5]
+        sizes = [rng.randint(2, 4)] + [rng.randint(1, 2) for _ in range(base_t - 1)]
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        t = len(part)
+        a_pairs = [
+            (x, y)
+            for x, y in combinations(range(t), 2)
+            if ((part[x], part[y]) in base if part[x] != part[y] else rng.random() < 0.5)
+        ]
+        rows = _rows_of(t, a_pairs)
+        vertices = (1 << t) - 1
+        want = _children_by_brute_force(rows, vertices)
+        assert sorted(_module_children(rows, vertices)) == want, (rows, sizes)
 
 
 def test_completeness_exhaustive_tiny():
