@@ -413,8 +413,8 @@ def _rows_of(t, a_pairs):
 
 
 def test_module_children_on_every_vertex_subset():
-    # item by item against brute force, on every vertex subset of at
-    # least two vertices, as the decomposition tree will call it
+    # against brute force on every vertex subset of at least two
+    # vertices, as the decomposition tree will call it
     rng = random.Random(35)
     for _ in range(300):
         t = rng.randint(2, 7)
@@ -438,7 +438,7 @@ def test_module_children_when_vertex_0_has_a_module_of_its_own():
             base_t = rng.randint(3, 5)
             base = [p for p in combinations(range(base_t), 2) if rng.random() < 0.5]
         sizes = [rng.randint(2, 4)] + [rng.randint(1, 2) for _ in range(base_t - 1)]
-        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        part = [j for j, size in enumerate(sizes) for _ in range(size)]
         t = len(part)
         a_pairs = [
             (x, y)
