@@ -245,31 +245,51 @@ def count_protected_edges(coloring: Coloring) -> int:
 
     Take an edge uv of color a.  A monochromatic triangle through it
     exists iff u and v have a common a-neighbor, one AND of their
-    a-neighborhoods.  Without one, the triangle uvw on an apex w is not
-    rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.  The first
-    holds for deg_a(u) - 1 apexes (every a-neighbor of u but v), the
-    second for deg_a(v) - 1, and the third for the popcount of R_u & R_v,
-    where the row R_u, the OR of adj[x][u] << i*n over the colors x in
-    use, x the i-th of them from 0, puts each used color's neighborhood
-    of u in its own block of n bits, so a bit common to R_u and R_v is a
-    w with c(uw) = c(vw).  u and v never
-    count there: no vertex is its own neighbor, so v lies in R_u but in
-    no block of R_v, and likewise u.  With no common a-neighbor the
-    third case holds no a-colored apex, so the three are disjoint, and
-    uv is protected iff all n - 2 apexes fall in one of them:
+    a-neighborhoods.  When the census shows no rainbow triangle, that
+    test alone decides: every edge of a color without a triangle is
+    protected and is counted from the degrees, and every other edge
+    takes one AND.
+
+    Otherwise, without a common a-neighbor, the triangle uvw on an apex
+    w is not rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.
+    The first holds for deg_a(u) - 1 apexes (every a-neighbor of u but
+    v), the second for deg_a(v) - 1, and the third for the popcount of
+    R_u & R_v, where the row R_u, the OR of adj[x][u] << i*n over the
+    colors x in use, x the i-th of them from 0, puts each used color's
+    neighborhood of u in its own block of n bits, so a bit common to
+    R_u and R_v is a w with c(uw) = c(vw).  u and v never count there:
+    no vertex is its own neighbor, so v lies in R_u but in no block of
+    R_v, and likewise u.  With no common a-neighbor the third case holds
+    no a-colored apex, so the three are disjoint, and uv is protected
+    iff all n - 2 apexes fall in one of them:
     deg_a(u) - 1 + deg_a(v) - 1 + popcount(R_u & R_v) = n - 2, that is
     deg_a(u) + deg_a(v) + popcount(R_u & R_v) = n.
     """
     n = coloring.n
     adj = coloring.adjacency()
     deg = coloring.degrees()
+    used = coloring.used_colors()
+    colors = iter(coloring.colors)
+    protected = 0
+    if not _bichromatic_rainbow(coloring)[1]:
+        tri = coloring.mono_triangles()
+        hot = adj[:]  # the colors with a triangle keep their rows
+        for a in used:
+            if not tri[a]:
+                protected += sum(deg[a]) // 2
+                hot[a] = None
+        if any(tri[a] for a in used):
+            for u in range(1, n + 1):
+                for v, a in zip(range(u + 1, n + 1), colors):
+                    adj_a = hot[a]
+                    if adj_a is not None and not adj_a[u] & adj_a[v]:
+                        protected += 1
+        return protected
     rows = [0] * (n + 1)
-    for i, x in enumerate(coloring.used_colors()):
+    for i, x in enumerate(used):
         adj_x, shift = adj[x], i * n
         for u in range(1, n + 1):
             rows[u] |= adj_x[u] << shift
-    protected = 0
-    colors = iter(coloring.colors)
     for u in range(1, n + 1):
         row_u = rows[u]
         for v, a in zip(range(u + 1, n + 1), colors):

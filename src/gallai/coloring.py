@@ -13,23 +13,29 @@ pairs in lexicographic order.  The header's k may far exceed the colors
 in use: the serializer and the derived tables do per-color work only
 for the colors in use, and an unused color costs one list slot.
 
-Neither direction walks the pairs one at a time in Python.  The
-serializer writes one row u, the lines of the pairs (u, v) for v > u,
-with one join per row (`_gec_rows`).  The reader first tries the
-canonical reading: a text that is exactly what the serializer writes,
-checked by writing it again with the same row writer, is read off its
-color column without a per-line split.  Any other text, and every
-error, goes to the general reader `_parse_body`, which is the format's
-only definition.  The loops of this module that still walk the pairs
-one at a time in Python are the general reader, the derived tables
-(which count the monochromatic triangles in the same walk, so the
-triangle census has no pair loop of its own), `edges` (and
-`edges_by_color` on it), `permute_vertices` and the constructor's error
-path.  Elsewhere, at the sizes the constructions reach, they are the
-rainbow-triangle search and the protected-edge count in `census`, and
-the nim-star construction's last step.  The nim-star count works per
-vertex and color, and the Goodman and random Gallai constructions build
-whole rows.
+Neither direction walks the pairs one at a time in Python.  When every
+color has one digit (always so for k <= 9), the layout of the
+serializer's text is fixed by n: in row u, each run of v with one digit
+count has lines of one length, so that run's colors are a strided slice
+of the text.  The serializer fills a skeleton of the rows (one replace
+per row) with one strided slice assignment per run (`_stride_text`),
+and the canonical reading takes each run's colors out by one strided
+slice.  Colors of two or more digits are written one join per row
+(`_gec_rows`) and read off the color column by one regular expression.
+Either reading accepts a text only if writing its colors back gives it
+character for character; any other text, and every error, goes to the
+general reader `_parse_body`, which is the format's only definition.
+The loops of this module that still walk the pairs one at a time in
+Python are the general reader, the derived tables (which count the
+monochromatic triangles in the same walk, so the triangle census has no
+pair loop of its own), `edges` (and `edges_by_color` on it),
+`permute_vertices` and the constructor's error path.  Elsewhere, at the
+sizes the constructions reach, they are the rainbow-triangle search and
+the protected-edge count in `census` (which, without a rainbow
+triangle, takes an AND only for the pairs of colors with a triangle),
+and the nim-star construction's last step.  The nim-star count works
+per vertex and color, and the Goodman and random Gallai constructions
+build whole rows.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ def lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
     over the colors, and per u, ``zip(range(u + 1, n + 1), colors)``.
     zip draws from the range first, so each u takes exactly its own
     n - u colors.  The .gec writer and the canonical reading take whole
-    rows instead: row u is the next n - u colors, with no loop per
-    pair."""
+    rows, or runs of one line length, instead: row u is the next n - u
+    colors, with no loop per pair."""
     return tuple(combinations(range(1, n + 1), 2))
 
 
@@ -90,7 +96,8 @@ class Coloring:
             raise ValueError(
                 f"expected {comb(n, 2)} colors for n={n}, got {len(colors)}"
             )
-        if colors and not 1 <= min(colors) <= max(colors) <= k:
+        present = set(colors)
+        if present and not 1 <= min(present) <= max(present) <= k:
             # name the first offending pair
             for (u, v), c in zip(combinations(range(1, n + 1), 2), colors):
                 if not 1 <= c <= k:
@@ -232,9 +239,16 @@ class Coloring:
         return Coloring(self.n, self.k, out)
 
     def serialize(self) -> str:
+        colors = self.colors
+        try:
+            values = bytes(colors)
+        except ValueError:  # a color above 255
+            values = None
+        if values is not None and not values.translate(None, _ONE_DIGIT):
+            return _stride_text(self.n, self.k, values.translate(_DIGIT))
         # the strings of the colors present: k may be far larger
-        strings = {c: str(c) for c in set(self.colors)}
-        rows = _gec_rows(self.n, map(strings.__getitem__, self.colors))
+        strings = {c: str(c) for c in set(colors)}
+        rows = _gec_rows(self.n, map(strings.__getitem__, colors))
         return f"{self.n} {self.k}\n" + "".join(rows)
 
     def __eq__(self, other):
@@ -252,10 +266,64 @@ class Coloring:
         return f"Coloring(n={self.n}, k={self.k})"
 
 
+# the colors of one digit; the ASCII digit of each color 0..9, and back
+_ONE_DIGIT = bytes(range(1, 10))
+_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_VALUE = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _stride_runs(n: int, start: int) -> tuple[list, int]:
+    """The layout of a .gec body of one-digit colors that starts at
+    offset start: a list of (offset, count, stride), one per run of
+    lines "u v c" of one row u whose v have one digit count, in body
+    order, and the offset where the body ends.  Every line of a run has
+    the length stride, so its count colors lie at offset, offset +
+    stride, ...; a row's runs start at v = u + 1, 10, 100, ..."""
+    runs = []
+    pos = start
+    for u in range(1, n):
+        du = len(str(u))
+        v = u + 1
+        while v <= n:
+            dv = len(str(v))
+            last = min(n, 10**dv - 1)  # the last v of this digit count
+            count = last - v + 1
+            stride = du + dv + 4
+            runs.append((pos + du + dv + 2, count, stride))
+            pos += count * stride
+            v = last + 1
+    return runs, pos
+
+
+def _stride_text(n: int, k: int, digits: bytes) -> str:
+    """The .gec text of a coloring of K_n whose colors all have one
+    digit; digits holds their ASCII digits in pair order.
+
+    Row u's lines are those of the row "@", "@ v 0" for v > u, with u in
+    place of "@": one slice of a template and one replace per row.  The
+    colors then go into each run of _stride_runs by one strided slice
+    assignment."""
+    head = b"%d %d\n" % (n, k)
+    lines = [b"@ %d 0\n" % v for v in range(2, n + 1)]
+    template = b"".join(lines)
+    text = bytearray(head)
+    at = 0  # where row u's lines start in template
+    for u in range(1, n):
+        text += template[at:].replace(b"@", b"%d" % u)
+        at += len(lines[u - 1])
+    runs, _ = _stride_runs(n, len(head))
+    i = 0
+    for off, count, stride in runs:
+        text[off : off + count * stride : stride] = digits[i : i + count]
+        i += count
+    return text.decode("ascii")
+
+
 def _gec_rows(n: int, colors):
     """The .gec lines of the pairs in lexicographic order, one string
     per row u < n: the line "u v c" of every v > u.  colors iterates
-    over the color strings in pair order.
+    over the color strings in pair order.  serialize writes through it
+    only when some color has two or more digits.
 
     Each row is one join over a list whose slots are filled four at a
     time by slice assignment: the prefix "u ", the strings "v ", the
@@ -278,9 +346,12 @@ def _parse_canonical(text: str):
     """The Coloring whose serialization is exactly text, or None.
 
     Sizes nothing by the header until the body holds exactly C(n,2)
-    newlines.  Reads the color column in one pass and converts each
-    distinct token once; the text is accepted only if every color lies
-    in 1..k and _gec_rows writes the body back character for character.
+    newlines.  A body of the length that one-digit colors give is read
+    by one strided slice per run of _stride_runs; any other is read off
+    its color column by one regular expression, each distinct token
+    converted once.  Either way the text is accepted only if every color
+    lies in 1..k and the serializer's writer for those colors,
+    _stride_text or _gec_rows, writes it back character for character.
     So the result is serialize's inverse, which is what _parse_body
     returns on the same text."""
     end = text.find("\n") + 1
@@ -297,6 +368,16 @@ def _parse_canonical(text: str):
     m = comb(n, 2)
     if text.count("\n", end) != m:
         return None
+    runs, length = _stride_runs(n, end)
+    if len(text) == length:
+        # the length of a body of one-digit colors
+        column = "".join([text[off : off + count * stride : stride] for off, count, stride in runs])
+        # a character outside ASCII becomes "?", which is no color
+        digits = column.encode("ascii", "replace")
+        if digits.translate(None, b"123456789"[:k]) or _stride_text(n, k, digits) != text:
+            return None
+        return Coloring(n, k, digits.translate(_VALUE))
+    # colors of two or more digits
     tokens = _COLOR_COLUMN.findall(text, end)
     if len(tokens) != m:
         return None

@@ -57,6 +57,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from itertools import repeat
+from operator import eq
 
 from .census import find_rainbow_triangle, is_gallai
 from .coloring import Coloring
@@ -217,7 +219,7 @@ def _color_rows(t: int, colors, a: int) -> list[int]:
     One flag per pair, then the t x t 0/1 matrix of the pairs (x, y),
     y > x: row x holds x's later neighbors and column x its earlier
     ones, each read off the matrix as one binary number."""
-    flags = bytes(map(a.__eq__, colors)).translate(_DIGITS)
+    flags = bytes(map(eq, colors, repeat(a))).translate(_DIGITS)
     upper = []
     end = 0
     for x in range(t):

@@ -597,8 +597,7 @@ def _exists_hooks(plan, rows, targets, saturation_cap):
     color's target or, with saturation_cap, a vertex that meets every
     color."""
     us, vs = plan.u, plan.v
-    if saturation_cap:
-        others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
+    colored = rows[1:]  # the rows themselves, which the engine writes
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
     # mem[t]: bit c(n + 1) + y set when, before edge t, vertex y lies in a
     # recorded pendant-free K4 of color c
@@ -613,7 +612,7 @@ def _exists_hooks(plan, rows, targets, saturation_cap):
         if common and is_k3[c]:
             return False
         # u or v meets every color other than c already
-        if saturation_cap and any(all(r[y] for r in others[c]) for y in (u, v)):
+        if saturation_cap and any(all(r is row or r[y] for r in colored) for y in (u, v)):
             return False
         members = mem[t]
         if not is_k3[c]:

@@ -369,6 +369,39 @@ def test_protected_matches_brute_on_perturbed_constructions():
         assert count_protected_edges(c) == helpers.brute_protected(c)
 
 
+def test_protected_rainbow_free_count_matches_brute_on_random_gallai_colorings():
+    # the census shows no rainbow triangle, so the count reads only the
+    # monochromatic triangles; blow-ups hold protected edges beside
+    # edges whose endpoints share a neighbor in another color
+    rng = random.Random(36)
+    seen = set()
+    for n in range(2, 26):
+        for k in range(1, 6):
+            c = random_gallai_coloring(n, k, rng)
+            assert is_gallai(c)
+            protected = count_protected_edges(c)
+            assert protected == helpers.brute_protected(c)
+            seen.add(0 < protected < comb(n, 2))
+    assert seen == {False, True}
+
+
+def test_protected_general_count_matches_brute_on_perturbed_gallai_colorings():
+    # a few recolored edges give rainbow triangles, so the row popcount
+    # decides
+    rng = random.Random(37)
+    rainbow = 0
+    for n in range(4, 22):
+        for k in (3, 4):
+            c = random_gallai_coloring(n, k, rng)
+            colors = list(c.colors)
+            for _ in range(3):
+                colors[rng.randrange(len(colors))] = rng.randint(1, k)
+            c = Coloring(n, k, colors)
+            rainbow += not is_gallai(c)
+            assert count_protected_edges(c) == helpers.brute_protected(c)
+    assert rainbow > 20
+
+
 # --- nim star edges --------------------------------------------------------
 
 

@@ -25,7 +25,15 @@ from gallai import (
     triangle_census,
     verify_gallai_partition,
 )
-from gallai.coloring import _numbered_content_lines, _parse_body, _parse_canonical
+from gallai import coloring
+from gallai.coloring import (
+    _DIGIT,
+    _gec_rows,
+    _numbered_content_lines,
+    _parse_body,
+    _parse_canonical,
+    _stride_text,
+)
 from gallai.grstar import parse_extended_coloring
 
 
@@ -339,3 +347,90 @@ def test_no_pair_table_outlives_its_coloring():
     finally:
         tracemalloc.stop()
     assert retained < 64_000
+
+
+# --- the fixed-stride reading and writing of one-digit colors --------------
+
+
+def _row_text(n, k, colors):
+    """The .gec text that the row writer gives for colors in pair order."""
+    return f"{n} {k}\n" + "".join(_gec_rows(n, map(str, colors)))
+
+
+def test_stride_writer_and_reader_match_the_row_writer_and_general_reader():
+    # every n in 1..120 crosses the digit-run boundaries at v = 10 and
+    # 100; the general reader, the slow part, reads one k per n
+    rng = random.Random(36)
+    for n in range(1, 121):
+        for k in range(1, 10):
+            colors = [rng.randint(1, k) for _ in range(comb(n, 2))]
+            text = _row_text(n, k, colors)
+            assert _stride_text(n, k, bytes(colors).translate(_DIGIT)) == text
+            c = Coloring(n, k, colors)
+            assert c.serialize() == text
+            assert _parse_canonical(text) == c
+            if k == 1 + n % 9:
+                assert _general_reader(text) == c
+
+
+@pytest.mark.parametrize("k", [10, 12, 10**9])
+def test_stride_path_takes_one_digit_colors_under_a_large_header_k(k):
+    rng = random.Random(k)
+    for n in (1, 2, 9, 10, 11, 14, 99, 100, 101):
+        colors = [rng.randint(1, 9) for _ in range(comb(n, 2))]
+        text = _row_text(n, k, colors)
+        c = Coloring(n, k, colors)
+        assert c.serialize() == text
+        assert _parse_canonical(text) == _general_reader(text) == c
+
+
+def _refuse(*args):
+    raise AssertionError("this writer is for the other color widths")
+
+
+@pytest.mark.parametrize("low", [10, 1])  # two-digit colors only, then mixed widths
+def test_multi_digit_colors_keep_the_row_writer_and_column_reader(monkeypatch, low):
+    rng = random.Random(low)
+    cases = []
+    for n in (2, 3, 9, 10, 11, 30, 101):
+        for k in (12, 99, 150):
+            colors = [rng.randint(low, k) for _ in range(comb(n, 2))]
+            colors[rng.randrange(len(colors))] = k  # at least one wide color
+            cases.append((n, k, colors))
+    with monkeypatch.context() as patch:
+        patch.setattr(coloring, "_stride_text", _refuse)
+        for n, k, colors in cases:
+            text = _row_text(n, k, colors)
+            c = Coloring(n, k, colors)
+            assert c.serialize() == text
+            assert _parse_canonical(text) == _general_reader(text) == c
+    # and the one-digit texts never reach the row writer
+    monkeypatch.setattr(coloring, "_gec_rows", _refuse)
+    for n in (1, 2, 11, 101):
+        c = Coloring(n, 12, [rng.randint(1, 9) for _ in range(comb(n, 2))])
+        assert parse_coloring(c.serialize()) == c
+
+
+_EDIT_CHARS = "01239 \n\r#x\u00e9"
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        Coloring(1, 3, ()),
+        Coloring(4, 3, (1, 2, 3, 3, 2, 1)),
+        Coloring(11, 2, [1 + (i * 7 % 5 == 0) for i in range(55)]),
+        Coloring(10, 9, [1 + i % 9 for i in range(45)]),
+    ],
+)
+def test_every_single_character_edit_reads_as_the_general_reader_reads_it(c):
+    text = c.serialize()
+    edited = set()
+    for i in range(len(text) + 1):
+        edited.add(text[:i] + text[i + 1 :])  # a deletion
+        for ch in _EDIT_CHARS:
+            edited.add(text[:i] + ch + text[i + 1 :])  # a replacement
+            edited.add(text[:i] + ch + text[i:])  # an insertion
+    edited.discard(text)
+    for t in sorted(edited):
+        _assert_readers_agree(t)

@@ -335,6 +335,24 @@ def test_coarsen_reaches_minimum_exhaustively():
         assert len(coarse.parts) == best, (c.serialize(), best)
 
 
+def test_coarsen_reads_colours_of_any_value():
+    # the same coarsening with the colours renamed, in order, to values
+    # that no byte holds
+    rng = random.Random(11)
+    wide = {1: 256, 2: 700, 3: 999, 4: 1000}.__getitem__
+    for c in _random_small_colorings(rng, 100):
+        gp = find_gallai_partition(c)
+        coarse = coarsen_to_min_parts(c, gp)
+        renamed = GallaiPartition(
+            gp.parts,
+            frozenset(map(wide, gp.between_colors)),
+            Coloring(gp.reduced.n, 1000, map(wide, gp.reduced.colors)),
+        )
+        got = coarsen_to_min_parts(Coloring(c.n, 1000, map(wide, c.colors)), renamed)
+        assert got.parts == coarse.parts
+        assert got.reduced.colors == tuple(map(wide, coarse.reduced.colors))
+
+
 def test_coarsen_merges_p4_quotient_to_two_parts():
     # colour 1 is the path 5-1-3-4 and vertex 2 sees every other vertex
     # in colour 2, so {2}, {1,3,4,5} is a valid coarsening of the five
