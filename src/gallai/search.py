@@ -597,7 +597,7 @@ def _exists_hooks(plan, rows, targets, saturation_cap):
     color's target or, with saturation_cap, a vertex that meets every
     color."""
     us, vs = plan.u, plan.v
-    colored = rows[1:]  # the rows themselves, which the engine writes
+    colored = rows[1:]  # the engine's rows of the colors 1..k, written in place
     is_k3 = [False] + [target == TARGET_K3 for target in targets]
     # mem[t]: bit c(n + 1) + y set when, before edge t, vertex y lies in a
     # recorded pendant-free K4 of color c
