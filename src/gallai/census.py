@@ -43,6 +43,22 @@ partition are modules (Gallai 1967), so the blow-up constructions are
 twin-rich, and on them the walk takes one step per triangle of the twin
 quotient instead of one per triangle.
 
+The K4 and K4+e walks also skip each u whose higher neighborhood holds
+no triangle.  At the first v of u with two or more common neighbors
+above it, the first step that could find an x, they 2-color the graph
+that color c induces on u's higher neighbors from v up, once per u, by
+a breadth-first search with one AND per vertex.  If that succeeds the
+set holds no triangle, so no K4 has u as its lowest vertex, and the walk
+goes on to the next u; if it meets an odd cycle, u is walked in full.
+A skipped u is the lowest vertex of no clique, so the order in which
+the walk reaches cliques, and with it every witness and the K4 record,
+is the same as without the test.  On a dense triangle-rich class with
+no K4, such as color 2 of the Goodman construction, every u is skipped,
+and the walk and the test take at most one step per c-edge instead of
+one per triangle; on a sparse class with triangles the test meets an
+odd cycle after a few vertices.  A K3 hunt returns at its first common
+neighbor and never reaches the test.
+
 A color with no triangle, as the derived tables count them, has no K3,
 K4 or K4+e, and its hunts walk nothing.  Each color is walked for a K4
 at most once per coloring: its first K4, or None, goes into the
@@ -192,6 +208,13 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
     in lexicographic order; the first clique reached is the smallest of
     all (see the module docstring).  The K4+e pendant is read from the
     full neighborhood.
+
+    For K4 and K4+e, the first time u's loop over w would take a step,
+    su from v up must hold an odd cycle for u to be walked: if it
+    2-colors, it holds no triangle, so u is the lowest vertex of no K4,
+    and the walk moves on to the next u.  Skipping a u with no clique
+    changes neither which clique is reached first nor the witness.  The
+    loop over w stops at the last w, which has no x above it.
     """
     adj_c = coloring.adjacency()[c]
     deg_c = coloring.degrees()[c]
@@ -200,13 +223,16 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
     # each c-neighborhood -> its lowest vertex: the pairs run from n
     # down to 1, and the last write of a key wins
     lowest = dict(zip(reversed(adj_c[1:]), range(coloring.n, 0, -1)))
-    reps = sum(1 << (r - 1) for r in lowest.values())
+    reps = (1 << coloring.n) - 1
+    if len(lowest) < coloring.n:  # some vertex has a lower c-twin
+        reps = sum(1 << (r - 1) for r in lowest.values())
     todo = reps
     while todo:
         bu = todo & -todo
         todo ^= bu
         u = bu.bit_length()
         su = (adj_c[u] >> u << u) & reps  # lowest twins among the neighbors above u
+        unchecked = True
         while su:
             bv = su & -su
             su ^= bv
@@ -214,7 +240,15 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
             rest = adj_c[v] & su  # common neighbors above v
             if rest and k3:
                 return (u, v, (rest & -rest).bit_length())
-            while rest:
+            if unchecked and rest & (rest - 1):
+                # the first step of the loop over w for this u: each
+                # earlier v had at most one common neighbor above it,
+                # so every triangle of u's higher neighbors lies in su
+                # and v
+                unchecked = False
+                if _two_colorable(adj_c, su, rest):
+                    break
+            while rest & (rest - 1):  # the last w has no x above it
                 bw = rest & -rest
                 rest ^= bw
                 w = bw.bit_length()
@@ -228,6 +262,31 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
                     if k4e:
                         return k4e
     return None
+
+
+def _two_colorable(adj_c, left, layer):
+    """True iff color c induces a bipartite graph on the bitset left
+    and a root outside it whose neighbors in left are the bitset layer.
+
+    A breadth-first search builds one layer at a time, from the root's
+    layer and then from the lowest vertex of each component left;
+    an edge inside a layer closes an odd cycle, and without one every
+    edge joins consecutive layers.  One AND per vertex tests its row
+    against its own layer.
+    """
+    while layer:
+        left ^= layer
+        reach = 0
+        todo = layer
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            row = adj_c[b.bit_length()]
+            if row & layer:
+                return False
+            reach |= row
+        layer = (reach & left) or left & -left
+    return True
 
 
 def find_mono_subgraph(coloring: Coloring, color: int, kind: str) -> MonoSubgraphReport:

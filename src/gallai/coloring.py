@@ -295,9 +295,11 @@ def _stride_runs(n: int, start: int) -> tuple[list, int]:
     return runs, pos
 
 
-def _stride_text(n: int, k: int, digits: bytes) -> str:
+def _stride_text(n: int, k: int, digits: bytes, runs=None) -> str:
     """The .gec text of a coloring of K_n whose colors all have one
-    digit; digits holds their ASCII digits in pair order.
+    digit; digits holds their ASCII digits in pair order, and runs, if
+    a reader has them already, the runs of _stride_runs after the
+    header.
 
     Row u's lines are those of the row "@", "@ v 0" for v > u, with u in
     place of "@": one slice of a template and one replace per row.  The
@@ -311,7 +313,8 @@ def _stride_text(n: int, k: int, digits: bytes) -> str:
     for u in range(1, n):
         text += template[at:].replace(b"@", b"%d" % u)
         at += len(lines[u - 1])
-    runs, _ = _stride_runs(n, len(head))
+    if runs is None:
+        runs, _ = _stride_runs(n, len(head))
     i = 0
     for off, count, stride in runs:
         text[off : off + count * stride : stride] = digits[i : i + count]
@@ -374,7 +377,7 @@ def _parse_canonical(text: str):
         column = "".join([text[off : off + count * stride : stride] for off, count, stride in runs])
         # a character outside ASCII becomes "?", which is no color
         digits = column.encode("ascii", "replace")
-        if digits.translate(None, b"123456789"[:k]) or _stride_text(n, k, digits) != text:
+        if digits.translate(None, b"123456789"[:k]) or _stride_text(n, k, digits, runs) != text:
             return None
         return Coloring(n, k, digits.translate(_VALUE))
     # colors of two or more digits

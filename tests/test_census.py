@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import sys
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -314,6 +316,119 @@ def test_hunt_witnesses_match_fixture(name):
 
 def test_hunt_fixture_covers_every_coloring():
     assert set(json.loads(HUNT_FIXTURE.read_text())) == set(HUNT_FIXTURE_COLORINGS)
+
+
+# --- the triangle-free certificate of the K4 and K4+e walks ---------------
+
+
+def test_k4_witnesses_on_goodman_colorings_match_brute():
+    # color 2 (the complement of the circulant) has no K4 here, so its
+    # walks lean on the certificate; each graph is hunted under both
+    # color names
+    for n in range(4, 41):
+        c = goodman_extremal_2coloring(n, 1, 2)
+        want = {}
+        for color in (1, 2):
+            k4 = helpers.brute_first_mono_clique(c, color, 4)
+            want[color] = {"K4": k4, "K4+e": k4 and helpers.brute_first_k4e(c, color)}
+        for a, b, witnesses in [(1, 2, want), (2, 1, {3 - q: w for q, w in want.items()})]:
+            swapped = goodman_extremal_2coloring(n, a, b)
+            for color in (1, 2):
+                for order in (("K4", "K4+e"), ("K4+e", "K4")):
+                    fresh = Coloring(n, 2, swapped.colors)
+                    for kind in order:
+                        got = find_mono_subgraph(fresh, color, kind).witness
+                        assert got == witnesses[color][kind], (n, a, b, color, order)
+
+
+def _certified(monkeypatch):
+    """Record the answer of every certificate the walks ask for."""
+    answers = []
+    certify = census._two_colorable
+
+    def counted(adj_c, left, layer):
+        answers.append(certify(adj_c, left, layer))
+        return answers[-1]
+
+    monkeypatch.setattr(census, "_two_colorable", counted)
+    return answers
+
+
+# color 1 joins vertex 1 to every vertex of its higher neighborhood S,
+# which induces (a) a 6-cycle and a path, bipartite in two components,
+# (b) a 5-cycle, or (c) a path whose inner vertex 2 is the lowest of S,
+# then a triangle, so K4 {1, 6, 7, 8}; "later" adds the K4 {2, 12, 13,
+# 14} outside S, whose lowest vertex 2 comes after 1.  No two vertices
+# of S are color-1 twins, so the walk drops none of them.
+_STAR = [(1, v) for v in range(2, 12)]
+_NEIGHBORHOODS = {
+    "bipartite": _STAR + [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 2), (8, 9), (9, 10), (10, 11)],
+    "5-cycle": _STAR[:5] + [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2)],
+    "bipartite then triangle": _STAR[:7] + [(2, 3), (2, 4), (4, 5), (6, 7), (6, 8), (7, 8)],
+}
+_LATER_K4 = [(2, 12, 13, 14)]
+# whether vertex 1's certificate 2-colors S
+_S_TWO_COLORS = {"bipartite": True, "5-cycle": False, "bipartite then triangle": False}
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("shape", sorted(_NEIGHBORHOODS))
+def test_k4_witnesses_on_built_higher_neighborhoods_match_brute(monkeypatch, shape, later):
+    c = _color_1(14, _LATER_K4 if later else [], _NEIGHBORHOODS[shape])
+    k4 = helpers.brute_first_mono_clique(c, 1, 4)
+    assert (k4 is not None) == (later or shape == "bipartite then triangle")
+    _check_k4_hunts_in_any_order(c)
+    # vertex 1 is the first the K4 walk of color 1 asks about
+    answers = _certified(monkeypatch)
+    assert find_mono_subgraph(Coloring(c.n, c.k, c.colors), 1, "K4").witness == k4
+    assert answers[0] == _S_TWO_COLORS[shape]
+    # and the same graphs numbered backwards
+    flipped = c.permute_vertices({v: c.n + 1 - v for v in range(1, c.n + 1)})
+    _check_k4_hunts_in_any_order(flipped)
+
+
+def _inner_steps(walk):
+    """A line tracer counting the runs of the body of the walk's loop
+    over w (the line that computes xs), and where to read the count."""
+    lines, first = inspect.getsourcelines(walk)
+    body = first + next(i for i, line in enumerate(lines) if "xs = adj_c[w] & rest" in line)
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == body:
+            count[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is walk.__code__ else None
+
+    return tracer, count
+
+
+def test_goodman2_k4_hunt_certifies_every_vertex_and_takes_no_inner_step(monkeypatch):
+    # color 2 of goodman2(250) is twin-free, K4-free and holds 162,750
+    # triangles; each higher neighborhood is two arcs, each independent
+    c = goodman_extremal_2coloring(250, 1, 2)
+    adj = c.adjacency()[2]
+    # the vertices u whose walk reaches a v with two or more common
+    # neighbors above it: those the certificate is asked about
+    asked = 0
+    for u in range(1, 251):
+        su = adj[u] >> u << u
+        if any(((adj[v] >> v << v) & su).bit_count() >= 2 for v in range(u + 1, 251) if su >> (v - 1) & 1):
+            asked += 1
+    answers = _certified(monkeypatch)
+    tracer, steps = _inner_steps(census._clique_walk)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        report = find_mono_subgraph(c, 2, "K4")
+    finally:
+        sys.settrace(previous)
+    assert report.witness is None
+    assert asked == 123  # u = 1..123; above, no v has two
+    assert len(answers) == asked and all(answers)
+    assert steps == [0]
 
 
 def test_kind_validation():
