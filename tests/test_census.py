@@ -407,7 +407,7 @@ def _inner_steps(walk):
 
 def test_goodman2_k4_hunt_certifies_every_vertex_and_takes_no_inner_step(monkeypatch):
     # color 2 of goodman2(250) is twin-free, K4-free and holds 162,750
-    # triangles; each higher neighborhood is two arcs, each independent
+    # triangles; each neighborhood is two arcs, each independent
     c = goodman_extremal_2coloring(250, 1, 2)
     adj = c.adjacency()[2]
     # the vertices u whose walk reaches a v with two or more common
