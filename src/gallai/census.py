@@ -63,7 +63,9 @@ A color with no triangle, as the derived tables count them, has no K3,
 K4 or K4+e, and its hunts walk nothing.  Each color is walked for a K4
 at most once per coloring: its first K4, or None, goes into the
 coloring's K4 record (`Coloring.k4_record`), which the K4 and K4+e
-hunts read.  A color without a K4 has no K4+e.
+hunts read.  Beside it, the twin record (`Coloring.twin_record`) keeps
+each color's twin representatives from its first walk, so the K3, K4
+and K4+e walks of a color find the twin classes once.  A color without a K4 has no K4+e.
 When the first K4 has a vertex of color-degree above 3 it is also the
 smallest K4 with one, so the K4+e witness is read off it.  Only
 otherwise does the K4+e hunt walk, on past the K4s whose four vertices
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
+from operator import mul
 
 from .coloring import Coloring
 
@@ -122,7 +125,8 @@ def _bichromatic_rainbow(coloring: Coloring) -> tuple[int, int]:
     deg = coloring.degrees()
     mono_total = cherries = 0
     for c in coloring.used_colors():
-        cherries_c = sum(d * (d - 1) for d in deg[c]) // 2
+        d = deg[c]
+        cherries_c = (sum(map(mul, d, d)) - sum(d)) // 2
         if 3 * tri[c] > cherries_c:
             raise RuntimeError(
                 f"color {c}: {tri[c]} triangles need more than its {cherries_c} cherries"
@@ -220,12 +224,7 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
     deg_c = coloring.degrees()[c]
     k3 = kind == "K3"
     k4 = kind == "K4"
-    # each c-neighborhood -> its lowest vertex: the pairs run from n
-    # down to 1, and the last write of a key wins
-    lowest = dict(zip(reversed(adj_c[1:]), range(coloring.n, 0, -1)))
-    reps = (1 << coloring.n) - 1
-    if len(lowest) < coloring.n:  # some vertex has a lower c-twin
-        reps = sum(1 << (r - 1) for r in lowest.values())
+    reps = _twin_representatives(coloring, c)
     todo = reps
     while todo:
         bu = todo & -todo
@@ -262,6 +261,23 @@ def _clique_walk(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | Non
                     if k4e:
                         return k4e
     return None
+
+
+def _twin_representatives(coloring: Coloring, c: int) -> int:
+    """The bitmask of the lowest vertex of each c-twin class, from the
+    coloring's twin record, found on the color's first walk."""
+    record = coloring.twin_record()
+    reps = record.get(c)
+    if reps is None:
+        adj_c = coloring.adjacency()[c]
+        # each c-neighborhood -> its lowest vertex: the pairs run from n
+        # down to 1, and the last write of a key wins
+        lowest = dict(zip(reversed(adj_c[1:]), range(coloring.n, 0, -1)))
+        reps = (1 << coloring.n) - 1
+        if len(lowest) < coloring.n:  # some vertex has a lower c-twin
+            reps = sum(1 << (r - 1) for r in lowest.values())
+        record[c] = reps
+    return reps
 
 
 def _two_colorable(adj_c, left, layer):

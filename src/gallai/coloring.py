@@ -78,7 +78,8 @@ class Coloring:
     adjacency bitsets, degree tables and triangle counts are computed
     once on first use and never mutated afterwards.  The per-color K4
     record beside them gains one entry per color, on that color's first
-    K4 hunt, and never changes an entry: each is an immutable tuple or
+    K4 hunt, and the twin record one per color on its first hunt of any
+    kind; neither changes an entry: each is an immutable tuple, int or
     None that every thread computes alike, and a dict store is atomic,
     so a reader sees either no entry or the final one.  Two threads that hunt one color
     at once may both walk it; they store the same value.
@@ -135,7 +136,8 @@ class Coloring:
         # (vertex v <-> bit v-1); deg[c][v] the c-degree of v; tri[c]
         # the number of c-colored triangles.  Only the colors in use get
         # rows of their own: every unused color shares one all-zero row,
-        # so k costs one list slot per color.  The K4 record starts empty.
+        # so k costs one list slot per color.  The K4 and twin records
+        # start empty.
         #
         # The pairs are added in lexicographic order.  Just before (u, v)
         # is added, adj[c][v] holds only the c-neighbors w < u of v, so
@@ -163,7 +165,7 @@ class Coloring:
         deg = adj[:]
         for c in used:
             deg[c] = [mask.bit_count() for mask in adj[c]]
-        object.__setattr__(self, "_derived", (adj, deg, tri, used, {}))
+        object.__setattr__(self, "_derived", (adj, deg, tri, used, {}, {}))
 
     def _table(self, i: int):
         if self._derived is None:
@@ -194,6 +196,13 @@ class Coloring:
         -> its sorted vertex tuple, or None when the color has none.
         Filled by `census.find_mono_subgraph`, one walk per color."""
         return self._table(4)
+
+    def twin_record(self) -> dict:
+        """The c-twin representatives of each color walked so far: color
+        -> the bitmask (vertex v <-> bit v-1) of the lowest vertex of each
+        class of vertices with one c-neighborhood.  Filled by
+        `census.find_mono_subgraph` on the color's first walk."""
+        return self._table(5)
 
     def edges_by_color(self) -> list:
         """Lists of pairs per color, indexed by color, each in

@@ -51,14 +51,39 @@ color's graph is disconnected: a contradiction.
 Two-group rule: the component holding the last part (the one with the
 largest lowest vertex) is one group, and every other part merges into
 the other.  On a one-colored R this leaves the last part alone.
+
+Verification.  The coloring that one vertex of each part induces is the
+partition's quotient when the partition is valid, and one helper,
+`_quotient`, reads it for the finder, the coarsening and the verifier.
+The verifier needs no pair of parts, by one lemma.
+
+Lemma.  Let parts P_1, ..., P_t cover the vertices, and let R be a
+coloring of K_t.  Every pair of parts P_i, P_j is joined in the single
+color R(i, j) exactly when R is the coloring that the parts' first
+members induce and, for each color c of R, the members of each part
+have the same c-neighbors outside it.
+
+Proof.  If every pair of parts is joined in its color of R, the first
+members see each other in it, and a vertex y outside a part A sees all
+of A in one color, so the members of A agree outside A in every color.
+Conversely, take x in A and y in B, with first members a and b, and let
+c = R(A, B), the color of ab.  b is a c-neighbor of a outside A, so of
+x too; then x is a c-neighbor of b outside B, so of y too.  So every
+pair of A and B has color c.
+
+So a singleton part needs no test, and the others take one AND per
+member and color of R.  When R uses every color the coloring uses, the
+last of them needs none: a vertex outside a part sees each member in
+exactly one color, so members that agree in all other colors agree in
+it too.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import repeat
-from operator import eq
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter
 
 from .census import find_rainbow_triangle, is_gallai
 from .coloring import Coloring
@@ -83,6 +108,10 @@ class GallaiPartition(namedtuple("GallaiPartition", "parts between_colors reduce
     __slots__ = ()
 
 
+# 0/1 flags to their binary digits, for int(..., 2), and back
+_DIGITS = bytes.maketrans(b"\x00\x0101", b"01\x00\x01")
+
+
 def _candidate_color_sets(used: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """The sets S & used for the candidate color sets S, the subsets of
     size 1 or 2 of 1..k in lexicographic order: each distinct non-empty
@@ -105,13 +134,12 @@ def _candidate_color_sets(used: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
-    """The vertices of a bitmask (vertex v <-> bit v-1), ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    """The vertices of a bitmask (vertex v <-> bit v-1), ascending: one
+    vertex is its bit length, and more are read by compress from the
+    binary digits, lowest first, as 0/1 flags."""
+    if mask and not mask & (mask - 1):
+        return (mask.bit_length(),)
+    return tuple(compress(count(1), bin(mask)[:1:-1].encode().translate(_DIGITS)))
 
 
 def _components_outside(coloring: Coloring, s: tuple[int, ...]) -> list[int]:
@@ -142,8 +170,7 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     color of their lowest vertices.  Raises NotGallaiError with a
     witness triangle on non-Gallai input, ValueError for n < 2.
     """
-    n = coloring.n
-    if n < 2:
+    if coloring.n < 2:
         raise ValueError("partition needs n >= 2")
     if not is_gallai(coloring):
         raise NotGallaiError(find_rainbow_triangle(coloring))
@@ -154,61 +181,74 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     else:
         raise AssertionError("no Gallai partition found for a Gallai coloring")
     parts = tuple(_vertices(comp) for comp in comps)
-    lows = [part[0] for part in parts]
-    colors = coloring.colors
-    reduced = []
-    for a, u in enumerate(lows):
-        row = (u - 1) * n - u * (u + 1) // 2 - 1  # index of pair (u, v) is row + v
-        reduced.extend(colors[row + v] for v in lows[a + 1 :])
+    rows = _quotient(coloring, [part[0] for part in parts])
+    reduced = Coloring(len(parts), coloring.k, chain.from_iterable(rows))
     return GallaiPartition(
         parts=parts,
-        between_colors=frozenset(reduced),
-        reduced=Coloring(len(parts), coloring.k, reduced),
+        between_colors=frozenset(reduced.colors),
+        reduced=reduced,
     )
 
 
 def verify_gallai_partition(coloring: Coloring, partition: GallaiPartition) -> bool:
-    """Check every partition invariant against the coloring."""
-    n = coloring.n
+    """Check every partition invariant against the coloring: at least
+    two non-empty parts that cover 1..n once, the reduced coloring that
+    the parts' first members induce, in at most two colors that
+    between_colors names, and in each of them, parts whose members have
+    the same neighbors outside (the module docstring's verification
+    lemma).  The parts may come in any order, and the members of a part
+    too."""
     parts = partition.parts
-    if len(parts) < 2:
+    if len(parts) < 2 or not all(parts):
         return False
-    seen: set[int] = set()
-    for part in parts:
-        if not part:
-            return False
-        for v in part:
-            if not 1 <= v <= n or v in seen:
-                return False
-            seen.add(v)
-    if len(seen) != n:
+    # one sort of the members instead of a set insert per vertex
+    if sorted(chain.from_iterable(parts)) != list(range(1, coloring.n + 1)):
         return False
-    t = len(parts)
-    if partition.reduced.n != t or partition.reduced.k != coloring.k:
+    reduced = partition.reduced
+    if reduced.n != len(parts) or reduced.k != coloring.k:
         return False
+    between = set(reduced.colors)
+    if len(between) > 2 or between != set(partition.between_colors):
+        return False
+    reps = [part[0] for part in parts]
+    order = sorted(reps)
+    if order != reps:  # R on the parts in order of their first members
+        rank = {v: i for i, v in enumerate(order, 1)}
+        reduced = reduced.permute_vertices({i: rank[v] for i, v in enumerate(reps, 1)})
+    if tuple(chain.from_iterable(_quotient(coloring, order))) != reduced.colors:
+        return False
+    tested = sorted(between)
+    if len(tested) == len(coloring.used_colors()):
+        del tested[-1]  # members that agree in every other color agree in this one
     adj = coloring.adjacency()
-    masks = [sum(1 << (v - 1) for v in part) for part in parts]
-    reduced = iter(partition.reduced.colors)
-    for a, part in enumerate(parts):
-        # common[c]: the vertices every member of part a sees in color c
-        common: dict[int, int] = {}
-        for mask, c in zip(masks[a + 1 :], reduced):
-            seen_in_c = common.get(c)
-            if seen_in_c is None:
-                seen_in_c = -1
-                for u in part:
-                    seen_in_c &= adj[c][u]
-                common[c] = seen_in_c
-            if mask & ~seen_in_c:
-                return False
-    between = set(partition.reduced.colors)
-    if len(between) > 2:
-        return False
-    return between == set(partition.between_colors)
+    for part in parts:
+        if len(part) > 1:
+            outside = ~(sum(map((1).__lshift__, part)) >> 1)
+            for c in tested:
+                if len(set(map(outside.__and__, itemgetter(*part)(adj[c])))) > 1:
+                    return False
+    return True
 
 
-# the digits of 0/1 flags, for int(..., 2)
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+def _quotient(coloring: Coloring, reps: list[int]) -> Iterator[tuple]:
+    """The rows of the coloring that the ascending vertices reps induce:
+    for each reps[i], the colors of the pairs (reps[i], reps[j]), j > i,
+    in order, so that the rows run through the pairs in pair order.
+
+    Row u of the coloring's pairs, (u, u+1) to (u, n), is one run of its
+    colors.  When the reps after u are u+1 onwards without a gap they
+    are a slice of it; otherwise one gather reads them from the row,
+    sliced from pair (u, 2)'s place so that vertex v sits at v - 2 for
+    every u."""
+    n, colors = coloring.n, coloring.colors
+    t, last = len(reps), reps[-1]
+    offsets = [v - 2 for v in reps]
+    for a, u in enumerate(reps, 1):
+        row = (u - 1) * n - u * (u + 1) // 2 - 1  # index of pair (u, v) is row + v
+        if last - u == t - a:  # the t - a reps after u are u+1..last
+            yield colors[row + u + 1 : row + last + 1]
+        else:
+            yield tuple(map(colors[row + 2 : row + n + 1].__getitem__, offsets[a:]))
 
 
 def _color_rows(t: int, colors, a: int) -> list[int]:
@@ -335,8 +375,7 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
     if t <= 2:  # two parts are always a valid floor
         return partition
     colors = partition.reduced.colors
-    a, b = min(colors), max(colors)
-    rows = _color_rows(t, colors, a)
+    rows = _color_rows(t, colors, min(colors))
     groups = _module_children(rows, (1 << t) - 1)
     if len(groups) == t:
         return partition
@@ -349,10 +388,17 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
         )
         for group in groups
     )
-    firsts = [x for _, x in merged]
-    reduced = [a if rows[x] >> y & 1 else b for i, x in enumerate(firsts) for y in firsts[i + 1 :]]
+    # the groups are modules of R, so R on their first parts is the
+    # merged partition's reduced coloring
+    firsts = [x + 1 for _, x in merged]
+    order = sorted(firsts)
+    rows = _quotient(partition.reduced, order)
+    reduced = Coloring(len(merged), coloring.k, chain.from_iterable(rows))
+    if order != firsts:  # parts out of order of their smallest members
+        rank = {v: i for i, v in enumerate(order, 1)}
+        reduced = reduced.permute_vertices({rank[v]: i for i, v in enumerate(firsts, 1)})
     return GallaiPartition(
         parts=tuple(part for part, _ in merged),
-        between_colors=frozenset(reduced),
-        reduced=Coloring(len(merged), coloring.k, reduced),
+        between_colors=frozenset(reduced.colors),
+        reduced=reduced,
     )

@@ -287,6 +287,40 @@ def test_k4e_after_k4_walks_no_more(monkeypatch):
     assert walks == [(1, "K4"), (2, "K4")]
 
 
+def test_twin_representatives_found_once_per_color(monkeypatch):
+    # the K3 hunt of a colour records its twin representatives, and the
+    # colour's K4 and K4+e walks read them from the record
+    rng = random.Random(14)
+    for _ in range(40):
+        base = Coloring(4, 2, [rng.randint(1, 2) for _ in range(6)])
+        c = blow_up(base, [mono_clique(rng.randint(1, 3), rng.randint(1, 2), k=2) for _ in range(4)])
+        c = c.permute_vertices(dict(zip(range(1, c.n + 1), rng.sample(range(1, c.n + 1), c.n))))
+        adj = c.adjacency()
+        for color in c.used_colors():
+            want = sum(
+                1 << (v - 1)
+                for v in range(1, c.n + 1)
+                if all(adj[color][u] != adj[color][v] for u in range(1, v))
+            )
+            find_mono_subgraph(c, color, "K3")
+            if c.mono_triangles()[color]:
+                assert c.twin_record()[color] == want, c.serialize()
+    lookups = []
+    representatives = census._twin_representatives
+
+    def counted(coloring, color):
+        lookups.append(color in coloring.twin_record())
+        return representatives(coloring, color)
+
+    monkeypatch.setattr(census, "_twin_representatives", counted)
+    c = goodman_extremal_2coloring(60, 1, 2)
+    for kind in ("K3", "K4", "K4+e"):
+        for color in (1, 2):
+            find_mono_subgraph(c, color, kind)
+    # K3 and K4 walks of both colours; the first of each finds the classes
+    assert lookups == [False, False, True, True]
+
+
 # Witnesses recorded from the pair-scanning hunts that the
 # forward-oriented loop replaced; the witness rule must not drift.
 HUNT_FIXTURE = Path(__file__).parent / "data" / "hunt_witnesses.json"

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from gallai.partition import (
     _candidate_color_sets,
     _components_outside,
     _module_children,
+    _quotient,
     _vertices,
 )
 
@@ -176,6 +177,23 @@ def _perturbations(coloring, gp, rng):
         parts=(tuple(range(1, n + 1)),), between_colors=frozenset(), reduced=Coloring(1, k, ())
     )
 
+    # valid whenever gp is: the reduced colouring follows the parts' order,
+    # and any member of a part stands for it
+    shuffled = rng.sample(parts, t)
+    if shuffled != parts:
+        yield "parts out of lowest-member order", _with_parts(coloring, gp, shuffled)
+    if any(len(p) > 1 for p in parts):
+        yield "members of a part out of order", gp._replace(parts=tuple(tuple(rng.sample(p, len(p))) for p in parts))
+
+    # a singleton's vertex put last in another part, so that only that
+    # member can break the part's module test
+    singletons = [x for x, p in enumerate(parts) if len(p) == 1]
+    if t > 2 and singletons:
+        x = rng.choice(singletons)
+        y = rng.choice([z for z in range(t) if z != x])
+        joined = [p + parts[x] if z == y else p for z, p in enumerate(parts) if z != x]
+        yield "singleton put last in a part, reduced recomputed", _with_parts(coloring, gp, joined)
+
 
 def test_verify_agrees_with_brute_force_on_perturbations():
     rng = random.Random(31)
@@ -209,8 +227,45 @@ def test_verify_agrees_with_brute_force_on_perturbations():
         "vertex replaced by 0",
         "vertex replaced by n+1",
         "single part",
+        "singleton put last in a part, reduced recomputed",
     }
     assert verdicts["moved, reduced recomputed", True] > 0
+    for name in ("parts out of lowest-member order", "members of a part out of order"):
+        assert verdicts[name, True] > 0 and not verdicts[name, False], name
+
+    # the all-singleton partition of a prime 2-colouring is checked by its
+    # quotient alone: every flipped reduced colour is caught
+    c = goodman_extremal_2coloring(30, 1, 2)
+    gp = find_gallai_partition(c)
+    assert gp.parts == tuple((v,) for v in range(1, 31))
+    assert verify_gallai_partition(c, gp)
+    for x in range(comb(30, 2)):
+        flipped = list(gp.reduced.colors)
+        flipped[x] = 3 - flipped[x]
+        bad = gp._replace(reduced=Coloring(30, 2, flipped))
+        assert not verify_gallai_partition(c, bad) and not helpers.brute_verify_partition(c, bad), x
+
+
+def test_quotient_matches_color():
+    # random colourings with colour values up to 1000 and random ascending
+    # representative sets, one and two representatives included
+    rng = random.Random(38)
+    for _ in range(600):
+        n = rng.randint(2, 40)
+        k = rng.choice([2, 5, 1000])
+        c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
+        size = rng.choice([1, 2, rng.randint(1, n), n])
+        reps = sorted(rng.sample(range(1, n + 1), size))
+        want = tuple(c.color(u, v) for u, v in combinations(reps, 2))
+        assert tuple(chain.from_iterable(_quotient(c, reps))) == want, (c.serialize(), reps)
+
+
+def test_vertices_of_masks():
+    rng = random.Random(39)
+    for _ in range(2000):
+        n = rng.randint(1, 300)
+        mask = rng.getrandbits(n) & rng.choice([-1, rng.getrandbits(n), 1 << rng.randrange(n)])
+        assert _vertices(mask) == tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1), mask
 
 
 def test_non_s_components_pairwise_monochromatic():
