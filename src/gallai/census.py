@@ -65,7 +65,8 @@ at most once per coloring: its first K4, or None, goes into the
 coloring's K4 record (`Coloring.k4_record`), which the K4 and K4+e
 hunts read.  Beside it, the twin record (`Coloring.twin_record`) keeps
 each color's twin representatives from its first walk, so the K3, K4
-and K4+e walks of a color find the twin classes once.  A color without a K4 has no K4+e.
+and K4+e walks of a color find the twin classes once.  A color without
+a K4 has no K4+e.
 When the first K4 has a vertex of color-degree above 3 it is also the
 smallest K4 with one, so the K4+e witness is read off it.  Only
 otherwise does the K4+e hunt walk, on past the K4s whose four vertices
