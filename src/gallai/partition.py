@@ -375,7 +375,13 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
     if t <= 2:  # two parts are always a valid floor
         return partition
     colors = partition.reduced.colors
-    rows = _color_rows(t, colors, min(colors))
+    a = min(colors)
+    if t == coloring.n and colors == coloring.colors:
+        # the n singletons, in vertex order: the coloring's own a-rows are
+        # those of _color_rows, vertex x + 1 at bit x
+        rows = coloring.adjacency()[a][1:]
+    else:
+        rows = _color_rows(t, colors, a)
     groups = _module_children(rows, (1 << t) - 1)
     if len(groups) == t:
         return partition

@@ -74,16 +74,21 @@ order (1,2),(1,3),(1,4),...,(2,3),... of Coloring.colors: the two
 orders share only their first two edges, so comparing colors tuples
 does not find that witness.
 
-The minimum-monochromatic search adds two things, in every walk alike:
+The minimum-monochromatic and maximum-protected searches start from a
+seeded incumbent (`_seeded`), in every walk alike: a library
+construction, its cost counted on the coloring.  Leaves equal to the
+seed are still accepted, so the witness rule above is unchanged; a run
+whose budget ends before such a leaf reports the seed.  Each also prunes
+on a bound of its own.
 
-  * a seeded incumbent: the Goodman 2-coloring for k = 2, the
-    multiplicity construction for k >= 3 at n >= gr_k3(k), its count
-    taken from the triangle census (and, under gallai_only, used only
-    if the census finds no rainbow triangle).  Leaves equal to the
-    seed are still accepted, so the witness rule above is unchanged;
-    a run whose budget ends before such a leaf reports the seed;
-  * Goodman's counting bound.  With D_v the number of differently
-    colored edge pairs at v, every coloring has exactly
+The minimum-monochromatic search:
+
+  * seeds the Goodman 2-coloring for k = 2, the multiplicity
+    construction for k >= 3 at n >= gr_k3(k), its count taken from the
+    triangle census (and, under gallai_only, used only if the census
+    finds no rainbow triangle);
+  * prunes on Goodman's counting bound.  With D_v the number of
+    differently colored edge pairs at v, every coloring has exactly
     C(n,3) - (sum_v D_v)/2 + rainbow/2 monochromatic triangles, so
     C(n,3) - (sum_v max D_v)/2, each maximum taken over the completions
     of v's partial color degrees, bounds every completion from below.
@@ -93,6 +98,40 @@ The minimum-monochromatic search adds two things, in every walk alike:
     bound closes the proof at once: min-mono(n,2) proves in under
     5,000 nodes for n <= 14, where the partial count alone needed a
     million at n = 8.
+
+The maximum-protected search:
+
+  * seeds construct_f_lower(n, k) wherever it exists (k >= 2 and
+    n >= gr_k3(k - 1) - 1), its count from count_protected_edges;
+  * prunes on the edges already unprotected and, for k = 2, looks one
+    vertex ahead at the last edge of each column v < n, where K_v is
+    colored.  A new vertex x's star edge (x, w) to K_v is unprotected
+    when some w' in K_v has (x, w'), (x, w) and (w, w') of one color;
+    L1 is the fewest such edges over the 2^v stars.  Those triangles
+    stay in every completion, and the stars of the n - v vertices still
+    to come are disjoint from each other and from K_v, so every
+    completion leaves at least |unprotected(K_v)| + (n - v)·L1 edges
+    unprotected.  The color is refused once that reaches the cut.
+
+    Let G be K_v's color-1 graph and S_1, S_2 the vertices a star joins
+    in colors 1 and 2.  Call a pair bad when it is an edge of G inside
+    S_1 or a non-edge inside S_2: the star's unprotected edges are
+    those to the ends of the bad pairs.  So they come in pairs and L1 is
+    never 1; and L1 = 0 exactly when some S_1 is independent in G and
+    its S_2 a clique, that is when G is split.  More generally, a star
+    with c unprotected edges has at most C(c, 2) bad pairs, and one with
+    b bad pairs at most 2b unprotected edges, while the fewest bad
+    pairs over the stars is the splittance s of G, the fewest edges to
+    add or delete to make G split.  So L1 <= 2s and C(L1, 2) >= s.
+    Hammer & Simeone ("The splittance of a graph", Combinatorica 1,
+    1981) read s off the degree sequence in O(v log v), which decides
+    L1 < need at need <= 3 and most calls above; the rest run a
+    depth-first search over the stars on bitsets that stops at need.
+    For k >= 3 a rainbow triangle through x unprotects star edges too,
+    and the lookahead with that case left 0.86 to 1.0 of the nodes at
+    1.3 to 2.4 times the time at f(n, 3), so k >= 3 has the seed alone.
+    The seed and the lookahead prove f(11, 2) in 28,294 nodes, where the
+    unprotected edges alone needed 867,628.
 
 A node budget (default 10^9 assignments) bounds every run; exceeding it
 degrades the outcome to exhaustive=False, never silently.  Every run is
@@ -134,9 +173,13 @@ from contextlib import nullcontext
 from functools import partial
 from math import comb
 
-from .census import triangle_census
+from .census import count_protected_edges, triangle_census
 from .coloring import Coloring, pair_index
-from .construct import construct_multiplicity_extremal, goodman_extremal_2coloring
+from .construct import (
+    construct_f_lower,
+    construct_multiplicity_extremal,
+    goodman_extremal_2coloring,
+)
 from .formulas import gr_k3
 
 DEFAULT_BUDGET = 10**9
@@ -164,7 +207,8 @@ class SearchOutcome(
     reduced space was fully covered, or a conclusive witness was found.
     It is False only when the node budget ran out first, in which case
     value/witness are best-so-far: None if no leaf was reached, or for
-    min_mono_triangles the seed construction, where it has one.
+    min_mono_triangles and max_protected_edges the seed construction,
+    where it has one.
     nodes_explored is at most the budget, whatever jobs.
     """
 
@@ -464,6 +508,23 @@ def _search(plan, k, class_of, gallai, objective, start, floor, task):
 # minimum monochromatic triangles
 
 
+def _seeded(n, k, gallai_only, objective, seed, worst, floor, budget, jobs):
+    """The seeding rule of min-mono and max-protected: _dispatch with one
+    class of colors from the cost of seed, the (cost, colors) of a
+    library construction, or from worst when its cost is None.  A run
+    whose budget ends before a leaf at or below the seed reports the
+    seed, the best coloring known.  Returns (least cost or None, its
+    colors, nodes, exhaustive)."""
+    seed_cost, seed_col = seed
+    start = worst if seed_cost is None else seed_cost
+    cost, col, nodes, exhaustive = _dispatch(
+        n, k, None, gallai_only, objective, start, floor, budget, jobs
+    )
+    if col is None and not exhaustive and seed_col is not None:
+        cost, col = seed_cost, seed_col
+    return cost, col, nodes, exhaustive
+
+
 def _min_mono_seed(n, k, gallai_only):
     """(value, colors) of the library construction the incumbent starts
     from, or (None, None) when no family covers (n, k).  The value is
@@ -574,16 +635,11 @@ def min_mono_triangles(
     """Exact minimum of the total monochromatic-triangle count over all
     (optionally Gallai-restricted) k-colorings of K_n."""
     _check_args(n, k, jobs, budget)
-    seed_value, seed_col = _min_mono_seed(n, k, gallai_only)
-    start = comb(n, 3) if seed_value is None else seed_value
     objective = partial(_min_mono_hooks, split=_SplitPairs(n, k))
-    value, witness_col, nodes, exhaustive = _dispatch(
-        n, k, None, gallai_only, objective, start, 0, budget, jobs
+    seed = _min_mono_seed(n, k, gallai_only)
+    value, witness_col, nodes, exhaustive = _seeded(
+        n, k, gallai_only, objective, seed, comb(n, 3), 0, budget, jobs
     )
-    if witness_col is None and not exhaustive and seed_col is not None:
-        # the budget ran out before a leaf at or below the seed: the seed
-        # is the best coloring known
-        value, witness_col = seed_value, seed_col
     witness = Coloring(n, k, witness_col) if witness_col is not None else None
     return SearchOutcome("min_mono_triangles", value, witness, nodes, exhaustive)
 
@@ -693,13 +749,23 @@ def _exists(n, k, targets, gallai_only, budget, jobs, saturation_cap):
 def _max_protected_hooks(plan, rows):
     """Cost: minus the protected-edge count.  The edges of each
     monochromatic or rainbow triangle are unprotected, so the edges not
-    yet unprotected bound every completion."""
-    us, vs = plan.u, plan.v
+    yet unprotected bound every completion.
+
+    For k = 2, apply also looks one vertex ahead at the last edge of each
+    column v < n, the edge that completes K_v: every completion leaves
+    at least |unprotected(K_v)| + (n - v)·L1 edges unprotected (module
+    docstring), so the color is refused once L1 reaches need, the
+    ceiling over n - v of the unprotected edges the cut still allows,
+    which _star_below decides."""
+    n, us, vs = plan.n, plan.u, plan.v
     m = len(us)
     others = [[r for r in rows[1:] if r is not row] for row in rows]  # by color
     # column x holds edge (w, x) at depth start[x] + w - 1
     start = [(x - 1) * (x - 2) // 2 for x in range(plan.n + 1)]
     unprot = [0] * (m + 1)  # bitmask of the unprotected edges, by depth
+    # the depths of the lookahead: the last edge of each column v < n, for k = 2
+    ahead = [len(rows) == 3 and u + 1 == v < n for u, v in zip(us, vs)]
+    ones = rows[1]
 
     def apply(t, c, cut):
         u = us[t]
@@ -716,8 +782,18 @@ def _max_protected_hooks(plan, rows):
         if bad:
             # edge t and the edges (w, u), (w, v) of each apex w
             mask |= (bad << start[u] | bad << start[v]) >> 1 | 1 << t
-        if mask.bit_count() - m >= cut:
+        # the unprotected edges a completion may add and stay below cut
+        spare = cut + m - mask.bit_count()
+        if spare <= 0:
             return False
+        if ahead[t]:
+            # K_v's color-1 rows, edge t included
+            graph = ones[1 : v + 1]
+            if c == 1:
+                graph[u - 1] |= 1 << v
+                graph[v - 1] |= 1 << u
+            if not _star_below(graph, -(-spare // (n - v))):
+                return False
         unprot[t + 1] = mask
         return True
 
@@ -727,16 +803,100 @@ def _max_protected_hooks(plan, rows):
     return apply, leaf
 
 
+def _star_below(graph, need):
+    """Whether L1 < need for the 2-coloring of K_v whose color-1 graph
+    graph lists by rows (vertex x <-> bit x of graph[x - 1]): whether a
+    new vertex has a star to K_v that leaves fewer than need of its
+    edges unprotected.  With s the graph's splittance, L1 <= 2s and
+    C(L1, 2) >= s (module docstring), so a star search runs only when
+    neither bound decides."""
+    s = _splittance(graph)
+    if 2 * s < need:
+        return True
+    if (need - 1) * (need - 2) // 2 < s:
+        return False
+    return _star_search(graph, need)
+
+
+def _splittance(graph):
+    """The splittance of the graph whose rows graph lists (as for
+    _star_below): the fewest edges to add or delete to make it split, a
+    clique and an independent set covering its vertices.  By Hammer &
+    Simeone (Combinatorica 1, 1981), with the degrees d_1 >= ... >= d_v
+    and p the largest i with d_i >= i - 1, it is
+    (p(p - 1) - d_1 - ... - d_p + d_(p+1) + ... + d_v) / 2."""
+    degrees = sorted(map(int.bit_count, graph), reverse=True)
+    p = 0
+    for d in degrees:
+        if d < p:
+            break
+        p += 1
+    return (p * (p - 1) - sum(degrees[:p]) + sum(degrees[p:])) // 2
+
+
+def _star_search(graph, need):
+    """Whether some 2-colored star from a new vertex to the vertices of
+    graph (rows as for _star_below, color 1 the edges of graph, color 2
+    the others) leaves fewer than need of its edges unprotected.  The
+    star edge to w is unprotected exactly when some w' has its star edge
+    and (w, w') in that edge's color.  A depth-first search over the vertices
+    in order, each star vertex in color 1 or 2, with the unprotected
+    star vertices so far as a bitmask.  A vertex not yet placed that
+    sees a color-1 star vertex in color 1 and a color-2 one in color 2
+    is unprotected whichever color it takes, so the search drops a
+    branch once those and the unprotected so far reach need, and it
+    stops at the first whole star below need."""
+    v = len(graph)
+    full = (1 << (v + 1)) - 2
+
+    def extend(x, one, two, hit, near_one, near_two):
+        # near_one: the vertices that see some color-1 star vertex in
+        # color 1; near_two likewise in color 2
+        if x > v:
+            return True
+        bit = 1 << x
+        row = graph[x - 1]
+        rest = full >> (x + 1) << (x + 1)
+        via = row & one
+        first = hit | via | bit if via else hit
+        near = near_one | row
+        if (first | near & near_two & rest).bit_count() < need and extend(
+            x + 1, one | bit, two, first, near, near_two
+        ):
+            return True
+        other = full ^ row ^ bit
+        via = two & other
+        second = hit | via | bit if via else hit
+        near = near_two | other
+        return (second | near_one & near & rest).bit_count() < need and extend(
+            x + 1, one, two | bit, second, near_one, near
+        )
+
+    return extend(1, 0, 0, 0, 0, 0)
+
+
+def _max_protected_seed(n, k):
+    """(cost, colors) of construct_f_lower(n, k), the incumbent's start,
+    its cost minus its protected count as counted on the coloring, or
+    (None, None) for k < 2 or n below the construction's
+    gr_k3(k - 1) - 1 parts."""
+    if k < 2 or n < gr_k3(k - 1) - 1:
+        return None, None
+    seed = construct_f_lower(n, k)
+    return -count_protected_edges(seed), seed.colors
+
+
 def max_protected_edges(
     n: int, k: int, *, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> SearchOutcome:
     """Exact maximum, over all k-colorings of K_n, of the number of
     edges contained in no rainbow and no monochromatic triangle."""
     _check_args(n, k, jobs, budget)
-    # start from a count of 0, which every coloring reaches; no coloring
-    # protects more than all C(n,2) edges
-    cost, witness_col, nodes, exhaustive = _dispatch(
-        n, k, None, False, _max_protected_hooks, 0, -comb(n, 2), budget, jobs
+    # with no seed, start from a count of 0, which every coloring reaches;
+    # no coloring protects more than all C(n,2) edges
+    seed = _max_protected_seed(n, k)
+    cost, witness_col, nodes, exhaustive = _seeded(
+        n, k, False, _max_protected_hooks, seed, 0, -comb(n, 2), budget, jobs
     )
     value = -cost if cost is not None else None
     witness = Coloring(n, k, witness_col) if witness_col is not None else None

@@ -124,18 +124,21 @@ PROVED = (
     Proved("record", "min-mono", 17, 3, 11, 16876230, gallai=True),
     Proved("record", "min-mono", 18, 3, 14, 140256328, gallai=True),
     # f(n, k), the most edges in no rainbow and no monochromatic triangle:
-    # the count of construct_f_lower(n, k); the budget-stopped run at
-    # n = 60 shows the engine has no depth limit
-    Proved("full", "max-protected", 60, 2, 71, 5000, exhaustive=False, budget=5000),
-    Proved("full", "max-protected", 9, 2, 20, 17026),
-    Proved("full", "max-protected", 10, 2, 25, 95456),
-    Proved("ci", "max-protected", 11, 2, 30, 867628),
-    Proved("full", "max-protected", 10, 3, 45, 2680),
-    Proved("full", "max-protected", 11, 3, 52, 6201),
-    Proved("full", "max-protected", 12, 3, 60, 26949),
-    Proved("full", "max-protected", 13, 3, 69, 165813),
-    Proved("ci", "max-protected", 14, 3, 79, 1068450),
-    Proved("ci", "max-protected", 15, 3, 90, 7621659),
+    # the count of construct_f_lower(n, k), which also seeds the search.
+    # The budget-stopped run at n = 60 finds no leaf above that seed in
+    # its 5,000 nodes and reports the seed, turan_count(60, 2)
+    Proved("full", "max-protected", 60, 2, 900, 5000, exhaustive=False, budget=5000),
+    Proved("full", "max-protected", 9, 2, 20, 2516),
+    Proved("full", "max-protected", 10, 2, 25, 7387),
+    Proved("full", "max-protected", 11, 2, 30, 28294),
+    Proved("full", "max-protected", 12, 2, 36, 109842),
+    Proved("ci", "max-protected", 13, 2, 42, 630455),
+    Proved("full", "max-protected", 10, 3, 45, 165),
+    Proved("full", "max-protected", 11, 3, 52, 1919),
+    Proved("full", "max-protected", 12, 3, 60, 20392),
+    Proved("full", "max-protected", 13, 3, 69, 153562),
+    Proved("ci", "max-protected", 14, 3, 79, 1042383),
+    Proved("ci", "max-protected", 15, 3, 90, 7499613),
 )
 
 

@@ -586,8 +586,10 @@ GOOD_CALLS = [
     ("grstar-check", "good.gecx"),
     ("grstar-search", "3", "2"),
     ("search", "min-mono", "6", "2", "--jobs", "2"),
-    # 1,225 edges deep: the search has no depth limit, so the budget ends it
-    ("search", "max-protected", "50", "2", "--budget", "5000"),
+    # 1,225 edges deep: the search has no depth limit, so the budget ends
+    # it.  No construction seeds 7 colors at n = 50, so the walk reaches
+    # leaves; at k = 2 the seeded walk stops near edge 665
+    ("search", "max-protected", "50", "7", "--budget", "5000"),
     ("verify-suite", "--level", "fast"),
 ]
 

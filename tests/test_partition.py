@@ -36,6 +36,7 @@ from gallai import (
 )
 from gallai.partition import (
     _candidate_color_sets,
+    _color_rows,
     _components_outside,
     _module_children,
     _quotient,
@@ -258,6 +259,29 @@ def test_quotient_matches_color():
         reps = sorted(rng.sample(range(1, n + 1), size))
         want = tuple(c.color(u, v) for u, v in combinations(reps, 2))
         assert tuple(chain.from_iterable(_quotient(c, reps))) == want, (c.serialize(), reps)
+
+
+def test_color_rows_match_cached_adjacency(monkeypatch):
+    # on the n singletons in vertex order the reduced coloring is the
+    # coloring itself, and coarsen_to_min_parts reads its cached a-rows
+    # in place of _color_rows': the two must be the same rows
+    rng = random.Random(39)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        k = rng.choice([2, 5, 1000])
+        c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
+        for a in c.used_colors():
+            assert _color_rows(n, c.colors, a) == c.adjacency()[a][1:], (c.serialize(), a)
+    c = goodman_extremal_2coloring(30, 1, 2)
+    gp = find_gallai_partition(c)
+    assert gp.parts == tuple((v,) for v in range(1, 31))
+    want = coarsen_to_min_parts(c, gp)
+
+    def refuse(*args):
+        raise AssertionError("the singleton rows were rebuilt")
+
+    monkeypatch.setattr(gallai.partition, "_color_rows", refuse)
+    assert coarsen_to_min_parts(c, gp) == want
 
 
 def test_vertices_of_masks():

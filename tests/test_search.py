@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 from itertools import combinations, product
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 import helpers
 from gallai import (
+    construct_f_lower,
+    count_protected_edges,
     exists_avoiding,
     find_gr_star_pair_witness,
     find_mono_subgraph,
@@ -41,9 +44,11 @@ MIN_MONO_GRID = Path(__file__).parent / "data" / "min_mono_grid.json"
 SEARCH_GRID = Path(__file__).parent / "data" / "search_grid.json"
 # the engine's exact serial node counts on the same calls, in the same
 # order, recorded once the tie masks decided every vertex transposition
-# edge by edge and the column-end test its color renaming; a call the
+# edge by edge, the column-end test its color renaming, and the
+# max-protected search its seed and one-vertex lookahead; a call the
 # budget cuts short also has its best-so-far value and witness there,
-# which a stronger reduction may change.  A call that is a row of
+# which a stronger reduction may change, and "exhaustive": true where
+# the kernel now proves it inside the budget.  A call that is a row of
 # verify.PROVED has no count here: the row holds it
 SEARCH_NODES = Path(__file__).parent / "data" / "search_nodes.json"
 
@@ -114,6 +119,69 @@ def test_min_mono_budget_reports_seed():
         assert out.value == g_multiplicity_bounds(3, 13)[0]
         assert triangle_census(out.witness).mono_total == out.value
         assert is_gallai(out.witness)
+
+
+def test_max_protected_budget_reports_seed():
+    # no leaf at or above the seed's count is reached in 5 nodes, so the
+    # best coloring known is construct_f_lower, the incumbent's start
+    for jobs in (1, 2, 3):
+        for n, k in [(12, 2), (14, 3)]:
+            out = max_protected_edges(n, k, budget=5, jobs=jobs)
+            assert not out.exhaustive and out.nodes_explored == 5
+            assert out.witness == construct_f_lower(n, k)
+            assert out.value == count_protected_edges(out.witness)
+    # below the construction's gr_k3(2) - 1 = 5 parts there is no seed
+    out = max_protected_edges(4, 3, budget=0)
+    assert (out.value, out.witness, out.exhaustive) == (None, None, False)
+
+
+def _star_counts(graph):
+    """(L1, splittance) by brute force over the 2^v stars from a new
+    vertex to the 2-coloring of K_v whose color-1 graph graph lists by
+    rows (vertex x <-> bit x of graph[x - 1]): the fewest unprotected
+    star edges, and the fewest bad pairs, color-1 edges among the
+    vertices the star joins in color 1 and color-2 edges among those it
+    joins in color 2."""
+    v = len(graph)
+    full = (1 << (v + 1)) - 2
+    fewest_hit = fewest_bad = v * v
+    for ones in range(0, full + 1, 2):
+        twos = full ^ ones
+        hit = bad = 0
+        for x in range(1, v + 1):
+            same = graph[x - 1] & ones if ones >> x & 1 else (full ^ graph[x - 1] ^ 1 << x) & twos
+            hit += same != 0
+            bad += same.bit_count()
+        fewest_hit = min(fewest_hit, hit)
+        fewest_bad = min(fewest_bad, bad // 2)
+    return fewest_hit, fewest_bad
+
+
+def test_one_vertex_lookahead_matches_brute_force():
+    # the max-protected lookahead refuses K_v once L1 >= need: the
+    # splittance, its bounds on L1 and the star search must agree with
+    # every star at every need
+    rng = random.Random(39)
+    seen = set()
+    for _ in range(400):
+        v = rng.randint(1, 8)
+        density = rng.random()
+        graph = [0] * v
+        for x, y in combinations(range(1, v + 1), 2):
+            if rng.random() < density:
+                graph[x - 1] |= 1 << y
+                graph[y - 1] |= 1 << x
+        low, s = _star_counts(graph)
+        seen.add(low)
+        assert search._splittance(graph) == s, graph
+        assert (s == 0) == (low == 0), graph  # L1 = 0 exactly when split
+        assert low != 1, graph
+        assert low <= 2 * s and low * (low - 1) // 2 >= s, graph
+        for need in range(1, v + 2):
+            assert search._star_search(graph, need) == (low < need), (graph, need)
+            assert search._star_below(graph, need) == (low < need), (graph, need)
+    # L1 = 2 at need 3 sets the bound's case apart from the split test's
+    assert {0, 2, 3, 4, 5} <= seen
 
 
 def test_min_mono_gallai_flag():
@@ -315,7 +383,7 @@ def test_long_runs_start_helpers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     leases = []
     starts = _count_pools(monkeypatch, leases=leases)
-    for f, args in [(min_mono_triangles, (14, 3, True)), (max_protected_edges, (10, 2))]:
+    for f, args in [(min_mono_triangles, (14, 3, True)), (max_protected_edges, (12, 2))]:
         serial = f(*args)
         assert serial.nodes_explored > search._PROBE
         out = f(*args, jobs=2)
@@ -448,8 +516,9 @@ def _assert_jobs_share_one_budget():
     # one budget bounds the whole run, not each subtree, whatever jobs;
     # four jobs run more workers than this test is likely to have cores,
     # so a lost update to the shared counter would overspend it
+    # f(12, 2) proves in 109,842 nodes, more than twice the budget
     for jobs in (1, 2, 3, 4):
-        out = max_protected_edges(10, 2, budget=50_000, jobs=jobs)
+        out = max_protected_edges(12, 2, budget=50_000, jobs=jobs)
         assert out.nodes_explored <= 50_000
         assert not out.exhaustive
         out = exists_avoiding(11, 3, ["K3"] * 3, True, budget=500, jobs=jobs)
@@ -618,8 +687,9 @@ def test_search_matches_previous_kernels():
         if case["exhaustive"]:
             assert got == (case["value"], case["exhaustive"], case["witness"]), case
         else:
-            # best so far: pinned, and no worse than the previous kernels'
-            assert got == (pin["value"], False, pin["witness"]), pin
+            # best so far, or a proof where the kernel now ends inside the
+            # budget: pinned, and no worse than the previous kernels'
+            assert got == (pin["value"], pin.get("exhaustive", False), pin["witness"]), pin
             assert _no_worse(case["search"], out.value, case["value"]), case
         # a symmetry reduction only removes nodes; each count has one home
         assert out.nodes_explored <= case["nodes"], case
@@ -678,7 +748,7 @@ def test_column_end_work_pinned(monkeypatch):
     for run, pins in [
         (lambda: min_mono_triangles(11, 3, True), [168, 805, 10]),
         (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), [98, 409, 8]),
-        (lambda: max_protected_edges(12, 3), [2016, 13635, 148]),
+        (lambda: max_protected_edges(12, 3), [1596, 7526, 144]),
     ]:
         seen[:] = [0, 0, 0]
         run()
@@ -691,11 +761,19 @@ def test_large_n_has_no_depth_limit():
     # it reached
     for out in (
         max_protected_edges(60, 2, budget=5000),
+        max_protected_edges(60, 7, budget=5000),
         min_mono_triangles(60, 3, budget=5000),
         exists_avoiding(60, 2, ["K4+e", "K4+e"], budget=5000),
     ):
         assert not out.exhaustive
         assert out.nodes_explored == 5000
+    # the seeded runs above stop hundreds of edges short of a leaf; no
+    # construction seeds max-protected(60, 7), so its best coloring is a
+    # leaf the walk reached, at the last of the 1,770 edges
+    assert search._max_protected_seed(60, 7) == (None, None)
+    out = max_protected_edges(60, 7, budget=5000)
+    assert out.witness is not None
+    assert count_protected_edges(out.witness) == out.value
 
 
 def test_nodes_counted():
