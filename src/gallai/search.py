@@ -36,7 +36,14 @@ DFS to colorings satisfying them loses no orbit:
     under a renaming not the identity on all k colors, from column v
     on, and each new swap (i, v) from column i on, its renaming starting
     as the identity on the colors of K_{i-1}, which the swap leaves in
-    place.
+    place.  The test walks no new swap to its first difference: the tie
+    masks above already show where each one differs first.  A new swap
+    that ties K_v is a bit of the column's last mask, and one that does
+    not can tie under a renaming only when it differs first at a color's
+    first edge: anywhere else the coloring's color there is named before
+    it, the lo bound has put the image's above it, and the renaming
+    fixes the named colors and sends an unnamed one above them all.  So
+    each column end starts at most two renamed walks per color.
     A smaller image refuses the color, a larger one drops the swap and a
     tie carries it to the next column end.  A renaming that is the
     identity on all k colors leaves the swap to the tie masks above, so
@@ -256,63 +263,108 @@ def _edge_plan(n: int) -> _Plan:
 # the engine
 
 
-def _column_end(t, col, opened, held, named, k, plan):
+def _column_end(t, col, opened, held, named, k, plan, tie, place):
     """Whether coloring the last edge t of column v with col[t] leaves
     K_v no larger than its image under every vertex swap (i, j), j <= v,
     with the image's colors renamed into first-appearance order.
 
     The swaps compared are those held[v] holds, which tied K_{v-1} and
-    go on from column v, and each new swap (i, v) from column i on, for
-    i = 1, 2, ... while K_{i-1} leaves a color unused: the swap leaves
-    K_{i-1} in place, so its renaming starts as the identity on K_{i-1}'s
-    colors, and once K_{i-1} uses all k colors it is the identity, which
-    _search's tie masks compare.  A swap whose renaming is the identity
-    on the colors named so far (pi None) can differ from the coloring
-    only at the edges {a, i} and {a, j}, first at the least a with
-    {a, i} and {a, j} of different colors; there a color y new to the
-    image above the coloring's x ties under y -> x when x is new too,
-    and the swap goes on under that map, compared edge by edge.  A
-    smaller image refuses the color, a larger one drops the swap, and so
-    does a tie under the identity once K_v uses every color.  Writes
-    named[v], the colors K_v uses, and held[v + 1], the swaps K_v ties
-    as (i, j, pi, the colors pi names, where the comparison goes on: a
-    vertex a while pi is None, else a depth)."""
+    go on from column v, and the new swaps (i, v), each from column i
+    on: the swap leaves K_{i-1} in place, so its renaming starts as the
+    identity on K_{i-1}'s colors, and once K_{i-1} uses all k colors it
+    is the identity, which _search's tie masks compare.  Under the
+    identity the image differs from the coloring only at the edges
+    {a, i} and {a, v}, first at the edge {a, i} of the least a != i with
+    c(a, i) != c(a, v).  The tie masks hold that a: bit i of tie[q], for
+    the edge q = (a, v) with a >= 2, is set when the swap tied every
+    edge (a', v) with a' < a (before (1, v) every swap is tied), and
+    bit i of tie[t + 1], the column's final mask, when it tied all of
+    K_v.  So no new swap is walked to its first difference:
+
+      * the final mask's bits are the new swaps that tie K_v.  While K_v
+        leaves a color unused they are carried, unwalked; once it uses
+        all k colors their renaming is the identity, and they are
+        dropped;
+      * a new swap that does not tie shows x = c(a, i) in the coloring
+        and y = c(a, v) in the image at its first difference.  Bit i is
+        set in the tie mask before edge (a, v), so the engine's lo bound
+        gave c(a, v) >= c(a, i), and y > x.  Before {a, i} the image is
+        the coloring, whose colors appear in first-appearance order, so
+        the renaming fixes every color named there.  If x is not new at
+        {a, i} it is one of them, and y renames to itself or, unnamed,
+        to a color above all of them: above x either way, so the image
+        is larger and the swap is dropped.  If x is new, y is unnamed
+        too and renames to x, a tie, and the swap goes on under y -> x,
+        compared edge by edge.  So a new swap is walked only when its
+        first difference is a color's first edge: for each color x of
+        K_{v-1}, the edge col.index(x) = {e, f} with e or f as i and the
+        other end as a, when bit i is set in the tie mask before edge
+        (a, v) and clear after it.  Every other new swap is dropped
+        unwalked.
+
+    A held swap with the identity as its renaming (pi None) tied K_{v-1}
+    as it is, so column v compares its edges {i, v} and {j, v}, and a
+    new color x there starts a renamed walk in the same way.  A renamed
+    walk compares the image with the coloring edge by edge, reading edge
+    depths from place (place[a][b] is the depth of edge {a, b}).  A
+    smaller image refuses the color, a larger one drops the swap.
+    Writes named[v], the colors K_v uses, and held[v + 1], the swaps K_v
+    ties as (i, j, pi, the colors pi names, where the comparison goes
+    on: the vertex v + 1 while pi is None, else a depth)."""
     us, vs = plan.u, plan.v
     v = vs[t]
     named[v] = d = max(named[v - 1], *col[t - v + 2 : t + 1])
     kept = []
-    for i, j, pi, mapped, p in held[v] + [
-        (i, v, None, 0, 1) for i in range(1, v) if named[i - 1] < k
-    ]:
-        if pi is None:
-            for a in range(p, v + 1):
-                if a != i and a != j:
-                    p = (i - 1) * (i - 2) // 2 + a - 1 if a < i else (a - 1) * (a - 2) // 2 + i - 1
-                    s = (j - 1) * (j - 2) // 2 + a - 1 if a < j else (a - 1) * (a - 2) // 2 + j - 1
-                    x = col[p]
-                    y = col[s]
-                    if x != y:
-                        break
-            else:
-                if d < k:
-                    kept.append((i, j, None, 0, v + 1))
-                continue
-            if y < x:
-                return False
-            if x != opened[p][-1]:
-                continue  # x is not new, so y renames above it
+    walks = []  # the renamed walks to make, as held[v] keeps them
+    for i, j, pi, mapped, p in held[v]:
+        if pi is not None:
+            walks.append((i, j, pi[:], mapped, p))
+            continue
+        p = place[i][v]
+        x = col[p]
+        y = col[place[j][v]]
+        if x == y:
+            if d < k:
+                kept.append((i, j, None, 0, v + 1))
+        elif y < x:
+            return False
+        elif x == opened[p][-1]:  # x is new, so y renames to it
             pi = [*range(x)] + [0] * (k + 1 - x)
-            pi[y] = mapped = x
-            p += 1
-        else:
-            pi = pi[:]
+            pi[y] = x
+            walks.append((i, j, pi, x, p + 1))
+    if d < k:
+        rest = tie[t + 1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            kept.append((low.bit_length() - 1, v, None, 0, v + 1))
+    # the first edge {e, f}, e < f, of each color x: the swap (e, v) is
+    # walked when it differs first at a = f, the swap (f, v) when it does
+    # at a = e.  From a = 2 on a column's masks only lose bits, so the
+    # first is bit e of the masks' XOR around edge (f, v)
+    base = t - v + 1  # edge (a, v) is at depth base + a
+    p = 0
+    for x in range(1, named[v - 1] + 1):
+        p = col.index(x, p)  # the first edges come in color order
+        e = us[p]
+        f = vs[p]
+        q = base + f
+        if (tie[q] ^ tie[q + 1]) >> e & 1:
+            pi = [*range(x)] + [0] * (k + 1 - x)
+            pi[col[q]] = x
+            walks.append((e, v, pi, x, p + 1))
+        q = base + e
+        if (e == 1 or tie[q] >> f & 1) and not tie[q + 1] >> f & 1:
+            pi = [*range(x)] + [0] * (k + 1 - x)
+            pi[col[q]] = x
+            walks.append((f, v, pi, x, p + 1))
+    for i, j, pi, mapped, p in walks:
         while p <= t:
             a = us[p]
             b = vs[p]
             a = j if a == i else i if a == j else a
             b = j if b == i else i if b == j else b
-            s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
-            y = col[s]
+            y = col[place[a][b]]
             z = pi[y]
             if not z:
                 mapped += 1
@@ -415,11 +467,15 @@ def _search(plan, k, class_of, gallai, objective, start, floor, task):
     opened = [None] * (m + 1)
     opened[0] = [c for c in range(1, k + 1) if c not in after]
     # with one class, the last edge of column v runs _column_end, which
-    # reads held[v] and writes named[v] and held[v + 1]
+    # reads held[v] and the tie masks and writes named[v] and held[v + 1];
+    # place[a][b] is the depth of edge {a, b}
     one_class = len(set(class_of[1:])) <= 1
     ends = [one_class and u + 1 == v for u, v in zip(us, vs)]
     held = [[] for _ in range(plan.n + 2)]
     named = [0] * (plan.n + 1)
+    place = [[0] * (plan.n + 1) for _ in range(plan.n + 1)]
+    for d, (a, b) in enumerate(zip(us, vs)):
+        place[a][b] = place[b][a] = d
     split = task.split
 
     cut = start + 1
@@ -443,7 +499,9 @@ def _search(plan, k, class_of, gallai, objective, start, floor, task):
             if not apply(t, c, cut):
                 continue
             col[t] = c
-            if ends[t] and not _column_end(t, col, opened, held, named, k, plan):
+            row = rows[c]
+            tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
+            if ends[t] and not _column_end(t, col, opened, held, named, k, plan, tie, place):
                 continue
             if t == split and not task.claim(tuple(col[: t + 1])):
                 continue  # another worker's subtree, or one behind the claims
@@ -464,8 +522,6 @@ def _search(plan, k, class_of, gallai, objective, start, floor, task):
             if nxt and nxt not in op:
                 op = sorted([*op, nxt])
             opened[t + 1] = op
-            row = rows[c]
-            tie[t + 1] = (tie[t] | firsts[t]) & (row[u] | 1 << u)
             tie[~t] = tie[backs[t]] & row[v]
             row[u] |= 1 << v
             row[v] |= 1 << u
@@ -568,13 +624,15 @@ class _SplitPairs(dict):
         # split pairs.  The j smallest take the water when lifting them all
         # to the j-th smallest costs no more than the free edges; the
         # largest such j holds it, j - r of them at the level q and r at
-        # q + 1
+        # q + 1.  pool is the n - 1 edges less the degrees above the j
+        # smallest: the free edges and the j smallest degrees
         degrees.sort()
         pool = n - 1
         j = self.k
-        while j * degrees[j - 1] > pool - sum(degrees[j:]):
+        while j * degrees[j - 1] > pool:
             j -= 1
-        q, r = divmod(pool - sum(degrees[j:]), j)
+            pool -= degrees[j]
+        q, r = divmod(pool, j)
         squares = sum(d * d for d in degrees[j:]) + (j - r) * q * q + r * (q + 1) ** 2
         value = ((n - 1) ** 2 - squares) // 2
         self[code] = value

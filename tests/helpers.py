@@ -205,3 +205,79 @@ def brute_gr_star_pair_exists(n, k):
             if not mono and not rain:
                 return True
     return False
+
+
+# search._column_end in the form that walks every new swap (i, v) to its
+# first difference, for the differential test: picking the swaps off the
+# tie masks must give the same verdict, named[v] and carried swaps
+def column_end_reference(t, col, opened, held, named, k, plan):
+    """Whether coloring the last edge t of column v with col[t] leaves
+    K_v no larger than its image under every vertex swap (i, j), j <= v,
+    with the image's colors renamed into first-appearance order.
+
+    The swaps compared are those held[v] holds, which tied K_{v-1} and
+    go on from column v, and each new swap (i, v) from column i on, for
+    i = 1, 2, ... while K_{i-1} leaves a color unused: the swap leaves
+    K_{i-1} in place, so its renaming starts as the identity on K_{i-1}'s
+    colors, and once K_{i-1} uses all k colors it is the identity, which
+    _search's tie masks compare.  A swap whose renaming is the identity
+    on the colors named so far (pi None) can differ from the coloring
+    only at the edges {a, i} and {a, j}, first at the least a with
+    {a, i} and {a, j} of different colors; there a color y new to the
+    image above the coloring's x ties under y -> x when x is new too,
+    and the swap goes on under that map, compared edge by edge.  A
+    smaller image refuses the color, a larger one drops the swap, and so
+    does a tie under the identity once K_v uses every color.  Writes
+    named[v], the colors K_v uses, and held[v + 1], the swaps K_v ties
+    as (i, j, pi, the colors pi names, where the comparison goes on: a
+    vertex a while pi is None, else a depth)."""
+    us, vs = plan.u, plan.v
+    v = vs[t]
+    named[v] = d = max(named[v - 1], *col[t - v + 2 : t + 1])
+    kept = []
+    for i, j, pi, mapped, p in held[v] + [
+        (i, v, None, 0, 1) for i in range(1, v) if named[i - 1] < k
+    ]:
+        if pi is None:
+            for a in range(p, v + 1):
+                if a != i and a != j:
+                    p = (i - 1) * (i - 2) // 2 + a - 1 if a < i else (a - 1) * (a - 2) // 2 + i - 1
+                    s = (j - 1) * (j - 2) // 2 + a - 1 if a < j else (a - 1) * (a - 2) // 2 + j - 1
+                    x = col[p]
+                    y = col[s]
+                    if x != y:
+                        break
+            else:
+                if d < k:
+                    kept.append((i, j, None, 0, v + 1))
+                continue
+            if y < x:
+                return False
+            if x != opened[p][-1]:
+                continue  # x is not new, so y renames above it
+            pi = [*range(x)] + [0] * (k + 1 - x)
+            pi[y] = mapped = x
+            p += 1
+        else:
+            pi = pi[:]
+        while p <= t:
+            a = us[p]
+            b = vs[p]
+            a = j if a == i else i if a == j else a
+            b = j if b == i else i if b == j else b
+            s = (b - 1) * (b - 2) // 2 + a - 1 if a < b else (a - 1) * (a - 2) // 2 + b - 1
+            y = col[s]
+            z = pi[y]
+            if not z:
+                mapped += 1
+                z = pi[y] = mapped
+            x = col[p]
+            if z != x:
+                if z < x:
+                    return False
+                break
+            p += 1
+        else:
+            kept.append((i, j, pi, mapped, t + 1))
+    held[v + 1] = kept
+    return True

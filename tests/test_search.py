@@ -2,7 +2,9 @@ import json
 import multiprocessing
 import os
 import random
+from collections import Counter
 from itertools import combinations, product
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -91,7 +93,7 @@ def test_min_mono_matches_previous_kernel():
 def test_split_pair_table_matches_brute_force():
     # the counting bound is sound only if no completion of a vertex's
     # color degrees splits more edge pairs than the table says
-    for n, k in [(5, 2), (6, 3), (5, 4)]:
+    for n, k in [(5, 2), (6, 3), (5, 4), (6, 4), (7, 3)]:
         table = _SplitPairs(n, k)
         for degrees in product(range(n), repeat=k):
             free = n - 1 - sum(degrees)
@@ -730,29 +732,99 @@ def _no_worse(name, value, recorded):
 def test_column_end_work_pinned(monkeypatch):
     # node counts do not see how much work the column-end test does: a
     # change that only spares swap comparisons leaves every count as it
-    # is.  Its calls, the swaps they take up (those held over from the
-    # column before and the new swaps (i, v)) and the colors they refuse
-    # are pinned
+    # is.  Its calls, the swaps it walks and the colors it refuses are
+    # pinned.  It walks the swaps held over from the column before and
+    # the new swaps (i, v) whose first difference, found here by
+    # comparing column v with vertex i's edges, is the first edge of its
+    # color; every other new swap it decides from the tie masks alone
     real = search._column_end
     seen = [0, 0, 0]
 
-    def counted(t, col, opened, held, named, k, plan):
+    def counted(t, col, opened, held, named, k, plan, tie, place):
         v = plan.v[t]
         seen[0] += 1
-        seen[1] += len(held[v]) + sum(named[i - 1] < k for i in range(1, v))
-        ok = real(t, col, opened, held, named, k, plan)
+        seen[1] += len(held[v])
+        for i in range(1, v):
+            for a in range(1, v):
+                p = place[a][i]
+                if a != i and col[p] != col[place[a][v]]:
+                    seen[1] += col.index(col[p]) == p
+                    break
+        ok = real(t, col, opened, held, named, k, plan, tie, place)
         seen[2] += not ok
         return ok
 
     monkeypatch.setattr(search, "_column_end", counted)
     for run, pins in [
-        (lambda: min_mono_triangles(11, 3, True), [168, 805, 10]),
-        (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), [98, 409, 8]),
-        (lambda: max_protected_edges(12, 3), [1596, 7526, 144]),
+        (lambda: min_mono_triangles(11, 3, True), [168, 313, 10]),
+        (lambda: exists_avoiding(11, 3, ["K3"] * 3, True), [98, 141, 8]),
+        (lambda: max_protected_edges(12, 3), [1596, 2744, 144]),
     ]:
         seen[:] = [0, 0, 0]
         run()
         assert seen == pins
+
+
+def _carried(swaps):
+    return Counter((i, j, pi and tuple(pi), mapped, p) for i, j, pi, mapped, p in swaps)
+
+
+def _reduced_space(n, k):
+    # every coloring of the one-class reduced space of K_n, with no
+    # objective: apply accepts every color and no leaf is kept
+    hooks = lambda plan, rows: (lambda t, c, cut: True, lambda: inf)  # noqa: E731
+    args = (_edge_plan(n), k, None, False, hooks, 0, 0)
+    search._search(*args, search._Worker(args, DEFAULT_BUDGET))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: min_mono_triangles(11, 3, True),
+        lambda: min_mono_triangles(12, 3, True),
+        lambda: exists_avoiding(11, 3, ["K3"] * 3, True),
+        lambda: max_protected_edges(12, 3),
+        lambda: find_gr_star_pair_witness(6, 3),
+        lambda: _reduced_space(6, 3),
+        lambda: _reduced_space(5, 4),
+        lambda: _reduced_space(5, 5),
+    ],
+    ids=[
+        "min-mono-11-3-gallai",
+        "min-mono-12-3-gallai",
+        "exists-11-3-k3-gallai",
+        "max-prot-12-3",
+        "grstar-pair-6-3",
+        "reduced-6-3",
+        "reduced-5-4",
+        "reduced-5-5",
+    ],
+)
+def test_column_end_matches_walking_every_swap(monkeypatch, run):
+    # the tie masks pick the swaps the column-end test walks; every
+    # column end of the run must decide as the form that walks every new
+    # swap (i, v) to its first difference does: the same verdict, the
+    # same colors named and, when the color passes, the same swaps
+    # carried to the next column
+    real = search._column_end
+    tally = Counter()
+
+    def both(t, col, opened, held, named, k, plan, tie, place):
+        v = plan.v[t]
+        want_held, want_named = held[:], named[:]
+        want = helpers.column_end_reference(t, col, opened, want_held, want_named, k, plan)
+        got = real(t, col, opened, held, named, k, plan, tie, place)
+        assert (got, named[v]) == (want, want_named[v])
+        if got:
+            assert _carried(held[v + 1]) == _carried(want_held[v + 1])
+            tally["carried"] += len(held[v + 1])
+        tally[got] += 1
+        return got
+
+    monkeypatch.setattr(search, "_column_end", both)
+    run()
+    # every run refuses colors at some column ends and carries swaps
+    assert tally[True] and tally[False] and tally["carried"], tally
 
 
 def test_large_n_has_no_depth_limit():
