@@ -769,35 +769,28 @@ def _carried(swaps):
     return Counter((i, j, pi and tuple(pi), mapped, p) for i, j, pi, mapped, p in swaps)
 
 
+def _accept_all(plan, rows):
+    # hooks under which apply accepts every color and no leaf is kept
+    return (lambda t, c, cut: True), (lambda: inf)
+
+
 def _reduced_space(n, k):
-    # every coloring of the one-class reduced space of K_n, with no
-    # objective: apply accepts every color and no leaf is kept
-    hooks = lambda plan, rows: (lambda t, c, cut: True, lambda: inf)  # noqa: E731
-    args = (_edge_plan(n), k, None, False, hooks, 0, 0)
+    # walk every coloring of the one-class reduced space of K_n
+    args = (_edge_plan(n), k, None, False, _accept_all, 0, 0)
     search._search(*args, search._Worker(args, DEFAULT_BUDGET))
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: min_mono_triangles(11, 3, True),
-        lambda: min_mono_triangles(12, 3, True),
-        lambda: exists_avoiding(11, 3, ["K3"] * 3, True),
-        lambda: max_protected_edges(12, 3),
-        lambda: find_gr_star_pair_witness(6, 3),
-        lambda: _reduced_space(6, 3),
-        lambda: _reduced_space(5, 4),
-        lambda: _reduced_space(5, 5),
-    ],
-    ids=[
-        "min-mono-11-3-gallai",
-        "min-mono-12-3-gallai",
-        "exists-11-3-k3-gallai",
-        "max-prot-12-3",
-        "grstar-pair-6-3",
-        "reduced-6-3",
-        "reduced-5-4",
-        "reduced-5-5",
+        pytest.param(lambda: min_mono_triangles(11, 3, True), id="min-mono-11-3-gallai"),
+        pytest.param(lambda: min_mono_triangles(12, 3, True), id="min-mono-12-3-gallai"),
+        pytest.param(lambda: exists_avoiding(11, 3, ["K3"] * 3, True), id="exists-11-3-k3-gallai"),
+        pytest.param(lambda: max_protected_edges(12, 3), id="max-prot-12-3"),
+        pytest.param(lambda: find_gr_star_pair_witness(6, 3), id="grstar-pair-6-3"),
+        pytest.param(lambda: _reduced_space(6, 3), id="reduced-6-3"),
+        pytest.param(lambda: _reduced_space(5, 4), id="reduced-5-4"),
+        pytest.param(lambda: _reduced_space(5, 5), id="reduced-5-5"),
     ],
 )
 def test_column_end_matches_walking_every_swap(monkeypatch, run):
