@@ -6,17 +6,20 @@ colors) or rainbow (three colors).  A coloring is a Gallai coloring when
 its rainbow count is zero.
 
 Counting strategy: the monochromatic triangles of each color are
-counted while the coloring's derived tables are built
-(`Coloring.mono_triangles`).  The pairs are added in lexicographic
-order, and just before pair (u, v) is added the common c-neighbors of u
-and v are the apexes w < u, so each c-colored triangle is counted once,
-at its last pair.  Every non-monochromatic triangle has exactly one
-vertex where its two same-colored edges meet, so the "monochromatic
-cherry" sum
+counted on first use by the coloring's codegree walk
+(`Coloring.mono_triangles`), one pass over the pairs with the finished
+adjacency bitsets.  The codegree of a c-edge uv, the popcount of
+adj[c][u] & adj[c][v], is the number of c-colored triangles on it, and
+each such triangle has three c-edges, so the triangles of color c are
+the codegree sum of its edges over 3.  The same walk counts each
+color's edges of codegree 0, the edges in no monochromatic triangle
+(`Coloring.free_edges`).  Every non-monochromatic triangle has exactly
+one vertex where its two same-colored edges meet, so the
+"monochromatic cherry" sum
     sum_v sum_c C(deg_c(v), 2)
 equals 3*mono + bichromatic, which yields the bichromatic count without
 triple enumeration; the rainbow count follows from the total C(n,3).
-So only the derived tables walk the pairs, and the census itself is
+So only the codegree walk visits the pairs, and the census itself is
 O(n) per color in use.  A color not in use has no cherries and no
 triangles; its zero is filled in without a loop over the vertices.
 Each c-colored triangle holds three c-cherries, so
@@ -59,7 +62,7 @@ one per triangle; on a sparse class with triangles the test meets an
 odd cycle after a few vertices.  A K3 hunt returns at its first common
 neighbor and never reaches the test.
 
-A color with no triangle, as the derived tables count them, has no K3,
+A color with no triangle, as the codegree walk counts them, has no K3,
 K4 or K4+e, and its hunts walk nothing.  Each color is walked for a K4
 at most once per coloring: its first K4, or None, goes into the
 coloring's K4 record (`Coloring.k4_record`), which the K4 and K4+e
@@ -320,11 +323,12 @@ def count_protected_edges(coloring: Coloring) -> int:
     """Edges contained in no rainbow and no monochromatic triangle.
 
     Take an edge uv of color a.  A monochromatic triangle through it
-    exists iff u and v have a common a-neighbor, one AND of their
-    a-neighborhoods.  When the census shows no rainbow triangle, that
-    test alone decides: every edge of a color without a triangle is
-    protected and is counted from the degrees, and every other edge
-    takes one AND.
+    exists iff u and v have a common a-neighbor, that is iff its
+    codegree popcount(adj[a][u] & adj[a][v]) is positive.  When the
+    census shows no rainbow triangle, that test alone decides, so the
+    count is the sum over the colors in use of their edges of codegree
+    0, which the coloring's codegree walk counts beside the triangles
+    (`Coloring.free_edges`); no pair is walked here.
 
     Otherwise, without a common a-neighbor, the triangle uvw on an apex
     w is not rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.
@@ -341,26 +345,14 @@ def count_protected_edges(coloring: Coloring) -> int:
     deg_a(u) - 1 + deg_a(v) - 1 + popcount(R_u & R_v) = n - 2, that is
     deg_a(u) + deg_a(v) + popcount(R_u & R_v) = n.
     """
+    used = coloring.used_colors()
+    if not _bichromatic_rainbow(coloring)[1]:
+        return sum(map(coloring.free_edges().__getitem__, used))
     n = coloring.n
     adj = coloring.adjacency()
     deg = coloring.degrees()
-    used = coloring.used_colors()
     colors = iter(coloring.colors)
     protected = 0
-    if not _bichromatic_rainbow(coloring)[1]:
-        tri = coloring.mono_triangles()
-        hot = adj[:]  # the colors with a triangle keep their rows
-        for a in used:
-            if not tri[a]:
-                protected += sum(deg[a]) // 2
-                hot[a] = None
-        if any(tri[a] for a in used):
-            for u in range(1, n + 1):
-                for v, a in zip(range(u + 1, n + 1), colors):
-                    adj_a = hot[a]
-                    if adj_a is not None and not adj_a[u] & adj_a[v]:
-                        protected += 1
-        return protected
     rows = [0] * (n + 1)
     for i, x in enumerate(used):
         adj_x, shift = adj[x], i * n

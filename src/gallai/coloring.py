@@ -25,17 +25,20 @@ slice.  Colors of two or more digits are written one join per row
 Either reading accepts a text only if writing its colors back gives it
 character for character; any other text, and every error, goes to the
 general reader `_parse_body`, which is the format's only definition.
-The loops of this module that still walk the pairs one at a time in
-Python are the general reader, the derived tables (which count the
-monochromatic triangles in the same walk, so the triangle census has no
-pair loop of its own), `edges` (and `edges_by_color` on it),
-`permute_vertices` and the constructor's error path.  Elsewhere, at the
-sizes the constructions reach, they are the rainbow-triangle search and
-the protected-edge count in `census` (which, without a rainbow
-triangle, takes an AND only for the pairs of colors with a triangle),
-and the nim-star construction's last step.  The nim-star count works
-per vertex and color, and the Goodman and random Gallai constructions
-build whole rows.
+The derived tables walk no pair in Python either: each pair's color
+becomes one byte, the bytes fill an n x n square, and each color's
+adjacency rows are one translate of the square and one int(..., 2) per
+vertex (`Coloring._build_derived`).  The loops of this module that
+still walk the pairs one at a time in Python are the general reader,
+the codegree walk, which counts the monochromatic triangles and the
+edges in none on first use of either, `edges` (and `edges_by_color` on
+it), `permute_vertices` and the constructor's error path.  Elsewhere,
+at the sizes the constructions reach, they are the rainbow-triangle
+search and the protected-edge count in `census` on a coloring with a
+rainbow triangle (without one, the count is a sum of the codegree
+walk's counts), and the nim-star construction's last step.  The
+nim-star count works per vertex and color, and the Goodman and random
+Gallai constructions build whole rows.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import comb
 
 
@@ -75,14 +78,18 @@ class Coloring:
     """An immutable k-edge-coloring of the complete graph K_n.
 
     Instances are safe to share across threads.  The per-color
-    adjacency bitsets, degree tables and triangle counts are computed
-    once on first use and never mutated afterwards.  The per-color K4
-    record beside them gains one entry per color, on that color's first
-    K4 hunt, and the twin record one per color on its first hunt of any
-    kind; neither changes an entry: each is an immutable tuple, int or
-    None that every thread computes alike, and a dict store is atomic,
-    so a reader sees either no entry or the final one.  Two threads that hunt one color
-    at once may both walk it; they store the same value.
+    adjacency bitsets and degree tables are computed once on first use
+    and never mutated afterwards.  Three records beside them fill on
+    first use, and each store is atomic, so a reader sees either no
+    entry or the final one: the triangle counts and the counts of edges
+    in no monochromatic triangle, one pair of lists stored once, on the
+    first call of `mono_triangles` or `free_edges`; the per-color K4
+    record, one entry per color on that color's first K4 hunt; and the
+    twin record, one entry per color on its first hunt of any kind.  No
+    entry changes once stored: each is an immutable tuple, int or None,
+    or lists that nothing mutates, and every thread computes it alike.
+    Two threads that walk for one record at once may both walk; they
+    store the same value.
     """
 
     __slots__ = ("n", "k", "colors", "_derived")
@@ -133,44 +140,68 @@ class Coloring:
 
     def _build_derived(self):
         # adj[c][v] is a bitmask of the c-colored neighbors of v
-        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v; tri[c]
-        # the number of c-colored triangles.  Only the colors in use get
-        # rows of their own: every unused color shares one all-zero row,
-        # so k costs one list slot per color.  The K4 and twin records
-        # start empty.
+        # (vertex v <-> bit v-1); deg[c][v] the c-degree of v.  Only the
+        # colors in use get rows of their own: every unused color shares
+        # one all-zero row, so k costs one list slot per color.  The slot
+        # of the codegree counts, the K4 record and the twin record start
+        # empty.
         #
-        # The pairs are added in lexicographic order.  Just before (u, v)
-        # is added, adj[c][v] holds only the c-neighbors w < u of v, so
-        # adj[c][u] & adj[c][v] is the set of apexes w < u of c-colored
-        # triangles uvw: each triangle is counted once, at its last pair.
-        n, k = self.n, self.k
-        used = tuple(sorted(set(self.colors)))
-        zero = [0] * (n + 1)
-        adj = [zero] * (k + 1)
+        # Each pair's color becomes one byte, its code, in windows of at
+        # most 255 colors in use.  The codes of a window go into an n x n
+        # byte square, row u by one slice and column u by one strided
+        # slice, and the square is reversed once, so that vertex v's
+        # entry in each row sits at the binary digit of bit v-1.  A
+        # color's rows are then one translate of the square to "0"/"1"
+        # and one int(..., 2) per vertex.
+        n, k, colors = self.n, self.k, self.colors
+        used = tuple(sorted(set(colors)))
+        adj = [[0] * (n + 1)] * (k + 1)
         adj[0] = None
-        for c in used:
-            adj[c] = [0] * (n + 1)
-        tri = [0] * (k + 1)
-        tri[0] = None
-        bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
-        colors = iter(self.colors)
-        for u in range(1, n + 1):
-            bu = bits[u]
-            for v, bv, c in zip(range(u + 1, n + 1), bits[u + 1 :], colors):
-                adj_c = adj[c]
-                au, av = adj_c[u], adj_c[v]
-                tri[c] += (au & av).bit_count()
-                adj_c[u] = au | bv
-                adj_c[v] = av | bu
         deg = adj[:]
-        for c in used:
-            deg[c] = [mask.bit_count() for mask in adj[c]]
-        object.__setattr__(self, "_derived", (adj, deg, tri, used, {}, {}))
+        rows = list(map(slice, range(n * n - n, -1, -n), range(n * n, 0, -n)))
+        for codes, window in _code_windows(colors, used):
+            square = bytearray(n * n)
+            end = 0
+            for u in range(1, n):
+                start, end = end, end + n - u
+                square[(u - 1) * n + u : u * n] = square[u * n + u - 1 :: n] = codes[start:end]
+            square.reverse()
+            for c, code in window:
+                bits = square.translate(b"0" * code + b"1" + b"0" * (255 - code))
+                adj[c] = [0, *map(int, map(bits.__getitem__, rows), repeat(2))]
+                deg[c] = list(map(int.bit_count, adj[c]))
+        object.__setattr__(self, "_derived", (adj, deg, [None], used, {}, {}))
 
     def _table(self, i: int):
         if self._derived is None:
             self._build_derived()
         return self._derived[i]
+
+    def _walk_codegrees(self):
+        # one walk over the pairs with the finished bitsets: the codegree
+        # of a c-edge uv, popcount(adj[c][u] & adj[c][v]), is the number
+        # of c-colored triangles on it.  Each c-triangle has three
+        # c-edges, so tri[c] is the codegree sum of the c-edges over 3,
+        # and free[c] counts the c-edges of codegree 0.  The counts go
+        # into their slot of the derived tables by one atomic store;
+        # every thread walks to the same value.
+        n, k = self.n, self.k
+        adj = self.adjacency()
+        tri = [None] + [0] * k
+        free = tri[:]
+        colors = iter(self.colors)
+        for u in range(1, n):
+            for v, c in zip(range(u + 1, n + 1), colors):
+                adj_c = adj[c]
+                codeg = (adj_c[u] & adj_c[v]).bit_count()
+                if codeg:
+                    tri[c] += codeg
+                else:
+                    free[c] += 1
+        for c in self.used_colors():
+            tri[c] //= 3
+        self._table(2)[0] = tri, free
+        return tri, free
 
     def adjacency(self) -> list:
         """Per-color adjacency bitsets, indexed adj[color][vertex].  The
@@ -184,8 +215,16 @@ class Coloring:
 
     def mono_triangles(self) -> list:
         """Per-color monochromatic triangle counts, indexed tri[color];
-        counted while the adjacency bitsets are built."""
-        return self._table(2)
+        counted on first use by one walk over the pairs with the
+        adjacency bitsets."""
+        return (self._table(2)[0] or self._walk_codegrees())[0]
+
+    def free_edges(self) -> list:
+        """Per-color counts of the edges in no monochromatic triangle,
+        indexed free[color]: the edges whose endpoints have no common
+        neighbor in the edge's color.  Counted in the same walk as
+        mono_triangles."""
+        return (self._table(2)[0] or self._walk_codegrees())[1]
 
     def used_colors(self) -> tuple[int, ...]:
         """The colors on at least one pair, ascending."""
@@ -273,6 +312,19 @@ class Coloring:
 
     def __repr__(self):
         return f"Coloring(n={self.n}, k={self.k})"
+
+
+def _code_windows(colors, used):
+    """The pairs' one-byte codes, one window of at most 255 colors in use
+    at a time: pairs (codes, window), where codes holds each pair's code
+    in pair order and window the pairs (color, code) of its colors.  A
+    code is the color itself when every color is at most 255; otherwise
+    the window's colors are the next 255 used ones, coded 1, 2, ... by
+    rank, and every other color is coded 0."""
+    if not used or used[-1] <= 255:
+        return [(bytes(colors), zip(used, used))]
+    windows = (dict(zip(used[i : i + 255], range(1, 256))) for i in range(0, len(used), 255))
+    return ((bytes(map(code.get, colors, repeat(0))), code.items()) for code in windows)
 
 
 # the colors of one digit; the ASCII digit of each color 0..9, and back

@@ -82,8 +82,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter
+from itertools import chain, compress, count
+from operator import itemgetter
 
 from .census import find_rainbow_triangle, is_gallai
 from .coloring import Coloring
@@ -108,8 +108,8 @@ class GallaiPartition(namedtuple("GallaiPartition", "parts between_colors reduce
     __slots__ = ()
 
 
-# 0/1 flags to their binary digits, for int(..., 2), and back
-_DIGITS = bytes.maketrans(b"\x00\x0101", b"01\x00\x01")
+# binary digits to 0/1 flags, for compress
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _candidate_color_sets(used: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -167,8 +167,10 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     size 1 or 2 of 1..k in lexicographic order) with at least two of them, in
     order of their lowest vertex.  By the module's lemma every pair of
     parts is monochromatic, so the reduced color of parts A and B is the
-    color of their lowest vertices.  Raises NotGallaiError with a
-    witness triangle on non-Gallai input, ValueError for n < 2.
+    color of their lowest vertices; on the n singletons, in vertex
+    order, the reduced coloring is the coloring itself.  Raises
+    NotGallaiError with a witness triangle on non-Gallai input,
+    ValueError for n < 2.
     """
     if coloring.n < 2:
         raise ValueError("partition needs n >= 2")
@@ -181,8 +183,11 @@ def find_gallai_partition(coloring: Coloring) -> GallaiPartition:
     else:
         raise AssertionError("no Gallai partition found for a Gallai coloring")
     parts = tuple(_vertices(comp) for comp in comps)
-    rows = _quotient(coloring, [part[0] for part in parts])
-    reduced = Coloring(len(parts), coloring.k, chain.from_iterable(rows))
+    if len(parts) == coloring.n:
+        reduced = coloring
+    else:
+        rows = _quotient(coloring, [part[0] for part in parts])
+        reduced = Coloring(len(parts), coloring.k, chain.from_iterable(rows))
     return GallaiPartition(
         parts=parts,
         between_colors=frozenset(reduced.colors),
@@ -251,24 +256,6 @@ def _quotient(coloring: Coloring, reps: list[int]) -> Iterator[tuple]:
             yield tuple(map(colors[row + 2 : row + n + 1].__getitem__, offsets[a:]))
 
 
-def _color_rows(t: int, colors, a: int) -> list[int]:
-    """rows[x]: the bitmask (vertex x <-> bit x) of the vertices that x
-    sees in color a, in a coloring of K_t on vertices 0..t-1 given by its
-    colors in pair order.
-
-    One flag per pair, then the t x t 0/1 matrix of the pairs (x, y),
-    y > x: row x holds x's later neighbors and column x its earlier
-    ones, each read off the matrix as one binary number."""
-    flags = bytes(map(eq, colors, repeat(a))).translate(_DIGITS)
-    upper = []
-    end = 0
-    for x in range(t):
-        start, end = end, end + t - 1 - x
-        upper.append(b"0" * (x + 1) + flags[start:end])
-    matrix = b"".join(upper)
-    return [int(row[::-1], 2) | int(matrix[x::t][::-1], 2) for x, row in enumerate(upper)]
-
-
 def _component(rows: list[int], vertices: int, start: int, flip: int) -> int:
     """The vertices that the bitmask start, a subset of the bitmask
     vertices, reaches in the graph on vertices whose edges are the pairs
@@ -288,9 +275,9 @@ def _component(rows: list[int], vertices: int, start: int, flip: int) -> int:
 
 def _module_children(rows: list[int], vertices: int) -> list[int]:
     """The root step of the modular decomposition of a 2-coloring: the
-    children, as bitmasks, of the 2-coloring that rows (the a-pairs, as
-    from _color_rows) induces on the vertices of the bitmask vertices,
-    at least two of them.
+    children, as bitmasks, of the 2-coloring that rows (the a-pairs: the
+    reduced coloring's a-rows, part x + 1 at bit x) induces on the
+    vertices of the bitmask vertices, at least two of them.
 
     A disconnected a- or b-graph gives two modules, by the module
     docstring's two-group rule.  Otherwise the root is prime, and its
@@ -374,14 +361,9 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
     t = len(parts)
     if t <= 2:  # two parts are always a valid floor
         return partition
-    colors = partition.reduced.colors
-    a = min(colors)
-    if t == coloring.n and colors == coloring.colors:
-        # the n singletons, in vertex order: the coloring's own a-rows are
-        # those of _color_rows, vertex x + 1 at bit x
-        rows = coloring.adjacency()[a][1:]
-    else:
-        rows = _color_rows(t, colors, a)
+    reduced = partition.reduced
+    # the a-rows of R, a its lowest color, part x + 1 at bit x
+    rows = reduced.adjacency()[reduced.used_colors()[0]][1:]
     groups = _module_children(rows, (1 << t) - 1)
     if len(groups) == t:
         return partition
@@ -398,7 +380,7 @@ def coarsen_to_min_parts(coloring: Coloring, partition: GallaiPartition) -> Gall
     # merged partition's reduced coloring
     firsts = [x + 1 for _, x in merged]
     order = sorted(firsts)
-    rows = _quotient(partition.reduced, order)
+    rows = _quotient(reduced, order)
     reduced = Coloring(len(merged), coloring.k, chain.from_iterable(rows))
     if order != firsts:  # parts out of order of their smallest members
         rank = {v: i for i, v in enumerate(order, 1)}

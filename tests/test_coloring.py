@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from gallai import (
     Coloring,
     GecFormatError,
@@ -22,6 +23,7 @@ from gallai import (
     lex_pairs,
     pair_index,
     parse_coloring,
+    random_gallai_coloring,
     triangle_census,
     verify_gallai_partition,
 )
@@ -283,28 +285,104 @@ def test_permutations_are_bijections(c):
     assert c.permute_vertices(rev).permute_vertices(rev) == c
 
 
+def _per_pair_recount(c):
+    """The colors in use, and per color in use its adjacency rows, its
+    monochromatic triangles and its edges in none, by the color of each
+    pair and each triple."""
+    n = c.n
+    at = [[0] * (n + 1) for _ in range(n + 1)]
+    for u, v in lex_pairs(n):
+        at[u][v] = at[v][u] = c.color(u, v)
+    used = sorted(set(c.colors))
+    adj = {q: [0] * (n + 1) for q in used}
+    tri = dict.fromkeys(used, 0)
+    free = dict.fromkeys(used, 0)
+    for u, v in lex_pairs(n):
+        q = at[u][v]
+        adj[q][u] |= 1 << (v - 1)
+        adj[q][v] |= 1 << (u - 1)
+        free[q] += not any(at[u][w] == q == at[v][w] for w in range(1, n + 1))
+    for u, v, w in combinations(range(1, n + 1), 3):
+        q = at[u][v]
+        tri[q] += at[u][w] == q == at[v][w]
+    return tuple(used), adj, tri, free
+
+
+def _assert_derived_tables_match(c):
+    used, adj, tri, free = _per_pair_recount(c)
+    assert c.used_colors() == used
+    tables = c.adjacency(), c.degrees(), c.mono_triangles(), c.free_edges()
+    assert all(len(table) == c.k + 1 and table[0] is None for table in tables)
+    got_adj, got_deg, got_tri, got_free = tables
+    for q in used:
+        assert got_adj[q] == adj[q], q
+        assert got_deg[q] == [row.bit_count() for row in adj[q]], q
+        assert (got_tri[q], got_free[q]) == (tri[q], free[q]), q
+    # every color not in use: zero rows and zero counts, all of them
+    # while k is small, the neighbors of the used colors and a sample
+    # past that
+    unused = set(range(1, c.k + 1)) if c.k <= 2000 else {1, c.k} | set(range(250, 262))
+    unused |= {q + d for q in used for d in (-1, 1)}
+    unused = {q for q in unused if 1 <= q <= c.k} - set(used)
+    zero = [0] * (c.n + 1)
+    for q in unused:
+        assert got_adj[q] == got_deg[q] == zero and got_tri[q] == got_free[q] == 0, q
+    # the free counts are the protected edges when no triangle is rainbow
+    if c.n <= 12 or is_gallai(c):
+        assert count_protected_edges(c) == helpers.brute_protected(c)
+
+
+def _with_colors(n, k, palette, heavy, rng):
+    """A coloring of K_n that uses every color of palette: each on one
+    pair of its own, the other pairs in a color of heavy, so that the
+    colors of heavy have monochromatic triangles."""
+    colors = [rng.choice(heavy) for _ in range(comb(n, 2))]
+    for i, q in zip(rng.sample(range(len(colors)), len(palette)), palette):
+        colors[i] = q
+    return Coloring(n, k, colors)
+
+
 def test_derived_tables_match_per_pair_recount():
     rng = random.Random(3)
     for _ in range(60):
         n, k = rng.randint(1, 40), rng.randint(1, 6)
-        c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
-        adj = [None] + [[0] * (n + 1) for _ in range(k)]
-        deg = [None] + [[0] * (n + 1) for _ in range(k)]
-        for u, v in lex_pairs(n):
-            q = c.color(u, v)
-            adj[q][u] |= 1 << (v - 1)
-            adj[q][v] |= 1 << (u - 1)
-            deg[q][u] += 1
-            deg[q][v] += 1
-        tri = [None] + [0] * k
-        for u, v, w in combinations(range(1, n + 1), 3):
-            q = c.color(u, v)
-            if c.color(u, w) == q == c.color(v, w):
-                tri[q] += 1
-        assert c.adjacency() == adj
-        assert c.degrees() == deg
-        assert c.mono_triangles() == tri
-        assert c.used_colors() == tuple(sorted(set(c.colors)))
+        _assert_derived_tables_match(Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))]))
+
+
+def test_derived_tables_match_per_pair_recount_on_small_and_wide_colorings():
+    rng = random.Random(43)
+    cases = []
+    # n = 1 and n = 2
+    for k in (1, 2, 255, 256, 10**6):
+        cases.append(Coloring(1, k, ()))
+        cases += [Coloring(2, k, (q,)) for q in {1, min(255, k), k}]
+    # colors above 255, one window of codes
+    for _ in range(20):
+        n, k = rng.randint(3, 30), rng.choice([256, 300, 1000])
+        palette = rng.sample(range(1, k + 1), rng.randint(1, 6))
+        cases.append(_with_colors(n, k, palette, palette[:3], rng))
+    # exactly 255 and 256 colors in use: 1..255, 1..256, and 255 and 256
+    # of 1..1000, so that one window is full and the next holds one color;
+    # 600 in use take three windows
+    for m, k, n in [(255, 255, 24), (256, 256, 24), (255, 1000, 30), (256, 1000, 30), (600, 1000, 40)]:
+        for _ in range(2):
+            palette = sorted(rng.sample(range(1, k + 1), m)) if k > m else list(range(1, m + 1))
+            # triangles in the first and the last window
+            heavy = [palette[0], palette[200], palette[-1]]
+            cases.append(_with_colors(n, k, palette, heavy, rng))
+    # k = 10**6, few colors in use
+    for _ in range(6):
+        palette = rng.sample([1, 2, 255, 256, 500_000, 999_999, 10**6], 4)
+        cases.append(_with_colors(rng.randint(3, 30), 10**6, palette, palette[:2], rng))
+    # random Gallai colorings, their colors renamed past 255
+    for _ in range(12):
+        g = random_gallai_coloring(rng.randint(3, 25), rng.randint(2, 5), rng)
+        names = rng.sample(range(1, 2000), g.k)
+        cases.append(Coloring(g.n, 2000, [names[q - 1] for q in g.colors]))
+    for c in cases:
+        _assert_derived_tables_match(c)
+    assert {len(c.used_colors()) for c in cases} >= {0, 1, 255, 256, 600}
+    assert sum(max(c.mono_triangles()[1:], default=0) > 0 and c.used_colors()[-1] > 255 for c in cases) > 20
 
 
 def test_derived_tables_are_built_once(monkeypatch):
@@ -315,7 +393,15 @@ def test_derived_tables_are_built_once(monkeypatch):
         builds.append(coloring)
         build(coloring)
 
+    walks = []
+    walk = Coloring._walk_codegrees
+
+    def walked(coloring):
+        walks.append(coloring)
+        return walk(coloring)
+
     monkeypatch.setattr(Coloring, "_build_derived", counted)
+    monkeypatch.setattr(Coloring, "_walk_codegrees", walked)
     c = construct_gr_k3_extremal(4)
     assert triangle_census(c).rainbow == 0
     assert is_gallai(c)
@@ -328,6 +414,8 @@ def test_derived_tables_are_built_once(monkeypatch):
     count_protected_edges(c)
     count_nim_star_edges(c, 2)
     assert sum(b is c for b in builds) == 1
+    # the triangle counts and the free edges come from one codegree walk
+    assert sum(w is c for w in walks) == 1
 
 
 def test_no_pair_table_outlives_its_coloring():

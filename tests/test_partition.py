@@ -36,7 +36,6 @@ from gallai import (
 )
 from gallai.partition import (
     _candidate_color_sets,
-    _color_rows,
     _components_outside,
     _module_children,
     _quotient,
@@ -261,27 +260,40 @@ def test_quotient_matches_color():
         assert tuple(chain.from_iterable(_quotient(c, reps))) == want, (c.serialize(), reps)
 
 
-def test_color_rows_match_cached_adjacency(monkeypatch):
+def test_singleton_partition_reduces_to_the_coloring(monkeypatch):
     # on the n singletons in vertex order the reduced coloring is the
-    # coloring itself, and coarsen_to_min_parts reads its cached a-rows
-    # in place of _color_rows': the two must be the same rows
+    # coloring itself, and coarsen_to_min_parts reads its a-rows off the
+    # coloring's own derived tables: it builds no second table, and it
+    # coarsens as from an equal reduced coloring of its own
     rng = random.Random(39)
-    for _ in range(300):
+    cases = [goodman_extremal_2coloring(30, 1, 2), pentagon_coloring(1, 2), paley17_coloring(2, 300)]
+    while len(cases) < 60:
         n = rng.randint(2, 40)
-        k = rng.choice([2, 5, 1000])
-        c = Coloring(n, k, [rng.randint(1, k) for _ in range(comb(n, 2))])
-        for a in c.used_colors():
-            assert _color_rows(n, c.colors, a) == c.adjacency()[a][1:], (c.serialize(), a)
-    c = goodman_extremal_2coloring(30, 1, 2)
-    gp = find_gallai_partition(c)
-    assert gp.parts == tuple((v,) for v in range(1, 31))
-    want = coarsen_to_min_parts(c, gp)
+        a, b = rng.sample([1, 2, 5, 300], 2)
+        c = Coloring(n, max(a, b), [rng.choice((a, b)) for _ in range(comb(n, 2))])
+        if len(find_gallai_partition(c).parts) == n:
+            cases.append(c)
+    builds = []
+    build = Coloring._build_derived
 
-    def refuse(*args):
-        raise AssertionError("the singleton rows were rebuilt")
+    def counted(coloring):
+        builds.append(coloring)
+        build(coloring)
 
-    monkeypatch.setattr(gallai.partition, "_color_rows", refuse)
-    assert coarsen_to_min_parts(c, gp) == want
+    monkeypatch.setattr(Coloring, "_build_derived", counted)
+    merged = 0
+    for c in cases:
+        gp = find_gallai_partition(c)
+        assert gp.parts == tuple((v,) for v in range(1, c.n + 1))
+        assert gp.reduced is c
+        before = len(builds)
+        coarse = coarsen_to_min_parts(c, gp)
+        assert len(builds) == before, c.serialize()
+        copy = gp._replace(reduced=Coloring(c.n, c.k, c.colors))
+        assert coarsen_to_min_parts(c, copy) == coarse
+        assert verify_gallai_partition(c, coarse)
+        merged += len(coarse.parts) < c.n
+    assert 0 < merged < len(cases)
 
 
 def test_vertices_of_masks():
