@@ -24,7 +24,11 @@ O(n) per color in use.  A color not in use has no cherries and no
 triangles; its zero is filled in without a loop over the vertices.
 Each c-colored triangle holds three c-cherries, so
 3*mono_c <= sum_v C(deg_c(v), 2) for every color, and the census checks
-it.
+it.  Which triangles are rainbow, not just how many, takes one more walk
+over the pairs: the first rainbow triangle and, on a coloring with a
+rainbow triangle, the protected edges count each pair's rainbow apexes
+by the identity of `_block_rows`, from the degrees, the codegree and one
+row per vertex, with per-color work only for the colors in use.
 
 Hunt order: the K3/K4/K4+e hunts in color c orient every c-edge from
 its lower vertex to its higher one and run over u < v < w (< x), with
@@ -151,32 +155,55 @@ def is_gallai(coloring: Coloring) -> bool:
     return _bichromatic_rainbow(coloring)[1] == 0
 
 
+def _block_rows(coloring: Coloring) -> list:
+    """The row R_u of each vertex u, its neighborhoods in the colors in
+    use side by side: with x the i-th color in use, from 0, adj[x][u]
+    fills bits i*n to i*n + n - 1.  A bit common to R_u and R_v is a
+    vertex w with c(uw) = c(vw), never u or v, since no vertex is its
+    own neighbor.  No unused color's row is read.
+
+    An edge uv of color a has
+        n - deg_a(u) - deg_a(v) - popcount(R_u & R_v) + 2*codeg_a(uv)
+    rainbow apexes, where codeg_a(uv) = popcount(adj[a][u] & adj[a][v])
+    counts the common a-neighbors.  Of the n - 2 apexes w, the triangle
+    uvw is not rainbow iff c(uw) = a (for deg_a(u) - 1 of them, every
+    a-neighbor of u but v), c(vw) = a (deg_a(v) - 1) or c(uw) = c(vw)
+    (popcount(R_u & R_v)).  Any two of these sets, and all three, meet
+    in the codeg_a(uv) common a-neighbors, so by inclusion-exclusion
+    their union holds deg_a(u) + deg_a(v) - 2 + popcount(R_u & R_v)
+    - 2*codeg_a(uv) apexes, and the rest are rainbow.
+    """
+    n, adj = coloring.n, coloring.adjacency()
+    rows = [0] * (n + 1)
+    for i, x in enumerate(coloring.used_colors()):
+        for u, row in enumerate(adj[x]):
+            rows[u] |= row << i * n
+    return rows
+
+
 def find_rainbow_triangle(coloring: Coloring) -> tuple[int, int, int] | None:
-    """First rainbow triangle in lexicographic order, or None."""
+    """First rainbow triangle in lexicographic order, or None.
+
+    It is the first pair uv, in lexicographic order, with a rainbow apex
+    (counted as in `_block_rows`), and that pair's lowest apex.  Every
+    apex w of the pair lies above v: with w < v the triangle has the
+    earlier pair (min(u, w), max(u, w)), which would have counted it.
+    """
     n = coloring.n
-    if coloring.k < 3:
-        return None
     adj = coloring.adjacency()
-    full = (1 << n) - 1
+    deg = coloring.degrees()
+    rows = _block_rows(coloring)
     colors = iter(coloring.colors)
-    for u in range(1, n + 1):
+    for u, row_u in enumerate(rows[1:], 1):
         for v, a in zip(range(u + 1, n + 1), colors):
-            # the apexes above v, vertex w at bit w - 1
-            apexes = _rainbow_apexes(adj, u, v, a, full >> v << v)
-            if apexes:
-                return (u, v, (apexes & -apexes).bit_length())
+            adj_a, deg_a = adj[a], deg[a]
+            codeg = (adj_a[u] & adj_a[v]).bit_count()
+            if n - deg_a[u] - deg_a[v] - (row_u & rows[v]).bit_count() + 2 * codeg > 0:
+                color = coloring.color
+                apexes = range(v + 1, n + 1)
+                w = next(w for w in apexes if len({a, color(u, w), color(v, w)}) == 3)
+                return u, v, w
     return None
-
-
-def _rainbow_apexes(adj, u, v, a, apexes):
-    """The w in the bitset apexes that make u, v, w a rainbow triangle,
-    where edge uv has color a: w meets u and v in two colors other than
-    a, so w is in neither a-neighborhood and in no common one."""
-    apexes &= ~(adj[a][u] | adj[a][v])
-    if apexes:
-        for adj_x in adj[1:]:
-            apexes &= ~(adj_x[u] & adj_x[v])
-    return apexes
 
 
 def _first_mono_clique(coloring: Coloring, c: int, kind: str) -> tuple[int, ...] | None:
@@ -322,28 +349,15 @@ def find_mono_subgraph(coloring: Coloring, color: int, kind: str) -> MonoSubgrap
 def count_protected_edges(coloring: Coloring) -> int:
     """Edges contained in no rainbow and no monochromatic triangle.
 
-    Take an edge uv of color a.  A monochromatic triangle through it
-    exists iff u and v have a common a-neighbor, that is iff its
+    An edge uv of color a lies in a monochromatic triangle iff its
     codegree popcount(adj[a][u] & adj[a][v]) is positive.  When the
     census shows no rainbow triangle, that test alone decides, so the
     count is the sum over the colors in use of their edges of codegree
     0, which the coloring's codegree walk counts beside the triangles
-    (`Coloring.free_edges`); no pair is walked here.
-
-    Otherwise, without a common a-neighbor, the triangle uvw on an apex
-    w is not rainbow iff c(uw) = a, c(vw) = a, or c(uw) = c(vw) != a.
-    The first holds for deg_a(u) - 1 apexes (every a-neighbor of u but
-    v), the second for deg_a(v) - 1, and the third for the popcount of
-    R_u & R_v, where the row R_u, the OR of adj[x][u] << i*n over the
-    colors x in use, x the i-th of them from 0, puts each used color's
-    neighborhood of u in its own block of n bits, so a bit common to
-    R_u and R_v is a w with c(uw) = c(vw).  u and v never count there:
-    no vertex is its own neighbor, so v lies in R_u but in no block of
-    R_v, and likewise u.  With no common a-neighbor the third case holds
-    no a-colored apex, so the three are disjoint, and uv is protected
-    iff all n - 2 apexes fall in one of them:
-    deg_a(u) - 1 + deg_a(v) - 1 + popcount(R_u & R_v) = n - 2, that is
-    deg_a(u) + deg_a(v) + popcount(R_u & R_v) = n.
+    (`Coloring.free_edges`); no pair is walked here.  Otherwise an edge
+    of codegree 0 is protected iff it has no rainbow apex, and by the
+    identity of `_block_rows` its rainbow apexes number
+    n - deg_a(u) - deg_a(v) - popcount(R_u & R_v).
     """
     used = coloring.used_colors()
     if not _bichromatic_rainbow(coloring)[1]:
@@ -351,15 +365,10 @@ def count_protected_edges(coloring: Coloring) -> int:
     n = coloring.n
     adj = coloring.adjacency()
     deg = coloring.degrees()
+    rows = _block_rows(coloring)
     colors = iter(coloring.colors)
     protected = 0
-    rows = [0] * (n + 1)
-    for i, x in enumerate(used):
-        adj_x, shift = adj[x], i * n
-        for u in range(1, n + 1):
-            rows[u] |= adj_x[u] << shift
-    for u in range(1, n + 1):
-        row_u = rows[u]
+    for u, row_u in enumerate(rows[1:], 1):
         for v, a in zip(range(u + 1, n + 1), colors):
             adj_a, deg_a = adj[a], deg[a]
             if (

@@ -33,12 +33,14 @@ still walk the pairs one at a time in Python are the general reader,
 the codegree walk, which counts the monochromatic triangles and the
 edges in none on first use of either, `edges` (and `edges_by_color` on
 it), `permute_vertices` and the constructor's error path.  Elsewhere,
-at the sizes the constructions reach, they are the rainbow-triangle
-search and the protected-edge count in `census` on a coloring with a
-rainbow triangle (without one, the count is a sum of the codegree
-walk's counts), and the nim-star construction's last step.  The
-nim-star count works per vertex and color, and the Goodman and random
-Gallai constructions build whole rows.
+at the sizes the constructions reach, they are the two walks in
+`census` that count each pair's rainbow apexes by one rule, from rows
+of the colors in use alone: the rainbow-triangle search, which stops
+at the first pair with an apex, and the protected-edge count on a
+coloring with a rainbow triangle (without one, the count is a sum of
+the codegree walk's counts); and the nim-star construction's last
+step.  The nim-star count works per vertex and color, and the Goodman
+and random Gallai constructions build whole rows.
 """
 
 from __future__ import annotations

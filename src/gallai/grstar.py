@@ -130,8 +130,9 @@ def max_gr_star_witness(
 ) -> tuple[bool, ExtendedColoring | None]:
     """Decide by exhaustive search whether an n-vertex, k-color witness
     exists; the pair search is delegated to the pruned DFS and each
-    vertex then takes the smallest color absent from its star.  budget
-    is search.DEFAULT_BUDGET when None.
+    vertex then takes the smallest color absent from its star, the
+    least color of degree 0 there.  budget is search.DEFAULT_BUDGET
+    when None.
 
     Restricted to desk scale (n <= 8, k <= 3)."""
     # here, so checking the conditions loads no search
@@ -145,20 +146,14 @@ def max_gr_star_witness(
         raise ValueError(f"k must be within 1..{MAX_WITNESS_K}, got {k}")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    if n == 1:
-        return True, ExtendedColoring(Coloring(1, k, ()), (1,))
-    if k == 1:
-        # the lone color clashes with every edge as soon as one exists
-        return False, None
     pairs = find_gr_star_pair_witness(n, k, budget=budget)
     if pairs is None:
         return False, None
-    singles = []
-    for v in range(1, n + 1):
-        incident = {pairs.color(u, v) for u in range(1, n + 1) if u != v}
-        free = next(c for c in range(1, k + 1) if c not in incident)
-        singles.append(free)
-    extended = ExtendedColoring(pairs=pairs, singleton_colors=tuple(singles))
+    deg = pairs.degrees()
+    singles = tuple(
+        next(c for c in range(1, k + 1) if not deg[c][v]) for v in range(1, n + 1)
+    )
+    extended = ExtendedColoring(pairs=pairs, singleton_colors=singles)
     if not check_gr_star_conditions(extended).passes:
         raise RuntimeError(f"completed witness for n={n} k={k} fails the GR* conditions")
     return True, extended

@@ -120,6 +120,85 @@ def test_rainbow_witness_on_perturbed_gallai_colorings():
     assert found > 100
 
 
+def _renamed_far_below_k(c, k, rng):
+    """c with its colors renamed to a sample of 1..k, gaps between them."""
+    names = sorted(rng.sample(range(1, k + 1), c.k))
+    return Coloring(c.n, k, [names[q - 1] for q in c.colors])
+
+
+def _common_neighbors_of_first_rainbow_pair(c):
+    u, v, _ = helpers.brute_first_rainbow(c)
+    a = c.color(u, v)
+    return sum(c.color(u, w) == c.color(v, w) == a for w in range(1, c.n + 1) if w not in (u, v))
+
+
+def test_rainbow_witness_where_the_first_rainbow_pair_has_common_neighbors():
+    # (1, 2, 4) is rainbow, and pair (1, 2) of color 1 has the common
+    # 1-neighbor 3, so it has one rainbow apex against
+    # 4 - 2 - 2 - 1 = -1 without its codegree term
+    c = parse_coloring("4 3\n1 2 1\n1 3 1\n1 4 2\n2 3 1\n2 4 3\n3 4 2")
+    assert find_rainbow_triangle(c) == (1, 2, 4) == helpers.brute_first_rainbow(c)
+    assert _common_neighbors_of_first_rainbow_pair(c) == 1
+    # blow-ups of small colorings with a rainbow triangle: the vertices
+    # of a part share their colors to the other parts, so the first
+    # rainbow pair often has common neighbors in its own color
+    rng = random.Random(46)
+    common = 0
+    for _ in range(60):
+        base = Coloring(4, 3, [rng.randint(1, 3) for _ in range(6)])
+        if is_gallai(base):
+            continue
+        sizes = [rng.randint(1, 4) for _ in range(4)]
+        parts = [Coloring(s, 3, [rng.randint(1, 3) for _ in range(comb(s, 2))]) for s in sizes]
+        c = blow_up(base, parts)
+        c = _renamed_far_below_k(c, rng.choice([3, 50, 10**6]), rng)
+        assert find_rainbow_triangle(c) == helpers.brute_first_rainbow(c)
+        common += _common_neighbors_of_first_rainbow_pair(c) > 0
+    assert common > 10
+
+
+class _UsedRowsOnly:
+    """A per-color table that hands out the row of a color in use and
+    raises on any other index: an unused color, 0 or a slice."""
+
+    def __init__(self, table, used):
+        self.table, self.used = table, set(used)
+
+    def __getitem__(self, color):
+        if isinstance(color, slice) or color not in self.used:
+            raise AssertionError(f"read the table at {color!r}; colors in use {sorted(self.used)}")
+        return self.table[color]
+
+
+def test_rainbow_witness_far_below_k_reads_only_the_colors_in_use(monkeypatch):
+    # random Gallai colorings, two of every three with one or two pairs
+    # recolored, their colors renamed to a few of 1..k with gaps and k up
+    # to 10**6; the adjacency and degree tables hand out only the rows of
+    # the colors in use
+    adjacency, degrees = Coloring.adjacency, Coloring.degrees
+    monkeypatch.setattr(
+        Coloring, "adjacency", lambda c: _UsedRowsOnly(adjacency(c), c.used_colors())
+    )
+    monkeypatch.setattr(Coloring, "degrees", lambda c: _UsedRowsOnly(degrees(c), c.used_colors()))
+    rng = random.Random(45)
+    cases = []
+    for k in (6, 300, 10**4, 10**6):
+        for i in range(30 if k < 10**6 else 10):
+            c = random_gallai_coloring(rng.randint(3, 14), rng.randint(3, 5), rng)
+            colors = list(c.colors)
+            for _ in range(i % 3):
+                colors[rng.randrange(len(colors))] = rng.randint(1, c.k)
+            cases.append(_renamed_far_below_k(Coloring(c.n, c.k, colors), k, rng))
+    cases += [RAINBOW_K3, RAINBOW_K3.with_k(10**6), construct_gr_k3_extremal(3).with_k(50)]
+    rainbow = 0
+    for c in cases:
+        witness = find_rainbow_triangle(c)
+        assert witness == helpers.brute_first_rainbow(c)
+        assert count_protected_edges(c) == helpers.brute_protected(c)
+        rainbow += witness is not None
+    assert 30 < rainbow < len(cases) - 30
+
+
 # --- monochromatic subgraph detection -------------------------------------
 
 

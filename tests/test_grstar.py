@@ -69,8 +69,18 @@ def test_witness_flips_k3():
 
 
 def test_witness_k1():
-    assert max_gr_star_witness(1, 1)[0]
-    assert not max_gr_star_witness(2, 1)[0]
+    # with one color every edge clashes with the singleton colors, so
+    # the pair search finds a witness on K_1 alone
+    assert max_gr_star_witness(1, 1) == (True, ExtendedColoring(Coloring(1, 1, ()), (1,)))
+    for n in range(2, 9):
+        assert max_gr_star_witness(n, 1) == (False, None)
+
+
+def test_witness_single_vertex():
+    # K_1 has no pair, so its witness is the empty coloring with the
+    # singleton color 1
+    for k in (1, 2, 3):
+        assert max_gr_star_witness(1, k) == (True, ExtendedColoring(Coloring(1, k, ()), (1,)))
 
 
 def test_witness_bounds_enforced():
