@@ -70,8 +70,7 @@ def test_witness_flips_k3():
 
 def test_witness_k1():
     # with one color every edge clashes with the singleton colors, so
-    # the pair search finds a witness on K_1 alone
-    assert max_gr_star_witness(1, 1) == (True, ExtendedColoring(Coloring(1, 1, ()), (1,)))
+    # only K_1 has a witness (test_witness_single_vertex)
     for n in range(2, 9):
         assert max_gr_star_witness(n, 1) == (False, None)
 
