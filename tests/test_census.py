@@ -199,6 +199,48 @@ def test_rainbow_witness_far_below_k_reads_only_the_colors_in_use(monkeypatch):
     assert 30 < rainbow < len(cases) - 30
 
 
+def _one_factorization(n):
+    """The round-robin proper edge coloring of K_n, n even, in n - 1
+    colors: every color is a perfect matching, so every triangle is
+    rainbow and no color has two edges at a vertex."""
+    colors = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            colors.append((u + v) % (n - 1) + 1 if v < n else 2 * u % (n - 1) + 1)
+    return Coloring(n, n - 1, colors)
+
+
+def test_rainbow_witness_with_thousands_of_colors_in_use():
+    rng = random.Random(47)
+    # pairs spread over 1..10**4: nearly every color has one or two edges
+    spread = Coloring(120, 10**4, [rng.randint(1, 10**4) for _ in range(comb(120, 2))])
+    # a Gallai coloring of 1..50 joined to 51..130 in color 1, with the
+    # pairs of 51..130 spread over 1..10**4: every rainbow triangle lies
+    # in 51..130, so the walk passes every pair with a vertex in 1..50
+    late = []
+    for u in range(1, 131):
+        for v in range(u + 1, 131):
+            late.append(2 + u % 4 if v <= 50 else 1 if u <= 50 else rng.randint(1, 10**4))
+    late = Coloring(130, 10**4, late)
+    assert len(spread.used_colors()) > 5000 and len(late.used_colors()) > 2500
+    cases = [spread, late] + [_one_factorization(n).with_k(k) for n in (4, 6, 8) for k in (7, 10**4)]
+    for c in cases:
+        assert find_rainbow_triangle(c) == helpers.brute_first_rainbow(c)
+        assert count_protected_edges(c) == helpers.brute_protected(c)
+    assert find_rainbow_triangle(late)[0] > 50
+    assert count_protected_edges(late) > 0
+
+
+def test_rainbow_witness_with_fewer_than_three_colors_in_use_builds_no_rows(monkeypatch):
+    def refuse(coloring):
+        raise AssertionError("built the block rows of a coloring with under three colors in use")
+
+    monkeypatch.setattr(census, "_block_rows", refuse)
+    c = goodman_extremal_2coloring(300, 3, 10**6)
+    assert find_rainbow_triangle(c) is None
+    assert find_rainbow_triangle(Coloring(300, 5, [4] * comb(300, 2))) is None
+
+
 # --- monochromatic subgraph detection -------------------------------------
 
 
